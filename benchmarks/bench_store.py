@@ -1,13 +1,12 @@
-"""STORE — result-store backend throughput (JSON dir vs SQLite).
+"""STORE — SQLite result-store throughput.
 
 Times the store layer itself, not the simulator: synthetic rows under
 real config hashing are written, read back, and rendered through the
-streaming report on both backends at 1k and 10k cells.  Every
-``extra_info`` key is ``wall_``-prefixed on purpose: store throughput
-is harness wall time on shared CI runners, so ``tools/bench_diff.py``
-reports these numbers but never gates on them (the byte-identity and
-out-of-core guarantees are gated by the tier-1 suite and the
-``store-migration`` CI job instead).
+streaming flat report at 1k and 10k cells.  Every ``extra_info`` key
+is ``wall_``-prefixed on purpose: store throughput is harness wall
+time on shared CI runners, so ``tools/bench_diff.py`` reports these
+numbers but never gates on them (the byte-identity and out-of-core
+guarantees are gated by the tier-1 suite instead).
 """
 
 import io
@@ -17,7 +16,7 @@ import tracemalloc
 import pytest
 from conftest import emit
 
-from repro.exp.report import render_table, stream_report
+from repro.exp.report import render_table, write_report
 from repro.exp.results import CellResult
 from repro.exp.spec import SweepSpec
 from repro.exp.store import open_store
@@ -71,7 +70,7 @@ def _exercise(path, rows):
     start = time.perf_counter()
     tracemalloc.start()
     with open_store(path) as store:
-        stream_report(store, io.StringIO(), fmt="md")
+        write_report(store, io.StringIO(), fmt="md")
     _current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     timings["report"] = time.perf_counter() - start
@@ -80,16 +79,15 @@ def _exercise(path, rows):
 
 
 @pytest.mark.parametrize("cells", [1000, 10000])
-@pytest.mark.parametrize("kind", ["json", "sqlite"])
-def test_store_throughput(benchmark, tmp_path, kind, cells):
+def test_store_throughput(benchmark, tmp_path, cells):
     rows = _rows(cells)
-    path = tmp_path / ("bench.sqlite" if kind == "sqlite" else "bench")
+    path = tmp_path / "bench.sqlite"
 
     timings = benchmark.pedantic(
         _exercise, args=(path, rows), rounds=1, iterations=1
     )
     emit(
-        f"STORE: {kind} backend, {cells} cells",
+        f"STORE: SQLite, {cells} cells",
         render_table(
             ["phase", "wall s"],
             [["store", f"{timings['store']:.3f}"],

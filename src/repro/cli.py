@@ -10,16 +10,17 @@ Usage::
     python -m repro portability           # EPXA1/4/10 sweep
     python -m repro run adpcm --kb 8      # one workload, all versions
     python -m repro sweep --app adpcm --kb 4 8 --policy fifo lru \\
-        --jobs 4 --cache .sweep-cache     # any design-space grid
+        --jobs 4 --cache sweep.sqlite    # any design-space grid
     python -m repro sweep --app adpcm --kb 4 8 --policy fifo lru \\
-        --shard 1/2 --cache shard1       # this machine's half of it
-    python -m repro merge merged shard1 shard2   # recombine shards
-    python -m repro report --cache merged \\
-        --group-by policy --format md    # tables from cache, no sim
-    python -m repro report --cache merged \\
-        --baseline main-cache            # every cell annotated vs main
-    python -m repro diff main-cache merged   # regression table; exit 1
-                                             # on regressions
+        --shard 1/2 --cache shard1.sqlite   # this machine's half of it
+    python -m repro merge merged.sqlite shard1.sqlite shard2.sqlite
+                                             # recombine shards
+    python -m repro report --cache merged.sqlite \\
+        --group-by policy --format md    # tables from a store, no sim
+    python -m repro report --cache merged.sqlite \\
+        --baseline main.sqlite           # every cell annotated vs main
+    python -m repro diff main.sqlite merged.sqlite   # regression table;
+                                             # exit 1 on regressions
     python -m repro record trace.gz --app synthetic --kb 4 \\
                                              # run one cell, write its
                                              # address trace
@@ -29,14 +30,13 @@ Usage::
         --tenant-mix adpcm:2+idea --sched priority \\
                                              # weighted tenants under a
                                              # strict-priority scheduler
-    python -m repro sweep --app adpcm --kb 4 8 \\
-        --cache results.sqlite           # same grid, SQLite store
-    python -m repro migrate merged results.sqlite   # JSON -> SQLite
+    python -m repro merge results.sqlite old-cache-dir   # import a
+                                             # legacy JSON cache
     python -m repro diff base.sqlite results.sqlite \\
         --group-by policy                # per-axis aggregate diff
     python -m repro history vim_ms results.sqlite \\
         --cells adpcm --last 5           # metric trend across runs
-    python -m repro serve --cache service-store     # sweep coordinator
+    python -m repro serve --cache service.sqlite    # sweep coordinator
     python -m repro worker http://127.0.0.1:8037    # pull + simulate
     python -m repro submit http://127.0.0.1:8037 \\
         --app adpcm --kb 4 8 --policy fifo lru   # grid via the service
@@ -66,12 +66,11 @@ from repro.exp.diff import (
     BANDS,
     DEFAULT_METRICS,
     METRICS,
-    diff_caches,
     diff_stores,
     render_diff,
 )
 from repro.exp.history import load_history, render_history
-from repro.exp.merge import merge_into, migrate_store
+from repro.exp.merge import merge_into
 from repro.exp.report import (
     FORMATS,
     format_table,
@@ -79,11 +78,11 @@ from repro.exp.report import (
     load_cache_rows,
     render_report,
     stacked_bar_chart,
-    stream_report,
+    write_report,
 )
 from repro.exp.record import record_cell
 from repro.exp.service import serve_forever, submit_sweep
-from repro.exp.store import STORES, is_sqlite_file, open_store, store_kind_of
+from repro.exp.store import open_store
 from repro.exp.worker import run_worker
 from repro.exp.spec import (
     APPS,
@@ -202,18 +201,11 @@ _SWEEP_PRESETS: dict[str, list] = {
 }
 
 
-#: The sweep flags that *do* shape ``--report`` output; every other
-#: sweep flag selects or runs a grid and is meaningless under
-#: ``--report`` (the stray-flag guard derives that set from the
-#: parser, so new axis flags are covered automatically).
-_REPORT_FLAGS = frozenset({"cache", "report", "group_by", "format", "baseline"})
-
-
 def iter_option_actions():
     """Yield ``(subcommand, action)`` for every CLI option action.
 
-    The one walker over argparse internals, shared by the ``--report``
-    stray-flag guard and ``tools/check_docs.py`` (which keeps the
+    The one walker over argparse internals, shared by the ``--preset``
+    stray-flag guards and ``tools/check_docs.py`` (which keeps the
     documented flag lists in lockstep with the parser).  Top-level
     parser options yield ``subcommand=None``.
     """
@@ -254,8 +246,8 @@ def _option_in_argv(argv, option: str) -> bool:
 #: ``engine`` qualifies: the backend changes how cells are simulated,
 #: never which cells exist — it is not part of the grid.
 _PRESET_FLAGS = frozenset(
-    {"preset", "jobs", "cache", "store", "json", "force", "shard", "engine"}
-) | _REPORT_FLAGS
+    {"preset", "jobs", "cache", "json", "force", "shard", "engine"}
+)
 
 
 def _explicit_flags(
@@ -342,57 +334,44 @@ def _load_baseline_rows(baseline: str):
 
 
 def _print_report(args: argparse.Namespace) -> None:
-    """``repro report``: render tables from a cache, simulate nothing.
-
-    Also the body of the deprecated ``repro sweep --report`` alias —
-    both spell the same namespace fields, so the output (CI
-    byte-compares it) is identical whichever way it was invoked.
-    """
+    """``repro report``: render tables from a store, simulate nothing."""
     if args.cache is None:
         raise ReproError(
-            "report renders from a result cache: pass --cache DIR "
-            "(the directory a previous sweep or merge wrote)"
+            "report renders from a result store: pass --cache PATH "
+            "(the store a previous sweep or merge wrote)"
         )
-    root = Path(args.cache)
-    if not root.exists() or store_kind_of(root) is None:
-        raise ReproError(f"cache directory {root} does not exist")
-    store = open_store(root)
-    counts = store.counts()
-    if not counts.ok:
-        raise ReproError(
-            f"no loadable cell results in {root} "
-            f"({counts.skipped} stale/invalid file(s) skipped); "
-            "run `repro sweep --cache` first"
-        )
-    if counts.skipped:
-        # To stderr: stdout stays the pure report (CI byte-compares and
-        # redirects it), but a partial table must not pass silently as
-        # the whole grid.
-        print(
-            f"warning: skipped {counts.skipped} stale/invalid cache "
-            f"entr{'y' if counts.skipped == 1 else 'ies'} in "
-            f"{args.cache} (not in this report)",
-            file=sys.stderr,
-        )
-    if args.baseline is None and not args.group_by:
-        # The hot path (CI byte-compares exactly this output) streams:
-        # rows come off the store's sorted cursor one at a time and
-        # the bytes match render_report exactly.
-        stream_report(store, sys.stdout, fmt=args.format)
-        sys.stdout.write("\n")
-        store.close()
-        return
-    rows = list(store.iter_report_rows())
-    store.close()
     baseline = None
     if args.baseline is not None:
         baseline = _load_baseline_rows(args.baseline)
-    print(render_report(
-        rows,
-        group_by=tuple(args.group_by or ()),
-        fmt=args.format,
-        baseline=baseline,
-    ))
+    with open_store(args.cache) as store:
+        counts = store.counts()
+        if not counts.ok:
+            raise ReproError(
+                f"no loadable cell results in {args.cache} "
+                f"({counts.skipped} stale/invalid entr"
+                f"{'y' if counts.skipped == 1 else 'ies'} skipped); "
+                "run `repro sweep --cache` first"
+            )
+        if counts.skipped:
+            # To stderr: stdout stays the pure report (CI byte-compares
+            # and redirects it), but a partial table must not pass
+            # silently as the whole grid.
+            print(
+                f"warning: skipped {counts.skipped} stale/invalid cache "
+                f"entr{'y' if counts.skipped == 1 else 'ies'} in "
+                f"{args.cache} (not in this report)",
+                file=sys.stderr,
+            )
+        # Rows stream off the store's (label, key)-sorted cursor; a
+        # flat report never holds more than one of them.
+        write_report(
+            store,
+            sys.stdout,
+            fmt=args.format,
+            group_by=tuple(args.group_by or ()),
+            baseline=baseline,
+        )
+    sys.stdout.write("\n")
 
 
 def _print_sweep_rows(cell_rows, executed: int, cached: int) -> None:
@@ -438,47 +417,6 @@ def _print_sweep_rows(cell_rows, executed: int, cached: int) -> None:
 
 
 def _print_sweep(args: argparse.Namespace) -> None:
-    if args.report:
-        # Deprecated alias for `repro report` — same rendering code,
-        # same namespace fields, plus a stray-flag guard (the dedicated
-        # subcommand has no grid flags to stray).  Warning to stderr:
-        # stdout stays the pure report for CI byte-compares.
-        print(
-            "warning: `repro sweep --report` is deprecated; use "
-            "`repro report` (same flags: --cache/--group-by/--format/"
-            "--baseline)",
-            file=sys.stderr,
-        )
-        stray = _explicit_flags(args, _REPORT_FLAGS)
-        if stray:
-            # Silently reporting the *whole* cache while the user asked
-            # for a sub-grid would put wrong rows under a plausible
-            # heading.
-            raise ReproError(
-                f"--report renders every cell in the cache; grid/run "
-                f"flag(s) {', '.join(stray)} would have no effect — drop "
-                "them, or run the sweep without --report (use --group-by "
-                "to organise the report)"
-            )
-        _print_report(args)
-        return
-    argv = getattr(args, "argv", ())
-    if (
-        args.group_by is not None
-        or args.format != "md"
-        or args.baseline is not None
-        or _option_in_argv(argv, "--group-by")
-        or _option_in_argv(argv, "--format")
-        or _option_in_argv(argv, "--baseline")
-    ):
-        # The mirror of the stray-flag guard in _print_report: these
-        # flags only shape --report output, so a sweep that ignored
-        # them would silently not do what the user asked.
-        raise ReproError(
-            "--group-by/--format/--baseline shape the --report output "
-            "and have no effect on a sweep run; add --report (with "
-            "--cache DIR) to render from a cache"
-        )
     if args.preset:
         ignored = _explicit_flags(args, _PRESET_FLAGS)
         if ignored:
@@ -491,13 +429,6 @@ def _print_sweep(args: argparse.Namespace) -> None:
                 "them or drop --preset"
             )
     spec = spec_from_args(args)
-    if args.store is not None and args.cache is None:
-        # Same contract as the other no-effect-flag guards: --store
-        # only names the --cache backend.
-        raise ReproError(
-            "--store selects the --cache backend; pass --cache PATH "
-            "alongside it"
-        )
     if args.force and not args.json:
         # Same contract as the other no-effect-flag guards: a silently
         # ignored --force would misstate what protection the user has.
@@ -527,9 +458,7 @@ def _print_sweep(args: argparse.Namespace) -> None:
         grid_size = len({cell.key() for cell in cells})
         spec = shard_cells(cells, index, total)
         print(f"shard {index}/{total}: {len(spec)} of {grid_size} unique cells")
-    result = exp.run_sweep(
-        spec, jobs=args.jobs, cache_dir=args.cache, store_kind=args.store,
-    )
+    result = exp.run_sweep(spec, jobs=args.jobs, cache_dir=args.cache)
     _print_sweep_rows(result.rows, result.executed, result.cached)
     if args.json:
         payload = [r.to_dict() for r in result.rows]
@@ -551,24 +480,14 @@ def _print_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_migrate(args: argparse.Namespace) -> None:
-    print(migrate_store(args.source, args.dest, dest_kind=args.store))
-
-
 def _print_history(args: argparse.Namespace) -> None:
-    root = Path(args.store)
-    if not root.exists() or store_kind_of(root) is None:
-        raise ReproError(f"result store {root} does not exist")
-    store = open_store(root)
-    try:
+    with open_store(args.store) as store:
         history = load_history(
             store,
             args.metric,
             cells=tuple(args.cells or ()),
             last=args.last,
         )
-    finally:
-        store.close()
     print(render_history(history, fmt=args.format))
 
 
@@ -580,31 +499,15 @@ def _print_diff(args: argparse.Namespace) -> int:
     ``CACHE_VERSION`` bump produces: incomparable is not a regression).
     """
     group_by = tuple(args.group_by or ())
-    metrics = tuple(args.metric) if args.metric else DEFAULT_METRICS
-    # Two stores under exact bands stream through a sorted merge-join
-    # (constant memory, identical output); --json dumps and the
-    # seed-blind cv alignment need rows in hand, so they materialise.
-    if args.bands == "exact" and all(
-        Path(path).is_dir() or is_sqlite_file(Path(path))
-        for path in (args.baseline, args.current)
-    ):
-        result = diff_stores(
-            args.baseline,
-            args.current,
-            metrics=metrics,
-            rtol=args.rtol,
-            atol=args.atol,
-            group_by=group_by,
-        )
-    else:
-        result = diff_caches(
-            args.baseline,
-            args.current,
-            metrics=metrics,
-            rtol=args.rtol,
-            atol=args.atol,
-            bands=args.bands,
-        )
+    result = diff_stores(
+        args.baseline,
+        args.current,
+        metrics=tuple(args.metric) if args.metric else DEFAULT_METRICS,
+        rtol=args.rtol,
+        atol=args.atol,
+        bands=args.bands,
+        group_by=group_by,
+    )
     print(render_diff(result, fmt=args.format, group_by=group_by))
     return 1 if result.has_regressions else 0
 
@@ -701,7 +604,6 @@ def _print_serve(args: argparse.Namespace) -> int:
         args.cache,
         host=args.host,
         port=args.port,
-        store_kind=args.store,
         lease_timeout=args.lease_timeout,
         max_attempts=args.max_attempts,
         backoff=args.backoff,
@@ -787,9 +689,9 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     Everything :func:`spec_from_args` reads lives here — axis flags,
     ``--preset``, ``--typical``, ``--replicates`` and ``--engine`` —
     so a grid means the same thing whether it runs locally or through
-    a coordinator.  Run/report flags (``--jobs``, ``--cache``,
-    ``--report``, …) stay on ``sweep``: the coordinator owns caching
-    and scheduling on the service path.
+    a coordinator.  Run flags (``--jobs``, ``--cache``, …) stay on
+    ``sweep``: the coordinator owns caching and scheduling on the
+    service path.
     """
     parser.add_argument("--app", nargs="+", default=["adpcm"], choices=APPS,
                         help="workload axis")
@@ -909,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep", help="run a design-space grid (parallel, cached)",
-        # No prefix abbreviations: the --report stray-flag guard works
+        # No prefix abbreviations: the --preset stray-flag guard works
         # on spelled-out tokens, and `--ap adpcm` resolving to --app
         # would slip past it.
         allow_abbrev=False,
@@ -918,13 +820,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes (cells are independent)")
     sweep.add_argument("--cache", default=None, metavar="PATH",
-                       help="result store: a cache directory or a .sqlite "
-                            "file (re-runs are incremental)")
-    sweep.add_argument("--store", default=None, choices=STORES,
-                       help="backend for a not-yet-existing --cache "
-                            "(default: inferred from the path — a "
-                            ".sqlite/.sqlite3/.db suffix means sqlite, "
-                            "anything else a JSON directory)")
+                       help="SQLite result store, created if missing "
+                            "(re-runs are incremental)")
     sweep.add_argument("--json", default=None, metavar="PATH",
                        help="also dump the rows as JSON")
     sweep.add_argument("--force", action="store_true",
@@ -933,18 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run only the I-th of N deterministic grid "
                             "partitions (by sorted config hash, so every "
                             "machine computes the same split)")
-    sweep.add_argument("--report", action="store_true",
-                       help="render tables from --cache instead of "
-                            "simulating (see --group-by / --format)")
-    sweep.add_argument("--group-by", nargs="+", default=None, metavar="AXIS",
-                       choices=group_axes(),
-                       help="config axes to group the --report tables by "
-                            f"(choices: {', '.join(group_axes())})")
-    sweep.add_argument("--format", default="md", choices=FORMATS,
-                       help="--report output format (default: md)")
-    sweep.add_argument("--baseline", default=None, metavar="DIR",
-                       help="annotate every numeric --report cell with its "
-                            "delta vs this second cache (PR-vs-main reports)")
     sweep.set_defaults(func=_print_sweep)
 
     report = sub.add_parser(
@@ -953,18 +838,17 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     report.add_argument("--cache", default=None, metavar="PATH",
-                        help="result store to render: a cache directory "
-                             "or a .sqlite file a previous sweep or "
-                             "merge wrote")
+                        help="result store to render: the SQLite file a "
+                             "previous sweep or merge wrote")
     report.add_argument("--group-by", nargs="+", default=None,
                         metavar="AXIS", choices=group_axes(),
                         help="config axes to group the tables by "
                              f"(choices: {', '.join(group_axes())})")
     report.add_argument("--format", default="md", choices=FORMATS,
                         help="output format (default: md)")
-    report.add_argument("--baseline", default=None, metavar="DIR",
+    report.add_argument("--baseline", default=None, metavar="PATH",
                         help="annotate every numeric cell with its delta "
-                             "vs this second cache (PR-vs-main reports)")
+                             "vs this second store (PR-vs-main reports)")
     report.set_defaults(func=_print_report)
 
     serve = sub.add_parser(
@@ -972,12 +856,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a sweep coordinator (HTTP) for repro worker / submit",
     )
     serve.add_argument("--cache", required=True, metavar="PATH",
-                       help="the coordinator's result store: a cache "
-                            "directory or a .sqlite file (created if "
-                            "missing; submissions are deduped against it)")
-    serve.add_argument("--store", default=None, choices=STORES,
-                       help="backend for a not-yet-existing --cache "
-                            "(default: inferred from the path)")
+                       help="the coordinator's SQLite result store "
+                            "(created if missing; submissions are "
+                            "deduped against it)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="address to bind (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8037,
@@ -1041,9 +922,9 @@ def build_parser() -> argparse.ArgumentParser:
                              f"(choices: {', '.join(group_axes())})")
     submit.add_argument("--format", default="md", choices=FORMATS,
                         help="--report output format (default: md)")
-    submit.add_argument("--baseline", default=None, metavar="DIR",
+    submit.add_argument("--baseline", default=None, metavar="PATH",
                         help="annotate every numeric --report cell with "
-                             "its delta vs this cache (PR-vs-main "
+                             "its delta vs this store (PR-vs-main "
                              "reports)")
     submit.set_defaults(func=_print_submit)
 
@@ -1051,34 +932,17 @@ def build_parser() -> argparse.ArgumentParser:
         "merge", help="merge shard stores / row dumps into one store"
     )
     merge.add_argument("dest", metavar="DEST",
-                       help="destination result store (created if missing; "
-                            "a .sqlite path creates a SQLite store, "
-                            "anything else a JSON cache directory)")
+                       help="destination SQLite result store (created "
+                            "if missing)")
     merge.add_argument("sources", metavar="SOURCE", nargs="+",
-                       help="cache directories, SQLite stores and/or "
-                            "`sweep --json` dumps")
+                       help="SQLite stores, `sweep --json` dumps and/or "
+                            "legacy JSON cache directories (imported)")
     merge.add_argument("--dry-run", action="store_true",
                        help="read and cross-check everything, write "
                             "nothing; reports every would-be conflict "
                             "(exit 1 if any) instead of failing on the "
                             "first")
     merge.set_defaults(func=_print_merge)
-
-    migrate = sub.add_parser(
-        "migrate",
-        help="copy a result store to another backend (JSON <-> SQLite)",
-    )
-    migrate.add_argument("source", metavar="SOURCE",
-                         help="source store (JSON cache directory, SQLite "
-                              "store, or `sweep --json` dump)")
-    migrate.add_argument("dest", metavar="DEST",
-                         help="destination store (created if missing; a "
-                              ".sqlite path creates a SQLite store, "
-                              "anything else a JSON cache directory)")
-    migrate.add_argument("--store", default=None, choices=STORES,
-                         help="force the destination backend instead of "
-                              "inferring it from the path")
-    migrate.set_defaults(func=_print_migrate)
 
     history = sub.add_parser(
         "history",
@@ -1087,8 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
     history.add_argument("metric", choices=sorted(METRICS),
                          help="metric to trend across runs")
     history.add_argument("store", metavar="STORE",
-                         help="SQLite result store (JSON caches keep no "
-                              "run history; `repro migrate` one first)")
+                         help="SQLite result store")
     history.add_argument("--cells", nargs="+", default=None, metavar="SUBSTR",
                          help="keep only cells whose label contains any of "
                               "these substrings")
@@ -1100,14 +963,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     diff = sub.add_parser(
         "diff",
-        help="compare two caches / row dumps (regression table; "
+        help="compare two stores / row dumps (regression table; "
              "exit 1 on regressions beyond tolerance)",
         allow_abbrev=False,
     )
     diff.add_argument("baseline", metavar="BASELINE",
-                      help="baseline cache directory or `sweep --json` dump")
+                      help="baseline result store or `sweep --json` dump")
     diff.add_argument("current", metavar="CURRENT",
-                      help="current cache directory or `sweep --json` dump")
+                      help="current result store or `sweep --json` dump")
     diff.add_argument("--rtol", type=float, default=0.0,
                       help="relative tolerance: |Δ| <= atol + rtol*|base| "
                            "is not a change (default: exact)")
@@ -1144,7 +1007,7 @@ def main(argv: list[str] | None = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Keep the raw tokens: the --report stray-flag guard needs to see
+    # Keep the raw tokens: the --preset stray-flag guards need to see
     # flags that were explicitly spelled with their default values.
     args.argv = list(argv) if argv is not None else sys.argv[1:]
     try:

@@ -14,14 +14,13 @@ simulation.  This package makes that structure first-class:
 * :func:`~repro.exp.sweep.run_sweep` — execute a whole grid across a
   ``multiprocessing`` pool, with an incremental result store keyed by
   config hash;
-* :mod:`~repro.exp.store` — the result-store layer: one
-  :class:`~repro.exp.store.ResultStore` protocol, a JSON-directory
-  backend and an append-only SQLite backend, selected by path
-  (``repro sweep --store``, ``repro migrate``);
+* :mod:`~repro.exp.store` — the result store: one append-only SQLite
+  file, :class:`~repro.exp.store.SqliteStore`;
 * :func:`~repro.exp.spec.shard_cells` — deterministic cross-machine
   grid partitioning (``repro sweep --shard I/N``);
-* :mod:`~repro.exp.merge` — recombine shard stores / row dumps into
-  one store as key-sorted streams, with conflict detection;
+* :mod:`~repro.exp.merge` — recombine shard stores / row dumps (and
+  import legacy JSON cache directories) into one store as key-sorted
+  streams, with conflict detection;
 * :mod:`~repro.exp.report` — render the paper's tables straight from
   a result store, no re-simulation (``repro report``);
 * :mod:`~repro.exp.record` — run one cell under a trace recorder and
@@ -64,15 +63,11 @@ from repro.exp.api import (
     portability,
     translation_overhead,
 )
-from repro.exp.cache import SweepCache
 from repro.exp.cell import build_tenant_workloads, run_cell
 from repro.exp.diff import (
     DiffResult,
     MetricDelta,
-    diff_caches,
-    diff_rows,
     diff_stores,
-    load_side,
     render_diff,
     scalar_delta,
 )
@@ -86,7 +81,6 @@ from repro.exp.merge import (
     MergeConflict,
     MergeSummary,
     merge_into,
-    migrate_store,
 )
 from repro.exp.record import RecordOutcome, record_cell
 from repro.exp.report import (
@@ -99,9 +93,8 @@ from repro.exp.report import (
     markdown_table,
     render_report,
     render_table,
-    report_from_cache,
     stacked_bar_chart,
-    stream_report,
+    write_report,
 )
 from repro.exp.results import CellResult
 from repro.exp.spec import (
@@ -112,14 +105,10 @@ from repro.exp.spec import (
     shard_cells,
 )
 from repro.exp.store import (
-    STORES,
-    JsonDirStore,
-    ResultStore,
     RunRecord,
     SqliteStore,
     StoreCounts,
     open_store,
-    store_kind_of,
 )
 from repro.exp.sweep import SweepResult, run_sweep
 
@@ -133,18 +122,14 @@ __all__ = [
     "Figure7Result",
     "HistoryResult",
     "HistorySeries",
-    "JsonDirStore",
     "MergeConflict",
     "MergeSummary",
     "MetricDelta",
     "PortabilityRow",
     "RecordOutcome",
-    "ResultStore",
     "RunRecord",
-    "STORES",
     "SqliteStore",
     "StoreCounts",
-    "SweepCache",
     "SweepResult",
     "SweepSpec",
     "TranslationOverheadResult",
@@ -160,8 +145,6 @@ __all__ = [
     "contention",
     "csv_table",
     "delta_bar_chart",
-    "diff_caches",
-    "diff_rows",
     "diff_stores",
     "figure7",
     "figure8",
@@ -172,9 +155,7 @@ __all__ = [
     "load_cache_rows",
     "markdown_table",
     "load_history",
-    "load_side",
     "merge_into",
-    "migrate_store",
     "open_store",
     "portability",
     "record_cell",
@@ -182,13 +163,11 @@ __all__ = [
     "render_history",
     "render_report",
     "render_table",
-    "report_from_cache",
     "run_cell",
     "run_sweep",
     "scalar_delta",
     "shard_cells",
     "stacked_bar_chart",
-    "store_kind_of",
-    "stream_report",
     "translation_overhead",
+    "write_report",
 ]

@@ -1,30 +1,36 @@
-"""Incremental result cache: one JSON file per executed cell.
+"""Readers of the result formats that are not a store.
 
-Cache entries are keyed by :func:`~repro.exp.spec.config_hash`, which
-covers every config field plus a schema version, so a re-run only
-simulates cells whose configuration (or result schema) changed.  Each
-file stores the full config alongside the result and is verified on
-load — a hash collision or a hand-edited file degrades to a miss, never
-to silently wrong numbers.
+Results live in one place, the SQLite store (:mod:`repro.exp.store`).
+Two other formats can still hold rows, and ``repro merge`` reads both
+as sources:
+
+* a ``repro sweep --json`` row dump — the interchange and fixture
+  format (:func:`iter_dump_rows`);
+* a legacy cache directory of ``<config-hash>.json`` files, each
+  ``{"version": ..., "result": ...}`` — what older versions wrote
+  with ``--cache DIR`` (:func:`iter_classified`).
+
+Every payload, whatever its source, goes through :func:`parse_entry`,
+so a hash collision or a hand-edited entry degrades to a skipped row,
+never to silently wrong numbers.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 from repro.errors import ReproError
 from repro.exp.results import CellResult
-from repro.exp.spec import CACHE_VERSION, CellConfig
+from repro.exp.spec import CACHE_VERSION
 
 
 def parse_entry(payload) -> CellResult | None:
     """Verify one cache-entry payload; the single gatekeeper.
 
-    Every consumer of cache entries (:meth:`SweepCache.load`, the
-    shard merger, the report loader) funnels through this check so
-    they cannot drift apart in what they accept.
+    Every consumer of stored rows (the store's reads, the shard
+    merger, the dump and legacy-directory readers) funnels through
+    this check so they cannot drift apart in what they accept.
 
     Parameters
     ----------
@@ -59,17 +65,15 @@ ENTRY_STATUSES = ("ok", "stale-version", "invalid")
 
 
 def iter_classified(root: str | Path):
-    """Yield ``(path, status, CellResult | None)`` for entries of *root*.
+    """Yield ``(path, status, CellResult | None)`` for a legacy directory.
 
-    The one shared directory walk for cache consumers (the shard
-    merger, the report loader, the cross-run differ): entries are
-    visited in sorted filename order and each payload goes through
-    :func:`parse_entry`.  *status* is one of :data:`ENTRY_STATUSES`;
-    the result is non-``None`` only for ``"ok"``.  A version mismatch
-    is classified ``"stale-version"`` (the differ reports those
-    distinctly — they usually mean a ``CACHE_VERSION`` bump, not
-    corruption); a file whose name does not match its own config hash
-    is ``"invalid"`` — a hand-renamed entry is skipped, never re-keyed.
+    Entries are visited in sorted filename order and each payload
+    goes through :func:`parse_entry`.  *status* is one of
+    :data:`ENTRY_STATUSES`; the result is non-``None`` only for
+    ``"ok"``.  A version mismatch is classified ``"stale-version"``
+    (it usually means a ``CACHE_VERSION`` bump, not corruption); a
+    file whose name does not match its own config hash is
+    ``"invalid"`` — a hand-renamed entry is skipped, never re-keyed.
     """
     for path in sorted(Path(root).glob("*.json")):
         try:
@@ -90,17 +94,6 @@ def iter_classified(root: str | Path):
             yield path, "stale-version", None
         else:
             yield path, "invalid", None
-
-
-def iter_entries(root: str | Path):
-    """Yield ``(path, CellResult | None)`` for every entry under *root*.
-
-    The status-blind face of :func:`iter_classified`, for consumers
-    that only distinguish loadable from not (the merger skips both
-    stale and corrupt files the same way).
-    """
-    for path, _status, result in iter_classified(root):
-        yield path, result
 
 
 def iter_dump_rows(path: str | Path):
@@ -125,91 +118,9 @@ def iter_dump_rows(path: str | Path):
         raise ReproError(f"unreadable row dump {path}: {error}")
     if not isinstance(rows, list):
         raise ReproError(
-            f"{path} is not a cache directory or a "
+            f"{path} is not a SQLite result store or a "
             "`repro sweep --json` row dump"
         )
     for index, row in enumerate(rows):
         origin = f"{path}[{index}]"
         yield origin, parse_entry({"version": CACHE_VERSION, "result": row})
-
-
-class SweepCache:
-    """A directory of ``<config-hash>.json`` cell results.
-
-    Parameters
-    ----------
-    root : str or Path
-        Cache directory; created (with parents) if missing.
-
-    Notes
-    -----
-    ``len(cache)`` counts the **loadable** entries — a stale-version
-    or corrupt ``*.json`` file is not an entry, exactly as it is not a
-    row to :meth:`load` or to any reader above.  Every entry embeds
-    the full config and :data:`~repro.exp.spec.CACHE_VERSION`, so a
-    schema bump, a hash collision or a hand-edited file degrades to a
-    miss — never to silently wrong numbers.
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, config: CellConfig) -> Path:
-        return self.root / f"{config.key()}.json"
-
-    def load(self, config: CellConfig) -> CellResult | None:
-        """Look up the cached result for one configuration.
-
-        Parameters
-        ----------
-        config : CellConfig
-            The configuration whose hash names the cache file.
-
-        Returns
-        -------
-        CellResult or None
-            The verified cached row, or ``None`` on any miss (absent
-            file, unreadable JSON, version or config mismatch).
-        """
-        path = self._path(config)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        result = parse_entry(payload)
-        if result is None:
-            return None
-        if replace(result.config, engine=config.engine) != config:
-            # The engine field is excluded from the config hash because
-            # backends are result-equivalent: a row priced by either
-            # backend serves a sweep running the other.  Any *other*
-            # config mismatch is a collision or corruption — a miss.
-            return None
-        return result
-
-    def store(self, result: CellResult) -> Path:
-        """Persist one executed cell.
-
-        Parameters
-        ----------
-        result : CellResult
-            The row to store; its embedded config provides the key.
-
-        Returns
-        -------
-        Path
-            The JSON file written.
-        """
-        path = self._path(result.config)
-        payload = {"version": CACHE_VERSION, "result": result.to_dict()}
-        path.write_text(
-            json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
-        return path
-
-    def __len__(self) -> int:
-        return sum(
-            1 for _path, status, _result in iter_classified(self.root)
-            if status == "ok"
-        )

@@ -1,19 +1,18 @@
-"""Cross-run diffing: two caches in, one regression table out.
+"""Cross-run diffing: two runs in, one regression table out.
 
 The paper's core claims are deltas, and so are a CI reviewer's
 questions: did this PR make ``vim_ms`` worse, did the fault count
-move, did a cell disappear?  This module compares two result stores —
-sweep-cache directories or ``repro sweep --json`` row dumps — by
-aligning rows on their config hash and classifying every metric of
-every matched cell against a configurable tolerance:
+move, did a cell disappear?  This module compares two runs — SQLite
+result stores or ``repro sweep --json`` row dumps — by aligning rows
+on their config hash and classifying every metric of every matched
+cell against a configurable tolerance:
 
-* :func:`load_side` — read one side through the
-  :mod:`repro.exp.cache` gatekeeper, keeping distinct counts for
-  stale-``CACHE_VERSION`` files (usually a deliberate schema bump,
-  reported separately) and invalid ones (corruption);
-* :func:`diff_rows` / :func:`diff_caches` — produce a typed
-  :class:`DiffResult`: per-cell :class:`MetricDelta` columns (absolute
-  + relative), plus added / removed cells;
+* :func:`diff_stores` — the one differ: a sorted merge-join of the
+  two sides into a typed :class:`DiffResult` of per-cell
+  :class:`MetricDelta` columns (absolute + relative), plus added /
+  removed cells and distinct counts of stale-``CACHE_VERSION``
+  entries (usually a deliberate schema bump) and invalid ones
+  (corruption);
 * :func:`render_diff` — the regression table (through
   :func:`~repro.exp.report.render_table`) with ASCII delta bars for
   the changed cells.
@@ -52,20 +51,14 @@ from typing import Callable
 from repro.errors import ReproError
 from repro.exp.cache import iter_dump_rows
 from repro.exp.report import (
+    check_group_axes,
     delta_bar_chart,
     format_cell,
     format_delta,
-    group_axes,
     render_table,
 )
 from repro.exp.results import REPLICATED_COLUMNS, CellResult
-from repro.exp.spec import (
-    CACHE_VERSION,
-    fingerprint_from_keys,
-    grid_fingerprint,
-    replica_fingerprint,
-    replica_hash,
-)
+from repro.exp.spec import CACHE_VERSION, fingerprint_from_keys, replica_hash
 from repro.exp.store import is_sqlite_file, open_store
 
 
@@ -301,116 +294,52 @@ def banded_delta(
 
 
 # ----------------------------------------------------------------------
-# Loading the two sides
+# The diff itself
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class DiffSide:
-    """One loaded comparison side.
+    """What one comparison side contributed besides its rows.
 
     Parameters
     ----------
     origin : str
         Where the rows came from (for messages).
-    rows : dict
-        Config hash -> :class:`~repro.exp.results.CellResult`.
+    fingerprint : str
+        :func:`~repro.exp.spec.fingerprint_from_keys` over the side's
+        alignment keys: config hashes under ``exact`` bands (the
+        :func:`~repro.exp.spec.grid_fingerprint`), seed-blind
+        :func:`~repro.exp.spec.replica_hash` digests under ``cv``.
     stale : int
-        Files carrying a different :data:`~repro.exp.spec.CACHE_VERSION`
-        — usually a schema bump, reported distinctly from corruption.
+        Entries carrying a different
+        :data:`~repro.exp.spec.CACHE_VERSION` — usually a schema bump,
+        reported distinctly from corruption.
     invalid : int
-        Corrupt / renamed / unparsable files.
+        Corrupt / re-keyed / unparsable entries.
     """
 
     origin: str
-    rows: dict[str, CellResult]
+    fingerprint: str
     stale: int
     invalid: int
-
-
-def load_side(path: str | Path) -> DiffSide:
-    """Load one comparison side: a cache directory or a ``--json`` dump.
-
-    Directories go through the :func:`~repro.exp.cache.iter_classified`
-    gatekeeper (stale-version and invalid files counted separately); a
-    file is read as a ``repro sweep --json`` row dump through the
-    shared :func:`~repro.exp.cache.iter_dump_rows` gatekeeper (the
-    same one ``repro merge`` uses).
-
-    Raises
-    ------
-    ReproError
-        If *path* does not exist, holds no entries at all, is not a
-        JSON list (file case), or a dump carries two different results
-        for one config hash.
-    """
-    root = Path(path)
-    rows: dict[str, CellResult] = {}
-    stale = invalid = 0
-    if root.is_dir() or is_sqlite_file(root):
-        entries = 0
-        for _origin, status, result in open_store(root).iter_classified():
-            entries += 1
-            if status == "ok":
-                rows[result.key] = result
-            elif status == "stale-version":
-                stale += 1
-            else:
-                invalid += 1
-        if not entries:
-            raise ReproError(
-                f"{root} holds no cache entries; pass a sweep-cache "
-                "directory or a `repro sweep --json` dump"
-            )
-        return DiffSide(origin=str(root), rows=rows, stale=stale, invalid=invalid)
-    if not root.is_file():
-        raise ReproError(f"diff source {root} does not exist")
-    entries = 0
-    for origin, result in iter_dump_rows(root):
-        entries += 1
-        if result is None:
-            invalid += 1
-            continue
-        known = rows.get(result.key)
-        if known is not None and known != result:
-            raise ReproError(
-                f"diff source {root} carries two different results for "
-                f"config {result.key} ({origin})"
-            )
-        rows[result.key] = result
-    if not entries:
-        raise ReproError(
-            f"{root} holds no result rows; pass a sweep-cache "
-            "directory or a non-empty `repro sweep --json` dump"
-        )
-    return DiffSide(origin=str(root), rows=rows, stale=stale, invalid=invalid)
-
-
-# ----------------------------------------------------------------------
-# The diff itself
-# ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CellDiff:
     """All compared metrics of one config present in both runs.
 
-    ``base`` / ``current`` hold the full rows on the materialised
-    path; the streaming differ (:func:`diff_stores`) drops them
-    (``None``) once the deltas are computed so a large diff never
-    retains its rows — everything :func:`render_diff` needs lives on
-    the label, the deltas, and (for grouped diffs)
-    ``group_values``.
+    The rows themselves are dropped once the deltas are computed, so a
+    large diff never retains them — everything :func:`render_diff`
+    needs lives on the label, the deltas and ``group_values``.
     """
 
     key: str
     label: str
-    base: CellResult | None
-    current: CellResult | None
     deltas: tuple[MetricDelta, ...]
     #: Raw config-axis values of a ``--group-by`` request, in axis
-    #: order; filled by the streaming differ (the materialised path
-    #: reads them off ``current.config`` at render time).
+    #: order (recorded during the join: the configs are gone by
+    #: render time).
     group_values: tuple = ()
 
     @property
@@ -425,6 +354,14 @@ class CellDiff:
 
 
 @dataclass(frozen=True)
+class _LeanRow:
+    """A row reduced to what added/removed rendering touches."""
+
+    key: str
+    label: str
+
+
+@dataclass(frozen=True)
 class DiffResult:
     """The typed outcome of comparing two runs.
 
@@ -432,10 +369,11 @@ class DiffResult:
     ----------
     cells : tuple of CellDiff
         Configs present in both runs, in canonical (label, key) order.
-    added, removed : tuple of CellResult
-        Configs only in the current run / only in the baseline.
+    added, removed : tuple
+        Configs only in the current run / only in the baseline, in
+        (label, key) order, as rows carrying ``key`` and ``label``.
     baseline, current : DiffSide
-        The loaded sides (origins and stale/invalid counts).
+        The two sides' origins, fingerprints and stale/invalid counts.
     metrics : tuple of str
         The compared metric selectors, in column order.
     rtol, atol : float
@@ -448,18 +386,14 @@ class DiffResult:
     """
 
     cells: tuple[CellDiff, ...]
-    added: tuple[CellResult, ...]
-    removed: tuple[CellResult, ...]
+    added: tuple[_LeanRow, ...]
+    removed: tuple[_LeanRow, ...]
     baseline: DiffSide
     current: DiffSide
     metrics: tuple[str, ...]
     rtol: float
     atol: float
     bands: str = "exact"
-    #: Precomputed (baseline, current) fingerprints.  The streaming
-    #: differ sets this from the key streams (its ``DiffSide`` rows
-    #: stay empty by design); ``None`` computes from the loaded rows.
-    fingerprints_override: tuple[str, str] | None = None
 
     @property
     def changed_cells(self) -> tuple[CellDiff, ...]:
@@ -477,18 +411,9 @@ class DiffResult:
     def fingerprints(self) -> tuple[str, str]:
         """Grid fingerprints of (baseline, current) — equal iff the
         two runs cover the same configurations.  Under ``cv`` bands
-        the fingerprint is seed-blind
-        (:func:`~repro.exp.spec.replica_fingerprint`): disjoint seed
-        sets over the same design space are *meant* to match."""
-        if self.fingerprints_override is not None:
-            return self.fingerprints_override
-        fingerprint = (
-            replica_fingerprint if self.bands == "cv" else grid_fingerprint
-        )
-        return (
-            fingerprint(r.config for r in self.baseline.rows.values()),
-            fingerprint(r.config for r in self.current.rows.values()),
-        )
+        the fingerprint is seed-blind: disjoint seed sets over the same
+        design space are *meant* to match."""
+        return self.baseline.fingerprint, self.current.fingerprint
 
 
 def _resolve_metrics(names) -> list[Metric]:
@@ -500,8 +425,45 @@ def _resolve_metrics(names) -> list[Metric]:
     return [METRICS[name] for name in names]
 
 
-def _replica_keyed(side: DiffSide) -> dict[str, CellResult]:
-    """Re-key one side's rows by seed-blind replica hash.
+def _side_rows(path: Path, counter: list[int]):
+    """One side's loadable rows in key order, tallying its entries.
+
+    ``counter`` is ``[entries, stale, invalid]`` and is updated as the
+    rows are read.  A SQLite store streams off its key-sorted cursor;
+    a ``--json`` dump is a JSON list in memory already, so it is
+    deduplicated and sorted there.
+    """
+    if not path.exists():
+        raise ReproError(f"diff source {path} does not exist")
+    if path.is_dir() or is_sqlite_file(path):
+        with open_store(path) as store:
+            for _origin, status, result in store.iter_classified():
+                counter[0] += 1
+                if status == "ok":
+                    yield result
+                elif status == "stale-version":
+                    counter[1] += 1
+                else:
+                    counter[2] += 1
+        return
+    rows: dict[str, CellResult] = {}
+    for origin, result in iter_dump_rows(path):
+        counter[0] += 1
+        if result is None:
+            counter[2] += 1
+            continue
+        known = rows.get(result.key)
+        if known is not None and known != result:
+            raise ReproError(
+                f"diff source {path} carries two different results for "
+                f"config {result.key} ({origin})"
+            )
+        rows[result.key] = result
+    yield from (rows[key] for key in sorted(rows))
+
+
+def _replica_aligned(rows, origin: Path):
+    """Re-key rows by seed-blind replica hash, sorted in memory.
 
     Raises
     ------
@@ -510,36 +472,47 @@ def _replica_keyed(side: DiffSide) -> dict[str, CellResult]:
         *axis*, which ``--bands cv`` cannot align (within one run,
         replication belongs in ``--replicates``, not in ``--seed``).
     """
-    rows: dict[str, CellResult] = {}
-    for result in side.rows.values():
+    by_replica: dict[str, CellResult] = {}
+    for result in rows:
         key = replica_hash(result.config)
-        clash = rows.get(key)
+        clash = by_replica.get(key)
         if clash is not None:
             raise ReproError(
-                f"{side.origin} holds two rows differing only by seed "
+                f"{origin} holds two rows differing only by seed "
                 f"(seeds {clash.config.seed} and {result.config.seed} of "
                 f"replica {key}): --bands cv aligns cells across seed "
                 "sets, so within one run replication must come from "
                 "--replicates, not a seed axis"
             )
-        rows[key] = result
-    return rows
+        by_replica[key] = result
+    return sorted(by_replica.items())
 
 
-def diff_rows(
-    baseline: DiffSide,
-    current: DiffSide,
+def diff_stores(
+    baseline: str | Path,
+    current: str | Path,
     metrics=DEFAULT_METRICS,
     rtol: float = 0.0,
     atol: float = 0.0,
     bands: str = "exact",
+    group_by: tuple[str, ...] = (),
 ) -> DiffResult:
-    """Align two loaded sides and classify every metric of every match.
+    """Align two runs and classify every metric of every match.
+
+    Both sides are walked as sorted streams of ``(alignment key,
+    row)`` and aligned with a two-pointer merge-join; each
+    :class:`~repro.exp.results.CellResult` is dropped the moment its
+    deltas are computed, and the returned :class:`DiffResult` holds
+    only labels, deltas and fingerprints.  Two stores under ``exact``
+    bands stream off their key-sorted cursors in constant memory; a
+    ``--json`` dump side, or ``cv`` alignment by replica hash, sorts
+    that side in memory first.  No simulation happens.
 
     Parameters
     ----------
-    baseline, current : DiffSide
-        The two runs (see :func:`load_side`).
+    baseline, current : str or Path
+        SQLite result stores or ``repro sweep --json`` dumps, either
+        on either side.
     metrics : sequence of str
         Metric selectors from :data:`METRICS`.
     rtol, atol : float
@@ -554,33 +527,60 @@ def diff_rows(
         :func:`~repro.exp.spec.replica_hash` and classifies each
         metric through :func:`banded_delta`, widening replicated
         metrics by the baseline's own per-cell CV.
+    group_by : tuple of str
+        Config axes whose raw values to record per matched cell
+        (``repro diff --group-by``), for :func:`render_diff`.
 
     Raises
     ------
     ReproError
-        On unknown metric names, negative tolerances, an unknown band
-        policy, or (``cv`` only) a side whose rows differ only by
-        seed.
+        On a missing, empty or malformed side, a dump carrying two
+        different results for one config, unknown metric names or
+        axes, negative tolerances, an unknown band policy, or (``cv``
+        only) a side whose rows differ only by seed.
     """
     if rtol < 0 or atol < 0:
         raise ReproError(f"tolerances must be >= 0, got rtol={rtol} atol={atol}")
     if bands not in BANDS:
         raise ReproError(f"unknown band policy {bands!r}; choices: {BANDS}")
     selected = _resolve_metrics(metrics)
-    if bands == "cv":
-        base_rows = _replica_keyed(baseline)
-        current_rows = _replica_keyed(current)
-    else:
-        base_rows = baseline.rows
-        current_rows = current.rows
-    matched = sorted(
-        base_rows.keys() & current_rows.keys(),
-        key=lambda key: (current_rows[key].label, key),
-    )
-    cells = []
-    for key in matched:
-        base_row = base_rows[key]
-        current_row = current_rows[key]
+    check_group_axes(group_by)
+    paths = (Path(baseline), Path(current))
+    counters = ([0, 0, 0], [0, 0, 0])  # entries, stale, invalid
+    streams = []
+    for path, counter in zip(paths, counters):
+        rows = _side_rows(path, counter)
+        if bands == "cv":
+            streams.append(iter(_replica_aligned(rows, path)))
+        else:
+            streams.append((row.key, row) for row in rows)
+    base_stream, current_stream = streams
+    base_keys: list[str] = []
+    current_keys: list[str] = []
+    cells: list[CellDiff] = []
+    added: list[_LeanRow] = []
+    removed: list[_LeanRow] = []
+    base_item = next(base_stream, None)
+    current_item = next(current_stream, None)
+    while base_item is not None or current_item is not None:
+        if current_item is None or (
+            base_item is not None and base_item[0] < current_item[0]
+        ):
+            key, row = base_item
+            base_keys.append(key)
+            removed.append(_LeanRow(key=row.key, label=row.label))
+            base_item = next(base_stream, None)
+            continue
+        if base_item is None or current_item[0] < base_item[0]:
+            key, row = current_item
+            current_keys.append(key)
+            added.append(_LeanRow(key=row.key, label=row.label))
+            current_item = next(current_stream, None)
+            continue
+        key, base_row = base_item
+        _key, current_row = current_item
+        base_keys.append(key)
+        current_keys.append(key)
         if bands == "cv":
             deltas = tuple(
                 banded_delta(metric, base_row, current_row, rtol=rtol, atol=atol)
@@ -601,208 +601,46 @@ def diff_rows(
         cells.append(CellDiff(
             key=key,
             label=current_row.label,
-            base=base_row,
-            current=current_row,
-            deltas=deltas,
-        ))
-    added = tuple(sorted(
-        (row for key, row in current_rows.items() if key not in base_rows),
-        key=lambda r: (r.label, r.key),
-    ))
-    removed = tuple(sorted(
-        (row for key, row in base_rows.items() if key not in current_rows),
-        key=lambda r: (r.label, r.key),
-    ))
-    return DiffResult(
-        cells=tuple(cells),
-        added=added,
-        removed=removed,
-        baseline=baseline,
-        current=current,
-        metrics=tuple(m.name for m in selected),
-        rtol=rtol,
-        atol=atol,
-        bands=bands,
-    )
-
-
-def diff_caches(
-    baseline: str | Path,
-    current: str | Path,
-    metrics=DEFAULT_METRICS,
-    rtol: float = 0.0,
-    atol: float = 0.0,
-    bands: str = "exact",
-) -> DiffResult:
-    """Load and diff two result stores — the ``repro diff`` path.
-
-    A convenience composition of :func:`load_side` (twice) and
-    :func:`diff_rows`; no simulation happens.
-    """
-    return diff_rows(
-        load_side(baseline),
-        load_side(current),
-        metrics=metrics,
-        rtol=rtol,
-        atol=atol,
-        bands=bands,
-    )
-
-
-@dataclass(frozen=True)
-class _LeanRow:
-    """A row reduced to what added/removed rendering touches."""
-
-    key: str
-    label: str
-
-
-def _store_cursor(store, counter: list[int]):
-    """The store's ok rows in key order, tallying stale/invalid.
-
-    ``counter`` is ``[entries, stale, invalid]`` and is updated as the
-    cursor advances — one classified pass serves the join, the side
-    notes, and the emptiness check at once.
-    """
-    for _origin, status, result in store.iter_classified():
-        counter[0] += 1
-        if status == "ok":
-            yield result
-        elif status == "stale-version":
-            counter[1] += 1
-        else:
-            counter[2] += 1
-
-
-def diff_stores(
-    baseline: str | Path,
-    current: str | Path,
-    metrics=DEFAULT_METRICS,
-    rtol: float = 0.0,
-    atol: float = 0.0,
-    group_by: tuple[str, ...] = (),
-) -> DiffResult:
-    """Diff two result stores by a sorted-key merge-join, out-of-core.
-
-    The streaming sibling of :func:`diff_caches` for ``exact`` bands:
-    both stores are walked as key-sorted classified cursors and
-    aligned with a two-pointer join, so no row dictionary is ever
-    built — each :class:`~repro.exp.results.CellResult` is dropped the
-    moment its deltas are computed, and the returned
-    :class:`DiffResult` holds only labels, deltas, and key
-    fingerprints.  :func:`render_diff` accepts it unchanged and
-    produces bytes identical to the materialised path.
-
-    Parameters
-    ----------
-    baseline, current : str or Path
-        Result stores (JSON cache directories or SQLite files).  Row
-        dumps and ``cv`` bands need the materialised loader
-        (:func:`diff_caches`), which the CLI falls back to.
-    group_by : tuple of str
-        Config axes whose raw values to record per matched cell
-        (``repro diff --group-by``); recorded during the join because
-        the configs are gone by render time.
-    """
-    if rtol < 0 or atol < 0:
-        raise ReproError(f"tolerances must be >= 0, got rtol={rtol} atol={atol}")
-    selected = _resolve_metrics(metrics)
-    known_axes = group_axes()
-    bad = [axis for axis in group_by if axis not in known_axes]
-    if bad:
-        raise ReproError(
-            f"unknown group-by axis/axes {bad}; choices: {known_axes}"
-        )
-    sides = []
-    for path in (baseline, current):
-        root = Path(path)
-        if not root.exists():
-            raise ReproError(f"diff source {root} does not exist")
-        sides.append(open_store(root))
-    base_store, current_store = sides
-    base_counter = [0, 0, 0]  # entries, stale, invalid
-    current_counter = [0, 0, 0]
-    base_cursor = _store_cursor(base_store, base_counter)
-    current_cursor = _store_cursor(current_store, current_counter)
-    base_keys: list[str] = []
-    current_keys: list[str] = []
-    cells: list[CellDiff] = []
-    added: list[_LeanRow] = []
-    removed: list[_LeanRow] = []
-    base_row = next(base_cursor, None)
-    current_row = next(current_cursor, None)
-    while base_row is not None or current_row is not None:
-        if current_row is None or (
-            base_row is not None and base_row.key < current_row.key
-        ):
-            base_keys.append(base_row.key)
-            removed.append(_LeanRow(key=base_row.key, label=base_row.label))
-            base_row = next(base_cursor, None)
-            continue
-        if base_row is None or current_row.key < base_row.key:
-            current_keys.append(current_row.key)
-            added.append(_LeanRow(key=current_row.key, label=current_row.label))
-            current_row = next(current_cursor, None)
-            continue
-        base_keys.append(base_row.key)
-        current_keys.append(current_row.key)
-        deltas = tuple(
-            scalar_delta(
-                metric.name,
-                metric.value(base_row),
-                metric.value(current_row),
-                rtol=rtol,
-                atol=atol,
-                higher_is_worse=metric.higher_is_worse,
-            )
-            for metric in selected
-        )
-        cells.append(CellDiff(
-            key=current_row.key,
-            label=current_row.label,
-            base=None,
-            current=None,
             deltas=deltas,
             group_values=tuple(
                 getattr(current_row.config, axis) for axis in group_by
             ),
         ))
-        base_row = next(base_cursor, None)
-        current_row = next(current_cursor, None)
-    for path, counter in ((baseline, base_counter), (current, current_counter)):
+        base_item = next(base_stream, None)
+        current_item = next(current_stream, None)
+    for path, counter in zip(paths, counters):
         if not counter[0]:
             raise ReproError(
-                f"{Path(path)} holds no cache entries; pass a sweep-cache "
-                "directory or a `repro sweep --json` dump"
+                f"{path} holds no result rows; pass a result store or a "
+                "non-empty `repro sweep --json` dump"
             )
-    # The classified cursors are key-sorted, so matched/added/removed
-    # arrived in key order; canonical diff order is (label, key).
+    # The streams arrived in alignment-key order; canonical diff order
+    # is (label, key).
     cells.sort(key=lambda cell: (cell.label, cell.key))
     added.sort(key=lambda row: (row.label, row.key))
     removed.sort(key=lambda row: (row.label, row.key))
-    result = DiffResult(
+    sides = tuple(
+        DiffSide(
+            origin=str(path),
+            fingerprint=fingerprint_from_keys(keys),
+            stale=counter[1],
+            invalid=counter[2],
+        )
+        for path, keys, counter in zip(
+            paths, (base_keys, current_keys), counters
+        )
+    )
+    return DiffResult(
         cells=tuple(cells),
         added=tuple(added),
         removed=tuple(removed),
-        baseline=DiffSide(
-            origin=str(baseline), rows={},
-            stale=base_counter[1], invalid=base_counter[2],
-        ),
-        current=DiffSide(
-            origin=str(current), rows={},
-            stale=current_counter[1], invalid=current_counter[2],
-        ),
+        baseline=sides[0],
+        current=sides[1],
         metrics=tuple(m.name for m in selected),
         rtol=rtol,
         atol=atol,
-        fingerprints_override=(
-            fingerprint_from_keys(base_keys),
-            fingerprint_from_keys(current_keys),
-        ),
+        bands=bands,
     )
-    base_store.close()
-    current_store.close()
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -848,17 +686,6 @@ def _side_notes(side: DiffSide, name: str) -> list[str]:
     return notes
 
 
-def _cell_group_values(cell: CellDiff, group_by: tuple[str, ...]) -> tuple:
-    """The raw axis values of one matched cell.
-
-    The streaming differ recorded them during the join; the
-    materialised path still has the row and reads its config.
-    """
-    if len(cell.group_values) == len(group_by):
-        return cell.group_values
-    return tuple(getattr(cell.current.config, axis) for axis in group_by)
-
-
 def _grouped_cells(
     result: DiffResult, group_by: tuple[str, ...]
 ) -> list[tuple[tuple, list[CellDiff]]]:
@@ -866,9 +693,7 @@ def _grouped_cells(
     grouper (raw values, ``None`` first)."""
     groups: dict[tuple, list[CellDiff]] = {}
     for cell in result.cells:
-        groups.setdefault(
-            _cell_group_values(cell, group_by), []
-        ).append(cell)
+        groups.setdefault(cell.group_values, []).append(cell)
     return sorted(
         groups.items(),
         key=lambda item: tuple((v is not None, v) for v in item[0]),
@@ -976,12 +801,7 @@ def render_diff(
         added/removed/stale information is available on the
         :class:`DiffResult` itself, and the exit code still gates.
     """
-    known_axes = group_axes()
-    bad = [axis for axis in group_by if axis not in known_axes]
-    if bad:
-        raise ReproError(
-            f"unknown group-by axis/axes {bad}; choices: {known_axes}"
-        )
+    check_group_axes(group_by)
     if group_by:
         table = _grouped_table(result, tuple(group_by), fmt)
     else:

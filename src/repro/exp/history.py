@@ -9,11 +9,6 @@ run, one column per cell, each value the metric as of that run
 (carry-forward: a run that did not re-price a cell shows the cell's
 latest earlier value; a cell not yet priced shows ``-``).  A signed
 delta-bar chart of the net last-vs-first movement closes the view.
-
-The JSON directory store keeps no run metadata (files carry only
-their payload), so history over it is a loud error pointing at
-``repro migrate`` — one of the reasons the CI baselines live in
-SQLite.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from dataclasses import dataclass
 from repro.errors import ReproError
 from repro.exp.diff import METRICS
 from repro.exp.report import delta_bar_chart, format_cell, render_table
-from repro.exp.store import ResultStore
+from repro.exp.store import SqliteStore
 
 
 @dataclass(frozen=True)
@@ -48,7 +43,7 @@ class HistoryResult:
 
 
 def load_history(
-    store: ResultStore,
+    store: SqliteStore,
     metric: str,
     cells: tuple[str, ...] = (),
     last: int | None = None,
@@ -57,9 +52,8 @@ def load_history(
 
     Parameters
     ----------
-    store : ResultStore
-        A store with run history (SQLite).  A JSON directory raises
-        with a pointer to ``repro migrate``.
+    store : SqliteStore
+        The store whose run history to read.
     metric : str
         A selector from :data:`~repro.exp.diff.METRICS`.
     cells : tuple of str
@@ -71,8 +65,8 @@ def load_history(
     Raises
     ------
     ReproError
-        On an unknown metric, a store without run history, no
-        recorded runs, or filters that match no cell.
+        On an unknown metric, no recorded runs, or filters that match
+        no cell.
     """
     if metric not in METRICS:
         raise ReproError(
@@ -80,8 +74,6 @@ def load_history(
         )
     selector = METRICS[metric]
     runs = store.runs()
-    # Walking versions first makes the no-history backends fail with
-    # their own actionable message before an empty-store complaint.
     by_cell: dict[tuple[str, str], dict[int, float]] = {}
     for key, label, _version, run_id, result in store.iter_versions():
         if result is None:
@@ -90,7 +82,7 @@ def load_history(
         # so each run contributes its final value for the cell.
         by_cell.setdefault((label, key), {})[run_id] = selector.value(result)
     if not runs:
-        raise ReproError(f"no runs recorded in {store.location}")
+        raise ReproError(f"no runs recorded in {store.path}")
     if cells:
         by_cell = {
             (label, key): points
@@ -100,7 +92,7 @@ def load_history(
         if not by_cell:
             raise ReproError(
                 f"no cell label matches --cells {list(cells)} in "
-                f"{store.location}"
+                f"{store.path}"
             )
     if last is not None:
         if last < 1:
@@ -119,7 +111,7 @@ def load_history(
         series.append(HistorySeries(key=key, label=label, values=tuple(values)))
     return HistoryResult(
         metric=metric,
-        origin=store.location,
+        origin=str(store.path),
         runs=tuple(runs),
         series=tuple(series),
     )

@@ -1,16 +1,12 @@
 """Merge sharded sweep results into one result store, out-of-core.
 
 A grid sharded with ``repro sweep --shard I/N`` leaves N partial
-result stores (JSON cache directories, SQLite stores, or ``--json``
-row dumps) on N machines.  This module recombines them: every entry
-lands in one destination store under its config hash, written through
-the :class:`~repro.exp.store.ResultStore` layer so a JSON destination
-holds files byte-identical to what a single unsharded run would have
-produced — which is what makes a post-merge re-run report ``0
-simulated`` and a post-merge ``repro sweep --report`` byte-match the
-unsharded report.  ``repro migrate SRC DEST`` is the single-source
-special case and is how a JSON cache becomes a SQLite store (and
-back).
+result stores (SQLite files or ``--json`` row dumps) on N machines.
+This module recombines them: every entry lands in one destination
+store under its config hash, which is what makes a post-merge re-run
+report ``0 simulated`` and a post-merge ``repro report`` byte-match
+the unsharded report.  A legacy JSON cache directory is a read-only
+source too, so ``repro merge NEW.sqlite DIR`` imports one.
 
 Sources are consumed as **key-sorted streams** joined with a heap
 merge, so the merge holds one row per source at a time — constant
@@ -29,9 +25,9 @@ from itertools import groupby
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.exp.cache import iter_dump_rows
+from repro.exp.cache import iter_classified, iter_dump_rows
 from repro.exp.results import CellResult
-from repro.exp.store import ResultStore, is_sqlite_file, open_store
+from repro.exp.store import SqliteStore, is_sqlite_file, open_store
 
 
 def same_result(known: CellResult, other: CellResult) -> bool:
@@ -125,19 +121,28 @@ def _source_factory(path: Path):
 
     Calling the factory yields ``(origin, CellResult | None)`` with
     the loadable rows in **key-sorted order** (``None`` marks a
-    skipped entry and may appear anywhere).  A directory or SQLite
-    file streams through its :class:`~repro.exp.store.ResultStore`;
-    any other file is a ``repro sweep --json`` dump read through the
-    shared :func:`~repro.exp.cache.iter_dump_rows` gatekeeper (dumps
-    are in-memory JSON lists already, so sorting them is free of any
-    extra materialisation).
+    skipped entry and may appear anywhere).  A SQLite file streams
+    through its store, and a legacy JSON cache directory through
+    :func:`~repro.exp.cache.iter_classified` (file names are the keys,
+    so filename order is key order); any other file is a ``repro
+    sweep --json`` dump read through the shared
+    :func:`~repro.exp.cache.iter_dump_rows` gatekeeper (dumps are
+    in-memory JSON lists already, so sorting them is free of any extra
+    materialisation).
     """
-    if path.is_dir() or is_sqlite_file(path):
+    if is_sqlite_file(path):
         store = open_store(path)
 
         def stream():
             for origin, _status, result in store.iter_classified():
                 yield origin, result
+
+        return stream
+    if path.is_dir():
+
+        def stream():
+            for origin, _status, result in iter_classified(path):
+                yield str(origin), result
 
         return stream
 
@@ -185,29 +190,22 @@ def merge_into(
     dest: str | Path,
     sources: list[str | Path],
     dry_run: bool = False,
-    dest_kind: str | None = None,
 ) -> MergeSummary:
     """Merge *sources* (stores and/or row dumps) into the store *dest*.
 
     Parameters
     ----------
     dest : str or Path
-        Destination result store; created if missing (a ``.sqlite``
-        path creates a SQLite store, anything else a JSON cache
-        directory — see :func:`~repro.exp.store.open_store`).  May
+        Destination SQLite result store; created if missing.  May
         already hold entries (e.g. an earlier shard) — they
         participate in conflict detection like any source entry.
     sources : list of str or Path
-        Result stores (JSON directories or SQLite files) and/or
-        ``repro sweep --json`` dump files, merged in order.
+        SQLite result stores, ``repro sweep --json`` dump files and/or
+        legacy JSON cache directories, merged in order.
     dry_run : bool
         Read and cross-check everything, write nothing.  Conflicts are
         returned on the summary instead of raised, so CI can pre-flight
         a shard recombination and report all problems at once.
-    dest_kind : str, optional
-        Force the backend of a not-yet-existing destination
-        (:data:`~repro.exp.store.STORES`); contradicting an existing
-        destination is an error.
 
     Returns
     -------
@@ -227,11 +225,10 @@ def merge_into(
         winner.
     """
     dest_path = Path(dest)
-    if dest_path.exists() and not dest_path.is_dir() \
-            and not is_sqlite_file(dest_path):
+    if dest_path.is_file() and not is_sqlite_file(dest_path):
         raise ReproError(
-            f"merge destination {dest_path} is not a directory or a "
-            "SQLite store (did you swap DEST with a --json dump source?)"
+            f"merge destination {dest_path} is not a SQLite store "
+            "(did you swap DEST with a --json dump source?)"
         )
     for source in sources:
         if not Path(source).exists():
@@ -239,8 +236,8 @@ def merge_into(
     # Don't create the destination yet: a merge that fails validation
     # or conflict detection (and any --dry-run) must leave the
     # filesystem untouched.
-    dest_store: ResultStore | None = (
-        open_store(dest_path, kind=dest_kind) if dest_path.exists() else None
+    dest_store: SqliteStore | None = (
+        open_store(dest_path) if dest_path.exists() else None
     )
     factories = [_source_factory(Path(source)) for source in sources]
     skip_counter = [0]
@@ -307,7 +304,7 @@ def merge_into(
     # Pass 2: all sources agree; now create the destination and write
     # the first-seen row of every key it does not already hold.
     if dest_store is None:
-        dest_store = open_store(dest_path, kind=dest_kind, create=True)
+        dest_store = open_store(dest_path, create=True)
     for _key, group in _joined(factories, None):
         _key2, _index, _origin, result = next(group)
         if dest_store.get(result.config) is None:
@@ -317,17 +314,3 @@ def merge_into(
     dest_store.close()
     return summary
 
-
-def migrate_store(
-    source: str | Path, dest: str | Path, dest_kind: str | None = None
-) -> MergeSummary:
-    """Copy one result store into another — the ``repro migrate`` path.
-
-    A single-source :func:`merge_into`, which is exactly the right
-    machinery: the copy streams row by row, inherits conflict
-    detection against anything *dest* already holds, accepts ``--json``
-    dumps as sources, and a JSON→SQLite→JSON round trip reproduces the
-    original files byte-identically (the payload bytes are preserved
-    end to end).
-    """
-    return merge_into(dest, [source], dest_kind=dest_kind)

@@ -1,28 +1,32 @@
-"""Cache-driven reporting: render tables from a sweep cache, no sim.
+"""Store-driven reporting: render tables from a result store, no sim.
 
-The result cache (:mod:`repro.exp.cache`) is the system's durable
-result store: every executed cell lives there as one verified JSON
-file.  This module turns a cache directory back into the paper's
-tables — the SW / VIM / HW totals, the SW(DP) / SW(IMU) decomposition
-and the speedup-over-software column — without re-running anything:
+The result store (:mod:`repro.exp.store`) is the system's durable
+record: every executed cell lives there as one verified row.  This
+module turns a store back into the paper's tables — the SW / VIM / HW
+totals, the SW(DP) / SW(IMU) decomposition and the speedup-over-
+software column — without re-running anything:
 
-* :func:`load_cache_rows` — read every valid entry of a cache
-  directory into :class:`~repro.exp.results.CellResult` rows, in a
-  canonical machine-independent order;
-* :func:`render_report` — group the rows along chosen config axes and
-  render one table per group, in ``md`` / ``csv`` / ``ascii``;
+* :func:`load_cache_rows` — read every valid row of a store into
+  :class:`~repro.exp.results.CellResult` rows, in a canonical
+  machine-independent order;
+* :func:`write_report` — the one report writer: rows in report order
+  to ``md`` / ``csv`` / ``ascii`` text, flat or grouped along config
+  axes, optionally annotated against a baseline run.  A flat report
+  streams, so ``repro report`` renders a store of any size in
+  constant memory;
+* :func:`render_report` — the same report as a string, from rows in
+  any order;
 * :func:`render_table` — the shared low-level table renderer (also
   the formatting route for the benchmark reports and the CLI);
 * :func:`bar_chart` / :func:`stacked_bar_chart` /
-  :func:`delta_bar_chart` — the ASCII chart renderers (historically
-  ``analysis/charts.py``, now a compat shim over these).
+  :func:`delta_bar_chart` — the ASCII chart renderers.
 
 Because the row order is canonical (sorted by label, then config
-hash), a report rendered from N merged shard caches is byte-identical
+hash), a report rendered from N merged shard stores is byte-identical
 to one rendered from a single unsharded run — the property the CI
-matrix asserts.  ``repro sweep --report`` is the command-line face of
-this module; with ``--baseline DIR`` every numeric cell is annotated
-with its delta against a second cache (the PR-vs-main workflow), and
+matrix asserts.  ``repro report`` is the command-line face of this
+module; with ``--baseline STORE`` every numeric cell is annotated
+with its delta against a second store (the PR-vs-main workflow), and
 ``repro diff`` (:mod:`repro.exp.diff`) builds its regression tables
 and delta bars from the same renderers.
 """
@@ -38,7 +42,7 @@ from typing import Callable
 from repro.errors import ReproError
 from repro.exp.results import REPLICATED_COLUMNS, CellResult
 from repro.exp.spec import CellConfig
-from repro.exp.store import ResultStore, open_store, store_kind_of
+from repro.exp.store import SqliteStore, open_store
 
 #: Output formats ``render_report`` / ``render_table`` understand
 #: (the CLI spells this ``--format {md,csv,ascii}``).
@@ -59,60 +63,107 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def _check_shape(headers: list[str], rendered: list[list[str]]) -> None:
-    if not headers:
-        raise ReproError("table needs at least one column")
-    for row in rendered:
+def _checked(headers: list[str], rows):
+    """Yield *rows*, refusing any whose width differs from *headers*."""
+    for row in rows:
         if len(row) != len(headers):
             raise ReproError(
                 f"row has {len(row)} cells, expected {len(headers)}"
             )
+        yield row
+
+
+def _widths(headers: list[str], rendered) -> list[int]:
+    """ascii column widths: the widest header or cell per column."""
+    widths = [len(header) for header in headers]
+    for row in _checked(headers, rendered):
+        widths = [max(width, len(cell)) for width, cell in zip(widths, row)]
+    return widths
+
+
+def _table_lines(headers: list[str], rendered, fmt: str, widths=None):
+    """Yield the text lines of one table — each format's one line shape.
+
+    *rendered* holds rows of already-formatted cell strings and is
+    consumed once, lazily; ``ascii`` needs its column *widths* up
+    front (see :func:`_widths`).
+    """
+    if not headers:
+        raise ReproError("table needs at least one column")
+    rendered = _checked(headers, rendered)
+    if fmt == "md":
+        yield "| " + " | ".join(headers) + " |"
+        yield "|" + "|".join("---" for _ in headers) + "|"
+        for row in rendered:
+            yield "| " + " | ".join(row) + " |"
+    elif fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+
+        def record(cells) -> str:
+            writer.writerow(cells)
+            line = buffer.getvalue()[:-1]  # drop the line terminator
+            buffer.seek(0)
+            buffer.truncate(0)
+            return line
+
+        yield record(headers)
+        for row in rendered:
+            yield record(row)
+    else:
+
+        def line(cells) -> str:
+            return "  ".join(
+                cell.rjust(width) for cell, width in zip(cells, widths)
+            )
+
+        yield line(headers)
+        yield line(["-" * width for width in widths])
+        for row in rendered:
+            yield line(row)
+
+
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise ReproError(f"unknown report format {fmt!r}; choices: {FORMATS}")
+
+
+def render_table(headers: list[str], rows: list[list], fmt: str = "ascii") -> str:
+    """Render one table in any of :data:`FORMATS`.
+
+    Parameters
+    ----------
+    headers : list of str
+        Column headings.
+    rows : list of list
+        Cell values; formatted via :func:`format_cell`.
+    fmt : str
+        One of :data:`FORMATS`.
+
+    Raises
+    ------
+    ReproError
+        On an unknown format, no columns, or a ragged row.
+    """
+    _check_format(fmt)
+    rendered = [[format_cell(v) for v in row] for row in rows]
+    widths = _widths(headers, rendered) if fmt == "ascii" else None
+    return "\n".join(_table_lines(headers, rendered, fmt, widths))
 
 
 def format_table(headers: list[str], rows: list[list]) -> str:
     """A fixed-width plain-text table with a header rule."""
-    rendered = [[format_cell(v) for v in row] for row in rows]
-    _check_shape(headers, rendered)
-    widths = [
-        max(len(headers[col]), max((len(r[col]) for r in rendered), default=0))
-        for col in range(len(headers))
-    ]
-
-    def line(cells: list[str]) -> str:
-        return "  ".join(cell.rjust(width) for cell, width in zip(cells, widths))
-
-    out = [line(headers), line(["-" * w for w in widths])]
-    out += [line(row) for row in rendered]
-    return "\n".join(out)
+    return render_table(headers, rows, "ascii")
 
 
 def markdown_table(headers: list[str], rows: list[list]) -> str:
     """A GitHub-flavoured markdown table."""
-    rendered = [[format_cell(v) for v in row] for row in rows]
-    _check_shape(headers, rendered)
-    out = ["| " + " | ".join(headers) + " |"]
-    out.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in rendered:
-        out.append("| " + " | ".join(row) + " |")
-    return "\n".join(out)
+    return render_table(headers, rows, "md")
 
 
 def csv_table(headers: list[str], rows: list[list]) -> str:
     """An RFC-4180 CSV table (comma-separated, quoted where needed)."""
-    rendered = [[format_cell(v) for v in row] for row in rows]
-    _check_shape(headers, rendered)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rendered)
-    return buffer.getvalue().rstrip("\n")
-
-
-_TABLE_RENDERERS: dict[str, Callable[[list[str], list[list]], str]] = {
-    "md": markdown_table,
-    "csv": csv_table,
-    "ascii": format_table,
-}
+    return render_table(headers, rows, "csv")
 
 
 def _is_number(value) -> bool:
@@ -142,29 +193,6 @@ def format_delta(value, base) -> str:
     if base:
         text += f", {delta / base:+.1%}"
     return f" ({text})"
-
-
-def render_table(headers: list[str], rows: list[list], fmt: str = "ascii") -> str:
-    """Render one table in any of :data:`FORMATS`.
-
-    Parameters
-    ----------
-    headers : list of str
-        Column headings.
-    rows : list of list
-        Cell values; formatted via :func:`format_cell`.
-    fmt : str
-        One of :data:`FORMATS`.
-
-    Raises
-    ------
-    ReproError
-        On an unknown format or a ragged row.
-    """
-    renderer = _TABLE_RENDERERS.get(fmt)
-    if renderer is None:
-        raise ReproError(f"unknown report format {fmt!r}; choices: {FORMATS}")
-    return renderer(headers, rows)
 
 
 # ----------------------------------------------------------------------
@@ -354,9 +382,14 @@ def default_columns(rows) -> tuple[str, ...]:
     :data:`DEFAULT_COLUMNS`, plus the mean/CV summary columns when any
     row was replicated — so an unreplicated report stays byte-identical
     to the pre-replication renderer, and a replicated one surfaces its
-    spread without being asked.
+    spread without being asked.  A store answers from its index
+    instead of parsing every row.
     """
-    if any(row.config.replicates > 1 for row in rows):
+    if isinstance(rows, SqliteStore):
+        replicated = rows.any_replicated()
+    else:
+        replicated = any(row.config.replicates > 1 for row in rows)
+    if replicated:
         return DEFAULT_COLUMNS + REPLICATED_REPORT_COLUMNS
     return DEFAULT_COLUMNS
 
@@ -366,8 +399,18 @@ def group_axes() -> tuple[str, ...]:
     return tuple(f.name for f in fields(CellConfig))
 
 
+def check_group_axes(axes) -> None:
+    """Refuse any ``--group-by`` axis that is not a config field."""
+    known_axes = group_axes()
+    bad = [axis for axis in axes if axis not in known_axes]
+    if bad:
+        raise ReproError(
+            f"unknown group-by axis/axes {bad}; choices: {known_axes}"
+        )
+
+
 # ----------------------------------------------------------------------
-# Cache loading
+# Store loading
 # ----------------------------------------------------------------------
 
 
@@ -379,8 +422,8 @@ class CacheRows:
     ----------
     rows : tuple of CellResult
         Every valid entry, sorted by ``(label, key)`` — a canonical
-        order independent of filesystem listing order, store backend,
-        or of which machine (or shard) produced each entry.
+        order independent of insertion order or of which machine (or
+        shard) produced each entry.
     skipped : int
         Entries that did not parse as current-version rows (stale
         schema version, corrupt JSON, hash mismatch) and were left
@@ -394,14 +437,13 @@ class CacheRows:
 def load_cache_rows(
     cache_dir: str | Path, allow_empty: bool = False
 ) -> CacheRows:
-    """Load every valid cell result stored under *cache_dir*.
+    """Load every valid cell result stored in the store *cache_dir*.
 
     Parameters
     ----------
     cache_dir : str or Path
-        A result store: a sweep-cache directory (``--cache DIR`` of a
-        previous run, the output of
-        :func:`repro.exp.merge.merge_into`) or a SQLite store file.
+        A SQLite result store (``--cache PATH`` of a previous run, or
+        the output of :func:`repro.exp.merge.merge_into`).
     allow_empty : bool
         With the default ``False``, a store holding no valid entry
         raises.  ``True`` returns an empty row set instead — the
@@ -417,25 +459,23 @@ def load_cache_rows(
     Raises
     ------
     ReproError
-        If the store does not exist, or (unless *allow_empty*)
-        holds no valid entry.
+        If the store does not exist or is not a store, or (unless
+        *allow_empty*) holds no valid entry.
     """
     root = Path(cache_dir)
-    if not root.exists() or store_kind_of(root) is None:
-        raise ReproError(f"cache directory {root} does not exist")
-    store = open_store(root)
     rows = []
     skipped = 0
-    for _origin, status, result in store.iter_classified():
-        if status == "ok":
-            rows.append(result)
-        else:
-            skipped += 1
-    store.close()
+    with open_store(root) as store:
+        for _origin, status, result in store.iter_classified():
+            if status == "ok":
+                rows.append(result)
+            else:
+                skipped += 1
     if not rows and not allow_empty:
         raise ReproError(
             f"no loadable cell results in {root} "
-            f"({skipped} stale/invalid file(s) skipped); "
+            f"({skipped} stale/invalid entr"
+            f"{'y' if skipped == 1 else 'ies'} skipped); "
             "run `repro sweep --cache` first"
         )
     rows.sort(key=lambda r: (r.label, r.key))
@@ -475,6 +515,140 @@ def _group_rows(
     )
 
 
+def write_report(
+    rows,
+    out,
+    fmt: str = "md",
+    group_by: tuple[str, ...] = (),
+    columns=None,
+    baseline=None,
+) -> int:
+    """Write the report of *rows* to *out*; the one report writer.
+
+    Parameters
+    ----------
+    rows : re-iterable of CellResult
+        The rows to report, **in report order** (``(label, key)``):
+        a store (iterating one yields exactly that) or a sorted list.
+        A flat report reads them one at a time and writes each line
+        as it goes — constant memory — except that ``ascii`` reads
+        them twice (column widths first) and a baseline report once
+        more (the absent-cell note).  Grouped reports collect the rows
+        into their groups.
+    out : file-like
+        Destination, written via ``out.write``; no trailing newline.
+    fmt : str
+        One of :data:`FORMATS`.
+    group_by : tuple of str
+        Config axes to group along (see :func:`group_axes`).  ``md``
+        and ``ascii`` render one headed table per group; ``csv`` stays
+        one flat table with the group axes as leading columns.
+    columns : sequence of str, optional
+        Column selectors from :data:`COLUMNS`; ``None`` (the default)
+        picks :func:`default_columns` — the classic set, widened by
+        the mean/CV summaries when any row is replicated.
+    baseline : iterable of CellResult, optional
+        A second run's rows (``--baseline STORE``).  Every numeric
+        cell is annotated with its delta against the baseline row of
+        the same config hash (:func:`format_delta`); rows with no
+        baseline counterpart are marked ``(new)``, and baseline rows
+        absent from *rows* are listed after the tables (``md``/
+        ``ascii`` only — ``csv`` stays pure records, with the
+        annotations as quoted fields).  ``None`` renders the classic
+        unannotated report.
+
+    Returns
+    -------
+    int
+        Rows written.
+
+    Raises
+    ------
+    ReproError
+        On unknown format, axis, or column names.
+    """
+    _check_format(fmt)
+    check_group_axes(group_by)
+    if columns is None:
+        columns = default_columns(rows)
+    selected = _resolve_columns(columns)
+    headers = [column.header for _, column in selected]
+    base_by_key = (
+        None if baseline is None else {row.key: row for row in baseline}
+    )
+    written = 0
+
+    def cells(row) -> list[str]:
+        out_cells = []
+        for _, column in selected:
+            value = column.value(row)
+            if base_by_key is not None and _is_number(value):
+                base_row = base_by_key.get(row.key)
+                if base_row is None:
+                    value = f"{format_cell(value)} (new)"
+                else:
+                    value = format_cell(value) + format_delta(
+                        value, column.value(base_row)
+                    )
+            out_cells.append(format_cell(value))
+        return out_cells
+
+    def table(table_headers, group, leading=lambda row: []) -> None:
+        def rendered(count: bool):
+            nonlocal written
+            for row in group:
+                written += count
+                yield leading(row) + cells(row)
+
+        widths = None
+        if fmt == "ascii":
+            widths = _widths(table_headers, rendered(False))
+        lines = _table_lines(table_headers, rendered(True), fmt, widths)
+        out.write(next(lines))
+        for line in lines:
+            out.write("\n" + line)
+
+    if not group_by:
+        table(headers, rows)
+    elif fmt == "csv":
+        grouped = _group_rows(rows, tuple(group_by))
+        table(
+            list(group_by) + headers,
+            [row for _values, group in grouped for row in group],
+            leading=lambda row: [
+                format_cell(getattr(row.config, axis)) for axis in group_by
+            ],
+        )
+    else:
+        for index, (values, group) in enumerate(
+            _group_rows(rows, tuple(group_by))
+        ):
+            title = ", ".join(
+                f"{axis}={format_cell(value)}"
+                for axis, value in zip(group_by, values)
+            )
+            heading = f"### {title}" if fmt == "md" else f"== {title} =="
+            out.write(("\n\n" if index else "") + heading + "\n\n")
+            table(headers, group)
+    if base_by_key is not None and fmt != "csv":
+        # csv stays pure records (a prose trailer would corrupt any
+        # downstream parser); annotation strings are quoted fields,
+        # which RFC 4180 allows.
+        present = {row.key for row in rows}
+        gone = sorted(
+            (row.label, key)
+            for key, row in base_by_key.items()
+            if key not in present
+        )
+        if gone:
+            labels = ", ".join(label for label, _ in gone)
+            out.write(
+                f"\n\n{len(gone)} baseline cell(s) absent from this "
+                f"cache: {labels}"
+            )
+    return written
+
+
 def render_report(
     rows,
     group_by: tuple[str, ...] = (),
@@ -482,259 +656,24 @@ def render_report(
     columns=None,
     baseline=None,
 ) -> str:
-    """Render *rows* as grouped tables.
+    """Render *rows*, in any order, as the :func:`write_report` text.
 
-    Parameters
-    ----------
-    rows : iterable of CellResult
-        The rows to report (typically ``load_cache_rows(dir).rows``).
-        Rendering order is canonicalised internally, so any input
-        order produces the same bytes.
-    group_by : tuple of str
-        Config axes to group along (see :func:`group_axes`).  ``md``
-        and ``ascii`` render one headed table per group; ``csv`` stays
-        one flat table with the group axes as leading columns.
-    fmt : str
-        One of :data:`FORMATS`.
-    columns : sequence of str, optional
-        Column selectors from :data:`COLUMNS`; ``None`` (the default)
-        picks :func:`default_columns` — the classic set, widened by
-        the mean/CV summaries when any row is replicated.
-    baseline : iterable of CellResult, optional
-        A second run's rows (``--baseline DIR``).  Every numeric cell
-        is annotated with its delta against the baseline row of the
-        same config hash (:func:`format_delta`); rows with no baseline
-        counterpart are marked ``(new)``, and baseline rows absent
-        from *rows* are listed after the tables (``md``/``ascii`` only
-        — ``csv`` stays pure records, with the annotations as quoted
-        fields).  ``None`` renders the classic unannotated report,
-        byte-identical to before the feature existed.
+    Rendering order is canonicalised here (sorted by ``(label,
+    key)``), so any input order produces the same bytes.  See
+    :func:`write_report` for the parameters.
 
     Returns
     -------
     str
         The rendered report (no trailing newline).
-
-    Raises
-    ------
-    ReproError
-        On unknown format, axis, or column names.
     """
-    if fmt not in FORMATS:
-        raise ReproError(f"unknown report format {fmt!r}; choices: {FORMATS}")
-    known_axes = group_axes()
-    bad = [axis for axis in group_by if axis not in known_axes]
-    if bad:
-        raise ReproError(
-            f"unknown group-by axis/axes {bad}; choices: {known_axes}"
-        )
-    ordered = sorted(rows, key=lambda r: (r.label, r.key))
-    if columns is None:
-        columns = default_columns(ordered)
-    selected = _resolve_columns(columns)
-    headers = [column.header for _, column in selected]
-    base_by_key = (
-        None if baseline is None else {row.key: row for row in baseline}
-    )
-
-    def annotate(column, row):
-        value = column.value(row)
-        if base_by_key is None or not _is_number(value):
-            return value
-        base_row = base_by_key.get(row.key)
-        if base_row is None:
-            return f"{format_cell(value)} (new)"
-        return format_cell(value) + format_delta(value, column.value(base_row))
-
-    def table_rows(group) -> list[list]:
-        return [
-            [annotate(column, row) for _, column in selected]
-            for row in group
-        ]
-
-    def removed_note() -> str:
-        # csv stays pure records (a prose trailer would corrupt any
-        # downstream parser); annotation strings are quoted fields,
-        # which RFC 4180 allows.
-        if base_by_key is None or fmt == "csv":
-            return ""
-        present = {row.key for row in ordered}
-        gone = sorted(
-            (row.label, key)
-            for key, row in base_by_key.items()
-            if key not in present
-        )
-        if not gone:
-            return ""
-        labels = ", ".join(label for label, _ in gone)
-        return (
-            f"\n\n{len(gone)} baseline cell(s) absent from this cache: "
-            f"{labels}"
-        )
-
-    if not group_by:
-        return render_table(headers, table_rows(ordered), fmt) + removed_note()
-
-    grouped = _group_rows(ordered, tuple(group_by))
-    if fmt == "csv":
-        flat = [
-            list(values) + cells
-            for values, group in grouped
-            for cells in table_rows(group)
-        ]
-        return (
-            render_table(list(group_by) + headers, flat, fmt) + removed_note()
-        )
-
-    sections = []
-    for values, group in grouped:
-        title = ", ".join(
-            f"{axis}={format_cell(value)}"
-            for axis, value in zip(group_by, values)
-        )
-        heading = f"### {title}" if fmt == "md" else f"== {title} =="
-        sections.append(heading + "\n\n" + render_table(headers, table_rows(group), fmt))
-    return "\n\n".join(sections) + removed_note()
-
-
-def stream_report(
-    store: ResultStore,
-    out,
-    fmt: str = "md",
-    columns=None,
-) -> int:
-    """Render the ungrouped report of *store* into *out*, streaming.
-
-    The out-of-core face of :func:`render_report`: rows come off the
-    store's ``(label, key)``-sorted cursor one at a time and each is
-    formatted and written immediately, so a 10k-cell report never
-    holds 10k rows.  The bytes written are identical to
-    ``render_report(rows, fmt=fmt, columns=columns)`` over the same
-    store — the property the cross-backend CI job asserts.
-
-    ``md`` and ``csv`` are single-pass; ``ascii`` needs column widths
-    up front, so it walks the cursor twice (still one row in memory
-    at a time).  Grouped and baseline-annotated reports go through
-    :func:`render_report` — grouping reorders rows, so it has to
-    collect them.
-
-    Parameters
-    ----------
-    store : ResultStore
-        The store to report.
-    out : file-like
-        Destination; written via ``out.write`` with no trailing
-        newline (matching :func:`render_report`'s return value).
-    fmt : str
-        One of :data:`FORMATS`.
-    columns : sequence of str, optional
-        Column selectors; ``None`` picks the default set, widened by
-        the mean/CV summaries when the store holds replicated rows.
-
-    Returns
-    -------
-    int
-        Rows rendered.
-    """
-    if fmt not in FORMATS:
-        raise ReproError(f"unknown report format {fmt!r}; choices: {FORMATS}")
-    if columns is None:
-        columns = DEFAULT_COLUMNS
-        if store.any_replicated():
-            columns = columns + REPLICATED_REPORT_COLUMNS
-    selected = _resolve_columns(columns)
-    headers = [column.header for _, column in selected]
-    if not headers:
-        raise ReproError("table needs at least one column")
-
-    def formatted(row) -> list[str]:
-        return [format_cell(column.value(row)) for _, column in selected]
-
-    count = 0
-    if fmt == "md":
-        out.write("| " + " | ".join(headers) + " |")
-        out.write("\n|" + "|".join("---" for _ in headers) + "|")
-        for row in store.iter_report_rows():
-            out.write("\n| " + " | ".join(formatted(row)) + " |")
-            count += 1
-        return count
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-
-        def record(cells: list[str]) -> str:
-            writer.writerow(cells)
-            line = buffer.getvalue()[:-1]  # drop the line terminator
-            buffer.seek(0)
-            buffer.truncate(0)
-            return line
-
-        out.write(record(headers))
-        for row in store.iter_report_rows():
-            out.write("\n" + record(formatted(row)))
-            count += 1
-        return count
-    # ascii: pass 1 measures column widths, pass 2 emits.
-    widths = [len(header) for header in headers]
-    for row in store.iter_report_rows():
-        for index, text in enumerate(formatted(row)):
-            widths[index] = max(widths[index], len(text))
-
-    def line(cells: list[str]) -> str:
-        return "  ".join(
-            cell.rjust(width) for cell, width in zip(cells, widths)
-        )
-
-    out.write(line(headers))
-    out.write("\n" + line(["-" * width for width in widths]))
-    for row in store.iter_report_rows():
-        out.write("\n" + line(formatted(row)))
-        count += 1
-    return count
-
-
-def report_from_cache(
-    cache_dir: str | Path,
-    group_by: tuple[str, ...] = (),
-    fmt: str = "md",
-    columns=None,
-    strict: bool = True,
-    baseline_dir: str | Path | None = None,
-) -> str:
-    """Load *cache_dir* and render its report — the ``--report`` path.
-
-    A convenience composition of :func:`load_cache_rows` and
-    :func:`render_report`; no simulation happens.
-
-    Parameters
-    ----------
-    strict : bool
-        With the default ``True``, raise if any cache file had to be
-        skipped (stale version, corrupt, renamed) — a partial table
-        must not pass silently as the whole grid.  ``False`` renders
-        the loadable subset; the CLI does that, printing a warning.
-    baseline_dir : str or Path, optional
-        A second cache directory (``--baseline DIR``): every numeric
-        cell gains its delta against the baseline row of the same
-        config hash.  Stale/invalid baseline entries never fail the
-        report — a baseline from an older ``CACHE_VERSION`` simply has
-        nothing to compare, and the current rows render ``(new)``.
-    """
-    loaded = load_cache_rows(cache_dir)
-    if strict and loaded.skipped:
-        raise ReproError(
-            f"{loaded.skipped} stale/invalid cache entr"
-            f"{'y' if loaded.skipped == 1 else 'ies'} in {cache_dir}; "
-            "re-run the sweep against this cache, or pass strict=False "
-            "to report the loadable subset"
-        )
-    baseline = None
-    if baseline_dir is not None:
-        baseline = load_cache_rows(baseline_dir, allow_empty=True).rows
-    return render_report(
-        loaded.rows,
-        group_by=group_by,
+    out = io.StringIO()
+    write_report(
+        sorted(rows, key=lambda r: (r.label, r.key)),
+        out,
         fmt=fmt,
+        group_by=tuple(group_by),
         columns=columns,
         baseline=baseline,
     )
+    return out.getvalue()

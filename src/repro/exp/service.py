@@ -3,7 +3,7 @@
 This is the distributed generalisation of ``repro sweep --shard I/N``:
 instead of pre-partitioning a grid across machines, a lightweight
 coordinator accepts :class:`~repro.exp.spec.SweepSpec` submissions,
-dedups them against its :class:`~repro.exp.store.ResultStore` by
+dedups them against its :class:`~repro.exp.store.SqliteStore` by
 config hash (**a cache hit costs zero simulation** — the "millions of
 users" path), and leases only the genuinely novel cells to a
 pull-based worker pool (:mod:`repro.exp.worker`) with heartbeats,
@@ -92,13 +92,9 @@ class SweepService:
     Parameters
     ----------
     store_path : str or Path
-        The service's result store (JSON directory or ``.sqlite``
-        file), created if missing.  This is the store a finished
+        The service's SQLite result store, created if missing.  This is the store a finished
         submission's rows are read back from, and the artifact CI
         diffs against a local run.
-    store_kind : str, optional
-        Force the backend of a not-yet-existing *store_path*
-        (``repro serve --store``).
     lease_timeout, max_attempts, backoff : float, int, float
         The fault-tolerance knobs, passed to
         :class:`~repro.exp.leasing.LeaseBoard`.
@@ -113,7 +109,6 @@ class SweepService:
     def __init__(
         self,
         store_path: str | Path,
-        store_kind: str | None = None,
         lease_timeout: float = 30.0,
         max_attempts: int = 3,
         backoff: float = 1.0,
@@ -121,9 +116,7 @@ class SweepService:
         log: Callable[[str], None] | None = None,
     ) -> None:
         self._log = log or (lambda message: None)
-        self._store = open_store(
-            store_path, kind=store_kind, create=True, threadsafe=True
-        )
+        self._store = open_store(store_path, create=True, threadsafe=True)
         self._board = LeaseBoard(
             lease_timeout=lease_timeout,
             max_attempts=max_attempts,
@@ -474,7 +467,6 @@ def serve_forever(
     store_path: str | Path,
     host: str = "127.0.0.1",
     port: int = 8037,
-    store_kind: str | None = None,
     lease_timeout: float = 30.0,
     max_attempts: int = 3,
     backoff: float = 1.0,
@@ -494,7 +486,6 @@ def serve_forever(
     ))
     service = SweepService(
         store_path,
-        store_kind=store_kind,
         lease_timeout=lease_timeout,
         max_attempts=max_attempts,
         backoff=backoff,

@@ -489,28 +489,16 @@ def grid_fingerprint(cells) -> str:
 
 
 def fingerprint_from_keys(keys) -> str:
-    """:func:`grid_fingerprint` from already-computed config hashes.
+    """:func:`grid_fingerprint` from already-computed hashes.
 
-    The streaming differ aligns two stores without ever materialising
-    their rows, so it has hashes (store keys) rather than
-    :class:`CellConfig` objects; this is the same digest over the same
-    canonicalisation (sorted, deduplicated), factored out so the two
-    entry points cannot drift.
+    The differ aligns two runs without materialising their rows, so it
+    has hashes rather than :class:`CellConfig` objects: store keys, or
+    seed-blind :func:`replica_hash` digests under ``repro diff --bands
+    cv`` (which makes the fingerprint seed-blind too).  This is the
+    same digest over the same canonicalisation (sorted, deduplicated),
+    factored out so the entry points cannot drift.
     """
     keys = sorted(set(keys))
-    digest = hashlib.sha256("\n".join(keys).encode("ascii"))
-    return digest.hexdigest()[:12]
-
-
-def replica_fingerprint(cells) -> str:
-    """The seed-blind sibling of :func:`grid_fingerprint`.
-
-    Computed over sorted :func:`replica_hash` digests, so two grids
-    fingerprint equal exactly when they cover the same design space
-    *up to seeds* — the identity ``repro diff --bands cv`` compares,
-    where the whole point is that the two runs used different seeds.
-    """
-    keys = sorted({replica_hash(cell) for cell in cells})
     digest = hashlib.sha256("\n".join(keys).encode("ascii"))
     return digest.hexdigest()[:12]
 

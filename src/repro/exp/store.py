@@ -1,34 +1,26 @@
-"""The result-store layer: every durable row lives behind one protocol.
+"""The result store: every durable row lives in one SQLite file.
 
-Historically the sweep cache *was* a directory of JSON files, and every
-consumer (the merger, the differ, the report renderer) walked that
-directory itself.  This module inverts that: :class:`ResultStore` is
-the one contract — put/get by config hash, classified streaming
-iteration in canonical order, loadable-row counts, run metadata — and
-the consumers above it never touch files.  Two implementations exist:
+:class:`SqliteStore` is the one contract between the sweep engine and
+everything that reads results back (merge, diff, report, history):
+put/get by config hash, classified streaming iteration in canonical
+order, loadable-row counts, and run metadata.  The consumers above it
+never touch files.
 
-* :class:`JsonDirStore` — the per-cell JSON directory, now a thin
-  adapter over :mod:`repro.exp.cache`.  It stays the migration reader
-  and writer: its files are byte-identical to what
-  :meth:`~repro.exp.cache.SweepCache.store` always wrote, so a store
-  migrated to SQLite and back reproduces the original directory
-  exactly.
-* :class:`SqliteStore` — an append-only SQLite database, one row per
-  ``(key, version)`` with the full payload, flattened metric columns
-  for analytics, and an insertion timestamp / run id.  WAL journaling
-  keeps concurrent shard writers safe, and reads stream straight off
-  indexed cursors, so a 10k-cell report never materialises 10k rows.
+The store is append-only: one row per ``(key, version)`` with the
+full payload, flattened metric columns for analytics, and an
+insertion timestamp / run id.  WAL journaling keeps concurrent shard
+writers safe, and reads stream straight off indexed cursors, so a
+10k-cell report never materialises 10k rows.
 
-Store selection is by path inspection (:func:`open_store`): a
-directory is a JSON store, a ``.sqlite`` file (or anything carrying
-the SQLite magic) is a SQLite store.  ``repro migrate SRC DEST``
-copies any store into any other through the merge machinery.
+A store is a SQLite file, whatever its name (:func:`open_store`).
+Legacy per-cell JSON cache directories are read-only merge sources:
+``repro merge NEW.sqlite DIR`` imports one.
 
 Run identity (``run_id``, timestamps) deliberately lives *next to* the
 payload, never inside it: :func:`~repro.exp.spec.config_hash` covers
 what was computed, not when, so re-running an identical cell is a
-no-op append-wise and reports stay byte-identical across backends and
-migrations.
+no-op append-wise and reports stay byte-identical across runs and
+merges.
 """
 
 from __future__ import annotations
@@ -40,16 +32,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.exp.cache import SweepCache, iter_classified, parse_entry
+from repro.exp.cache import parse_entry
 from repro.exp.results import CellResult
 from repro.exp.spec import CACHE_VERSION, CellConfig
 
-#: Store kinds :func:`open_store` understands (the CLI spells this
-#: ``--store {json,sqlite}``).
-STORES = ("json", "sqlite")
-
-#: File suffixes that select the SQLite backend for a not-yet-existing
-#: destination path.
+#: File suffixes :func:`is_sqlite_file` accepts for an empty,
+#: just-created store file (one with no header written yet).
 _SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 #: The on-disk magic every SQLite database file starts with.
@@ -62,7 +50,7 @@ class StoreCounts:
 
     ok: int  #: loadable current-version rows
     stale: int  #: rows written under a different CACHE_VERSION
-    invalid: int  #: corrupt / renamed / unparsable entries
+    invalid: int  #: corrupt / re-keyed / unparsable entries
 
     @property
     def skipped(self) -> int:
@@ -76,203 +64,37 @@ class StoreCounts:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One recorded write session of a SQLite store."""
+    """One recorded write session of a store."""
 
     run_id: int  #: monotonically increasing per store
     created: str  #: UTC timestamp of the run's first write
     rows: int  #: result versions appended by the run
 
 
-class ResultStore:
-    """The store contract everything above the store layer codes to.
+class SqliteStore:
+    """An append-only SQLite result store.
 
-    Notes
-    -----
+    One row per ``(config hash, version)``: the verified JSON payload,
+    flattened metric columns for SQL analytics, the writing run's id
+    and a UTC timestamp.  A re-put of a byte-identical payload is a
+    no-op; a *different* payload for a known key appends the next
+    version — nothing is ever overwritten, which is what makes ``repro
+    history`` possible.  Reads serve the latest version per key.
+
     Iteration methods are **streaming**: they yield one row at a time
     in a canonical order and never materialise the whole store, which
     is what lets merge/diff/report run out-of-core.  ``len(store)``
-    counts only loadable current-version rows — a stale or corrupt
-    entry is not an entry (the historical ``SweepCache.__len__``
-    counted every ``*.json`` file; the protocol inherits the corrected
-    semantics).
-    """
+    counts only loadable current-version rows, and iterating the store
+    yields exactly those rows in report order.
 
-    #: One of :data:`STORES`; set by each implementation.
-    kind: str = ""
-
-    def __init__(self, location: str) -> None:
-        self.location = location
-
-    # -- write/read by config -----------------------------------------
-
-    def put(self, result: CellResult) -> None:
-        """Persist one executed cell under its config hash."""
-        raise NotImplementedError
-
-    def get(self, config: CellConfig) -> CellResult | None:
-        """The stored row for *config*, or ``None`` on any miss.
-
-        Matching is modulo the ``engine`` field, exactly like
-        :meth:`~repro.exp.cache.SweepCache.load`: backends are
-        result-equivalent, so a row priced by either serves both.
-        """
-        raise NotImplementedError
-
-    # -- streaming iteration ------------------------------------------
-
-    def iter_classified(self):
-        """Yield ``(origin, status, CellResult | None)`` in key order.
-
-        *status* is one of :data:`~repro.exp.cache.ENTRY_STATUSES`;
-        the result is non-``None`` only for ``"ok"``.  *origin* names
-        the entry for conflict/skip messages.
-        """
-        raise NotImplementedError
-
-    def iter_rows(self):
-        """Yield every loadable row, sorted by config hash."""
-        for _origin, status, result in self.iter_classified():
-            if status == "ok":
-                yield result
-
-    def iter_report_rows(self):
-        """Yield every loadable row in report order: ``(label, key)``.
-
-        The canonical rendering order of :mod:`repro.exp.report`; the
-        base implementation re-sorts the key-ordered stream via a
-        small ``(label, key)`` index, holding at most one full row at
-        a time.  Backends with a native sorted cursor override this.
-        """
-        raise NotImplementedError
-
-    # -- metadata ------------------------------------------------------
-
-    def counts(self) -> StoreCounts:
-        """Classified entry counts (one streaming pass)."""
-        ok = stale = invalid = 0
-        for _origin, status, _result in self.iter_classified():
-            if status == "ok":
-                ok += 1
-            elif status == "stale-version":
-                stale += 1
-            else:
-                invalid += 1
-        return StoreCounts(ok=ok, stale=stale, invalid=invalid)
-
-    def any_replicated(self) -> bool:
-        """Whether any loadable row was swept with ``--replicates``>1
-        (selects the widened default report column set)."""
-        return any(row.config.replicates > 1 for row in self.iter_rows())
-
-    def runs(self) -> tuple[RunRecord, ...]:
-        """Recorded write sessions, oldest first.
-
-        Only the SQLite backend records run history; the JSON
-        directory returns an empty tuple (files carry no insertion
-        metadata — one reason the CI baselines moved to SQLite).
-        """
-        return ()
-
-    def iter_versions(self):
-        """Yield every stored version for trend analytics.
-
-        ``(key, label, version, run_id, CellResult | None)`` ordered
-        by ``(label, key, version)``.  Raises on backends that keep no
-        version history.
-        """
-        raise ReproError(
-            f"{self.kind} store {self.location} records no run history; "
-            "migrate it to SQLite first: repro migrate "
-            f"{self.location} {self.location}.sqlite"
-        )
-
-    def __len__(self) -> int:
-        return self.counts().ok
-
-    # -- lifecycle -----------------------------------------------------
-
-    def close(self) -> None:
-        """Release any underlying handle (idempotent)."""
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-
-class JsonDirStore(ResultStore):
-    """The per-cell JSON directory as a :class:`ResultStore`.
-
-    A thin adapter over :class:`~repro.exp.cache.SweepCache` and
-    :func:`~repro.exp.cache.iter_classified` — same files, same bytes,
-    same gatekeeper.  The directory is created lazily on first
-    :meth:`put` (or eagerly with ``create=True``) so read-only opens
-    of a merge destination leave the filesystem untouched.
-    """
-
-    kind = "json"
-
-    def __init__(self, root: str | Path, create: bool = False) -> None:
-        super().__init__(str(root))
-        self.root = Path(root)
-        self._cache: SweepCache | None = None
-        if create:
-            self._sweep_cache()
-
-    def _sweep_cache(self) -> SweepCache:
-        if self._cache is None:
-            self._cache = SweepCache(self.root)
-        return self._cache
-
-    def put(self, result: CellResult) -> None:
-        self._sweep_cache().store(result)
-
-    def get(self, config: CellConfig) -> CellResult | None:
-        if not self.root.is_dir():
-            return None
-        return self._sweep_cache().load(config)
-
-    def iter_classified(self):
-        for path, status, result in iter_classified(self.root):
-            yield str(path), status, result
-
-    def iter_report_rows(self):
-        # Pass 1 builds a (label, key, path) index — strings only, no
-        # row objects retained; pass 2 re-parses each file on demand,
-        # so at most one CellResult is alive at a time.
-        index: list[tuple[str, str, Path]] = []
-        for path, status, result in iter_classified(self.root):
-            if status == "ok":
-                index.append((result.label, result.key, path))
-        index.sort(key=lambda item: item[:2])
-        for _label, _key, path in index:
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue  # deleted or corrupted between the passes
-            result = parse_entry(payload)
-            if result is not None:
-                yield result
-
-
-class SqliteStore(ResultStore):
-    """An append-only SQLite result store.
-
-    One row per ``(config hash, version)``: the verified JSON payload
-    (the exact bytes the JSON store would parse), flattened metric
-    columns for SQL analytics, the writing run's id and a UTC
-    timestamp.  A re-put of a byte-identical payload is a no-op; a
-    *different* payload for a known key appends the next version —
-    nothing is ever overwritten, which is what makes ``repro history``
-    possible.  Reads serve the latest version per key.
+    Every query goes through :meth:`_rows`, so a damaged or locked
+    file fails as a :class:`~repro.errors.ReproError` naming the file,
+    wherever the damage is met.
 
     WAL journaling is enabled at creation so concurrent shard writers
     (and a reader rendering a report mid-sweep) do not block each
     other.
     """
-
-    kind = "sqlite"
 
     #: Result columns flattened into SQL columns (analytics can GROUP
     #: BY / aggregate without parsing payloads).  The payload stays the
@@ -321,10 +143,12 @@ class SqliteStore(ResultStore):
         create: bool = False,
         threadsafe: bool = False,
     ) -> None:
-        super().__init__(str(path))
         self.path = Path(path)
-        if not create and not self.path.exists():
-            raise ReproError(f"result store {self.path} does not exist")
+        self._db = None
+        if not self.path.exists():
+            if not create:
+                raise ReproError(f"result store {self.path} does not exist")
+            self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
             # threadsafe drops sqlite3's same-thread check for callers
             # that serialise access themselves (the sweep service holds
@@ -344,8 +168,28 @@ class SqliteStore(ResultStore):
                 "('schema', '1')"
             )
         except sqlite3.Error as error:
+            self.close()
             raise ReproError(f"cannot open SQLite store {self.path}: {error}")
         self._run_id: int | None = None  # one run row per writing open
+
+    def _rows(self, sql: str, params=()):
+        """Yield the rows of one statement — the store's only query path.
+
+        SQLite reports a damaged page when a cursor reaches it, which
+        may be long after the statement started; both the statement
+        and its cursor run inside this one guard.
+        """
+        try:
+            yield from self._db.execute(sql, params)
+        except sqlite3.Error as error:
+            raise ReproError(
+                f"result store {self.path} is unusable: {error}"
+            ) from None
+
+    def _one(self, sql: str, params=()):
+        """The only row of one statement, or ``None``."""
+        rows = list(self._rows(sql, params))
+        return rows[0] if rows else None
 
     @staticmethod
     def _now() -> str:
@@ -353,43 +197,43 @@ class SqliteStore(ResultStore):
 
     def _current_run(self) -> int:
         if self._run_id is None:
-            cursor = self._db.execute(
-                "INSERT INTO runs (created_utc) VALUES (?)", (self._now(),)
+            (self._run_id,) = self._one(
+                "INSERT INTO runs (created_utc) VALUES (?) RETURNING run_id",
+                (self._now(),),
             )
-            self._run_id = cursor.lastrowid
         return self._run_id
 
+    # -- write/read by config -----------------------------------------
+
     def put(self, result: CellResult) -> None:
+        """Persist one executed cell under its config hash."""
         payload = json.dumps(
             {"version": CACHE_VERSION, "result": result.to_dict()},
             sort_keys=True,
         )
         key = result.key
-        row = self._db.execute(
+        row = self._one(
             "SELECT cache_version, payload FROM results WHERE key = ? "
             "ORDER BY version DESC LIMIT 1",
             (key,),
-        ).fetchone()
+        )
         if row is not None and row[0] == CACHE_VERSION and row[1] == payload:
             return  # identical re-put (cache hit re-store, re-merge)
         run_id = self._current_run()
         metrics = tuple(
             getattr(result, column) for column in self.METRIC_COLUMNS
         )
-        try:
-            self._db.execute(
-                "INSERT INTO results (key, version, cache_version, run_id, "
-                "created_utc, label, replicates, payload, "
-                + ", ".join(self.METRIC_COLUMNS)
-                + ") SELECT ?, COALESCE((SELECT MAX(version) FROM results "
-                "WHERE key = ?), 0) + 1, ?, ?, ?, ?, ?, ?"
-                + ", ?" * len(self.METRIC_COLUMNS),
-                (key, key, CACHE_VERSION, run_id, self._now(), result.label,
-                 result.config.replicates, payload) + metrics,
-            )
-        except sqlite3.Error as error:
-            raise ReproError(f"cannot write to store {self.path}: {error}")
-        self._db.execute(
+        self._one(
+            "INSERT INTO results (key, version, cache_version, run_id, "
+            "created_utc, label, replicates, payload, "
+            + ", ".join(self.METRIC_COLUMNS)
+            + ") SELECT ?, COALESCE((SELECT MAX(version) FROM results "
+            "WHERE key = ?), 0) + 1, ?, ?, ?, ?, ?, ?"
+            + ", ?" * len(self.METRIC_COLUMNS),
+            (key, key, CACHE_VERSION, run_id, self._now(), result.label,
+             result.config.replicates, payload) + metrics,
+        )
+        self._one(
             "UPDATE runs SET rows = rows + 1 WHERE run_id = ?", (run_id,)
         )
 
@@ -404,19 +248,28 @@ class SqliteStore(ResultStore):
         return result
 
     def get(self, config: CellConfig) -> CellResult | None:
-        row = self._db.execute(
+        """The stored row for *config*, or ``None`` on any miss.
+
+        A corrupt payload, a stale ``CACHE_VERSION`` or a stored config
+        that differs from *config* is a miss, never a wrong row.
+        Matching is modulo the ``engine`` field: backends are
+        result-equivalent, so a row priced by either serves both.
+        """
+        row = self._one(
             "SELECT payload FROM results WHERE key = ? "
             "ORDER BY version DESC LIMIT 1",
             (config.key(),),
-        ).fetchone()
+        )
         if row is None:
             return None
         result = self._parse(config.key(), row[0])
         if result is None:
             return None
         if replace(result.config, engine=config.engine) != config:
-            return None  # same engine-modulo contract as SweepCache.load
+            return None  # a collision or corruption: a miss
         return result
+
+    # -- streaming iteration ------------------------------------------
 
     def _classify(self, key, cache_version, payload):
         if cache_version != CACHE_VERSION:
@@ -427,29 +280,46 @@ class SqliteStore(ResultStore):
         return "ok", result
 
     def iter_classified(self):
-        cursor = self._db.execute(
+        """Yield ``(origin, status, CellResult | None)`` in key order.
+
+        *status* is one of :data:`~repro.exp.cache.ENTRY_STATUSES`;
+        the result is non-``None`` only for ``"ok"``.  *origin* names
+        the entry for conflict/skip messages.
+        """
+        for key, cache_version, payload in self._rows(
             f"SELECT key, cache_version, payload {self._LATEST} ORDER BY key"
-        )
-        for key, cache_version, payload in cursor:
+        ):
             status, result = self._classify(key, cache_version, payload)
-            yield f"{self.location}[{key}]", status, result
+            yield f"{self.path}[{key}]", status, result
+
+    def iter_rows(self):
+        """Yield every loadable row, sorted by config hash."""
+        for _origin, status, result in self.iter_classified():
+            if status == "ok":
+                yield result
 
     def iter_report_rows(self):
-        cursor = self._db.execute(
+        """Yield every loadable row in report order: ``(label, key)``."""
+        for key, cache_version, payload in self._rows(
             f"SELECT key, cache_version, payload {self._LATEST} "
             "ORDER BY label, key"
-        )
-        for key, cache_version, payload in cursor:
+        ):
             status, result = self._classify(key, cache_version, payload)
             if status == "ok":
                 yield result
 
+    def __iter__(self):
+        """The loadable rows in report order; each pass is a new cursor."""
+        return self.iter_report_rows()
+
+    # -- metadata ------------------------------------------------------
+
     def counts(self) -> StoreCounts:
+        """Classified entry counts (one streaming pass)."""
         ok = stale = invalid = 0
-        cursor = self._db.execute(
+        for key, cache_version, payload in self._rows(
             f"SELECT key, cache_version, payload {self._LATEST}"
-        )
-        for key, cache_version, payload in cursor:
+        ):
             status, _result = self._classify(key, cache_version, payload)
             if status == "ok":
                 ok += 1
@@ -460,37 +330,54 @@ class SqliteStore(ResultStore):
         return StoreCounts(ok=ok, stale=stale, invalid=invalid)
 
     def any_replicated(self) -> bool:
-        row = self._db.execute(
+        """Whether any current row was swept with ``--replicates`` > 1
+        (selects the widened default report column set)."""
+        return self._one(
             f"SELECT 1 {self._LATEST} AND cache_version = ? "
             "AND replicates > 1 LIMIT 1",
             (CACHE_VERSION,),
-        ).fetchone()
-        return row is not None
+        ) is not None
 
     def runs(self) -> tuple[RunRecord, ...]:
-        cursor = self._db.execute(
-            "SELECT run_id, created_utc, rows FROM runs ORDER BY run_id"
-        )
+        """Recorded write sessions, oldest first."""
         return tuple(
             RunRecord(run_id=run_id, created=created, rows=rows)
-            for run_id, created, rows in cursor
+            for run_id, created, rows in self._rows(
+                "SELECT run_id, created_utc, rows FROM runs ORDER BY run_id"
+            )
         )
 
     def iter_versions(self):
-        cursor = self._db.execute(
+        """Yield every stored version for trend analytics.
+
+        ``(key, label, version, run_id, CellResult | None)`` ordered
+        by ``(label, key, version)``.
+        """
+        for key, label, version, run_id, cache_version, payload in self._rows(
             "SELECT key, label, version, run_id, cache_version, payload "
             "FROM results ORDER BY label, key, version"
-        )
-        for key, label, version, run_id, cache_version, payload in cursor:
+        ):
             result = None
             if cache_version == CACHE_VERSION:
                 result = self._parse(key, payload)
             yield key, label, version, run_id, result
 
+    def __len__(self) -> int:
+        return self.counts().ok
+
+    # -- lifecycle -----------------------------------------------------
+
     def close(self) -> None:
+        """Release the connection (idempotent)."""
         if self._db is not None:
             self._db.close()
             self._db = None
+
+    def __enter__(self) -> "SqliteStore":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
 
 def is_sqlite_file(path: str | Path) -> bool:
@@ -511,81 +398,43 @@ def is_sqlite_file(path: str | Path) -> bool:
     return path.stat().st_size == 0 and path.suffix in _SQLITE_SUFFIXES
 
 
-def store_kind_of(path: str | Path) -> str | None:
-    """The store kind *path* denotes, or ``None`` if it is neither.
-
-    An existing directory is ``json``; an existing SQLite file is
-    ``sqlite``; a missing path infers from its suffix (``.sqlite`` /
-    ``.sqlite3`` / ``.db`` → sqlite, anything else → json).  An
-    existing non-SQLite *file* returns ``None`` — that is a ``--json``
-    row dump or garbage, not a store.
-    """
-    path = Path(path)
-    if path.is_dir():
-        return "json"
-    if path.is_file():
-        return "sqlite" if is_sqlite_file(path) else None
-    return "sqlite" if path.suffix in _SQLITE_SUFFIXES else "json"
-
-
 def open_store(
     path: str | Path,
-    kind: str | None = None,
     create: bool = False,
     threadsafe: bool = False,
-) -> ResultStore:
-    """Open the result store at *path*, selecting the backend by
-    inspection.
+) -> SqliteStore:
+    """Open the SQLite result store at *path*, whatever its name.
 
     Parameters
     ----------
     path : str or Path
-        A cache directory (JSON store) or a SQLite database file.
-    kind : str, optional
-        Force a backend from :data:`STORES` instead of inferring it —
-        used by ``repro sweep --store`` and ``repro migrate --store``
-        for not-yet-existing destinations.  Contradicting an existing
-        path is an error, never a reinterpretation.
+        A SQLite store file.
     create : bool
-        Allow *path* not to exist yet: a JSON store creates its
-        directory lazily on first put, a SQLite store initialises its
-        schema immediately.  With the default ``False`` a missing path
-        raises — readers must not conjure empty stores.
+        Allow *path* not to exist yet: a new store (and any missing
+        parent directory) is created and its schema initialised.  With
+        the default ``False`` a missing path raises — readers must not
+        conjure empty stores.
     threadsafe : bool
         Allow the returned store to be used from threads other than
         the opening one, for callers that serialise access themselves
-        (the sweep service).  Only the SQLite backend behaves
-        differently (sqlite3's same-thread check is dropped).
+        (the sweep service).
 
     Raises
     ------
     ReproError
-        On an unknown *kind*, a contradiction between *kind* and what
-        exists at *path*, a missing path without *create*, or an
-        existing file that is not a SQLite database.
+        On a directory (such as a legacy JSON cache, which ``repro
+        merge`` imports), an existing file that is not a SQLite
+        database, or a missing path without *create*.
     """
     path = Path(path)
-    if kind is not None and kind not in STORES:
-        raise ReproError(f"unknown store kind {kind!r}; choices: {STORES}")
-    inferred = store_kind_of(path)
-    if path.exists():
-        if inferred is None:
-            raise ReproError(
-                f"{path} is not a result store (expected a cache directory "
-                "or a SQLite .sqlite file)"
-            )
-        if kind is not None and kind != inferred:
-            raise ReproError(
-                f"{path} is a {inferred} store, but --store {kind} was "
-                "requested; pass a matching path or drop the flag"
-            )
-        kind = inferred
-    else:
-        if not create:
-            raise ReproError(f"result store {path} does not exist")
-        kind = kind or inferred
-    if kind == "sqlite":
-        return SqliteStore(
-            path, create=create or path.exists(), threadsafe=threadsafe
+    if path.is_dir():
+        raise ReproError(
+            f"{path} is a directory, not a result store (a SQLite file); "
+            "to import a legacy JSON cache directory run: "
+            f"repro merge NEW.sqlite {path}"
         )
-    return JsonDirStore(path, create=create and not path.is_dir())
+    if path.exists() and not is_sqlite_file(path):
+        raise ReproError(
+            f"{path} is not a result store (expected a SQLite store file)"
+        )
+    return SqliteStore(path, create=create, threadsafe=threadsafe)

@@ -4,8 +4,8 @@ Each cell is an independent deterministic simulation, so the grid is
 embarrassingly parallel: ``run_sweep(spec, jobs=N)`` produces results
 byte-identical to the serial run, in the same (spec-defined) order.
 Duplicate configurations are simulated once and fanned back out, and a
-:class:`~repro.exp.store.ResultStore` (JSON directory or SQLite file,
-selected by path) makes re-runs incremental.
+:class:`~repro.exp.store.SqliteStore` result store makes re-runs
+incremental.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ def run_sweep(
     spec: SweepSpec | list[CellConfig],
     jobs: int = 1,
     cache_dir: str | Path | None = None,
-    store_kind: str | None = None,
 ) -> SweepResult:
     """Execute every cell of *spec* and return rows in grid order.
 
@@ -78,17 +77,12 @@ def run_sweep(
         ``multiprocessing`` pool.  Cells are independent deterministic
         simulations, so the rows are byte-identical to a serial run.
     cache_dir : str or Path, optional
-        Result store: a cache directory or a ``.sqlite`` file, opened
-        through :func:`~repro.exp.store.open_store` (created if
-        missing).  Previously executed cells are loaded instead of
+        Result store: a SQLite file, opened through
+        :func:`~repro.exp.store.open_store` (created if missing).  Previously executed cells are loaded instead of
         re-simulated; fresh results are persisted for the next run.
         Store keys cover every config field plus
         :data:`~repro.exp.spec.CACHE_VERSION` (see
         ``docs/extending-sweeps.md`` for the compatibility rules).
-    store_kind : str, optional
-        Force the backend of a not-yet-existing *cache_dir*
-        (:data:`~repro.exp.store.STORES`; the CLI spells this
-        ``--store``).  Contradicting an existing store is an error.
 
     Returns
     -------
@@ -98,15 +92,14 @@ def run_sweep(
     Raises
     ------
     ReproError
-        If *jobs* is less than 1, or if *store_kind* contradicts what
-        already exists at *cache_dir*.
+        If *jobs* is less than 1, or if *cache_dir* exists but is not
+        a result store (a legacy JSON cache directory among them).
     """
     if jobs < 1:
         raise ReproError(f"jobs must be >= 1, got {jobs}")
     configs = spec.expand() if isinstance(spec, SweepSpec) else list(spec)
     cache = (
-        open_store(cache_dir, kind=store_kind, create=True)
-        if cache_dir is not None else None
+        open_store(cache_dir, create=True) if cache_dir is not None else None
     )
 
     by_key: dict[str, CellResult] = {}

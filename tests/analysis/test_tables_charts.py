@@ -1,11 +1,4 @@
-"""Unit tests for table and chart formatting.
-
-The formatters live in :mod:`repro.exp.report`; the deprecated
-``repro.analysis`` shims (warning on import, same objects) are pinned
-separately in ``TestCompatShim``.
-"""
-
-import sys
+"""Unit tests for table and chart formatting (:mod:`repro.exp.report`)."""
 
 import pytest
 
@@ -65,42 +58,6 @@ class TestBarChart:
     def test_too_narrow_rejected(self):
         with pytest.raises(ReproError):
             bar_chart([("a", 1.0)], width=4)
-
-
-class TestCompatShim:
-    @staticmethod
-    def _forget_analysis_modules():
-        # The DeprecationWarning fires when the package module body
-        # executes — once per interpreter.  Forget any prior import so
-        # each test observes a fresh one.
-        for name in list(sys.modules):
-            if name == "repro.analysis" or name.startswith("repro.analysis."):
-                del sys.modules[name]
-
-    def test_import_raises_deprecation_warning(self):
-        self._forget_analysis_modules()
-        with pytest.warns(DeprecationWarning, match="repro.analysis is deprecated"):
-            import repro.analysis  # noqa: F401
-
-    def test_shim_and_exp_report_are_the_same_functions(self):
-        self._forget_analysis_modules()
-        with pytest.warns(DeprecationWarning):
-            from repro.analysis import charts, tables
-        from repro.exp import report
-
-        assert charts.bar_chart is report.bar_chart
-        assert charts.stacked_bar_chart is report.stacked_bar_chart
-        assert charts.delta_bar_chart is report.delta_bar_chart
-        assert tables.render_table is report.render_table
-
-    def test_every_historical_name_still_importable(self):
-        self._forget_analysis_modules()
-        with pytest.warns(DeprecationWarning):
-            import repro.analysis as analysis
-        import repro.exp as exp
-
-        for name in analysis.__all__:
-            assert getattr(analysis, name) is getattr(exp, name)
 
 
 class TestDeltaBarChart:

@@ -3,6 +3,18 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exp.cache import iter_dump_rows
+from repro.exp.spec import SweepSpec
+from repro.exp.store import open_store
+from tests.store_helpers import (
+    fake_result,
+    make_stale,
+    store_keys,
+    worsen,
+    write_dump,
+    write_legacy_dir,
+    write_store,
+)
 
 
 class TestParser:
@@ -19,8 +31,22 @@ class TestParser:
         text = parser.format_help()
         for command in ("fig7", "fig8", "fig9", "overheads", "ablations",
                         "portability", "run", "sweep", "serve", "worker",
-                        "submit", "merge", "migrate", "history", "diff"):
+                        "submit", "merge", "report", "history", "diff"):
             assert command in text
+
+    @pytest.mark.parametrize("argv", [
+        ["migrate", "a", "b.sqlite"],
+        ["sweep", "--app", "vadd", "--cache", "x.sqlite", "--store", "sqlite"],
+        ["serve", "--cache", "x.sqlite", "--store", "sqlite"],
+        ["sweep", "--report", "--cache", "x.sqlite"],
+    ])
+    def test_removed_commands_and_flags_are_argparse_errors(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -168,29 +194,26 @@ class TestShardMergeReport:
         assert main(["sweep", *self.GRID,
                      "--cache", str(tmp_path / "merged")]) == 0
         assert "0 simulated, 2 from cache" in capsys.readouterr().out
-        # And --report renders from it, no simulation at all.
-        assert main(["sweep", "--report", "--cache", str(tmp_path / "merged"),
+        # And `repro report` renders from it, no simulation at all.
+        assert main(["report", "--cache", str(tmp_path / "merged"),
                      "--format", "md"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("| cell |")
         assert "vadd-1KB/lru" in out
 
-    def test_report_requires_cache(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--report"])
+    def test_report_requires_cache(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report"])
+        assert excinfo.value.code == 2
+        assert "pass --cache" in capsys.readouterr().err
 
     def test_report_warns_about_skipped_entries_on_stderr(self, capsys,
                                                           tmp_path):
-        import json
-
         cache = tmp_path / "cache"
         assert main(["sweep", *self.GRID, "--cache", str(cache)]) == 0
-        entry = next(cache.glob("*.json"))
-        payload = json.loads(entry.read_text(encoding="utf-8"))
-        payload["version"] = 999  # a stale-version entry
-        entry.write_text(json.dumps(payload), encoding="utf-8")
+        make_stale(cache, store_keys(cache)[0])
         capsys.readouterr()
-        assert main(["sweep", "--report", "--cache", str(cache)]) == 0
+        assert main(["report", "--cache", str(cache)]) == 0
         captured = capsys.readouterr()
         # The warning goes to stderr; stdout stays the pure report.
         assert "skipped 1 stale/invalid cache entry" in captured.err
@@ -201,7 +224,7 @@ class TestShardMergeReport:
         assert main(["sweep", *self.GRID,
                      "--cache", str(tmp_path / "cache")]) == 0
         capsys.readouterr()
-        assert main(["sweep", "--report", "--cache", str(tmp_path / "cache"),
+        assert main(["report", "--cache", str(tmp_path / "cache"),
                      "--group-by", "policy", "--format", "ascii"]) == 0
         out = capsys.readouterr().out
         assert "== policy=fifo ==" in out
@@ -209,12 +232,13 @@ class TestShardMergeReport:
 
     def test_report_rejects_unknown_axis(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["sweep", "--report", "--cache", str(tmp_path),
+            main(["report", "--cache", str(tmp_path),
                   "--group-by", "colour"])
 
     def test_report_only_flags_rejected_without_report(self):
-        # --group-by/--format shape --report output; a sweep run that
-        # silently ignored them would mislead just like the mirror case.
+        # --group-by/--format shape `repro report` output; they are not
+        # sweep flags, so argparse refuses them instead of a sweep
+        # silently ignoring them.
         with pytest.raises(SystemExit):
             main(["sweep", *self.GRID, "--format", "csv"])
         with pytest.raises(SystemExit):
@@ -233,26 +257,16 @@ class TestShardMergeReport:
             main(["sweep", "--preset", "contention", "--app", "adpcm"])
 
     def test_report_rejects_grid_selection_flags(self, capsys, tmp_path):
-        # Axis flags have no effect under --report; silently reporting
-        # the whole cache under an "--app adpcm" heading would mislead.
+        # A report renders the whole store; grid flags are not report
+        # flags, so a report under an "--app adpcm" heading that showed
+        # every cell cannot happen: argparse refuses them.
         assert main(["sweep", *self.GRID,
                      "--cache", str(tmp_path / "cache")]) == 0
-        with pytest.raises(SystemExit):
-            main(["sweep", "--report", "--cache", str(tmp_path / "cache"),
-                  "--app", "idea"])
-        with pytest.raises(SystemExit):
-            main(["sweep", "--report", "--cache", str(tmp_path / "cache"),
-                  "--shard", "1/2"])
-        # A grid flag explicitly spelled with its default value is just
-        # as misleading ("adpcm results") and must be caught too.
-        with pytest.raises(SystemExit):
-            main(["sweep", "--report", "--cache", str(tmp_path / "cache"),
-                  "--app", "adpcm"])
-        # And prefix abbreviations must not slip past the guard:
-        # allow_abbrev is off, so --ap is rejected by argparse itself.
-        with pytest.raises(SystemExit):
-            main(["sweep", "--report", "--cache", str(tmp_path / "cache"),
-                  "--ap", "adpcm"])
+        for flags in (["--app", "idea"], ["--shard", "1/2"],
+                      ["--app", "adpcm"], ["--ap", "adpcm"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["report", "--cache", str(tmp_path / "cache"), *flags])
+            assert excinfo.value.code == 2
 
     def test_json_overwrite_refused_before_simulating(self, tmp_path,
                                                       monkeypatch):
@@ -269,43 +283,31 @@ class TestShardMergeReport:
             main(["sweep", "--app", "vadd", "--kb", "1", "--json", str(path)])
 
     def test_merge_conflict_exits_nonzero(self, capsys, tmp_path):
-        import json
-
         assert main(["sweep", *self.GRID,
                      "--cache", str(tmp_path / "a")]) == 0
         assert main(["sweep", *self.GRID,
                      "--cache", str(tmp_path / "b")]) == 0
-        entry = next((tmp_path / "b").glob("*.json"))
-        payload = json.loads(entry.read_text(encoding="utf-8"))
-        payload["result"]["vim_ms"] += 1.0
-        entry.write_text(json.dumps(payload), encoding="utf-8")
+        worsen(tmp_path / "b")
         with pytest.raises(SystemExit):
             main(["merge", str(tmp_path / "merged"),
                   str(tmp_path / "a"), str(tmp_path / "b")])
 
     def test_report_baseline_annotates_cells(self, capsys, tmp_path):
-        import json
-
         assert main(["sweep", *self.GRID,
                      "--cache", str(tmp_path / "base")]) == 0
         assert main(["sweep", *self.GRID,
                      "--cache", str(tmp_path / "cur")]) == 0
-        entry = next((tmp_path / "cur").glob("*.json"))
-        payload = json.loads(entry.read_text(encoding="utf-8"))
-        payload["result"]["vim_ms"] *= 2.0
-        entry.write_text(
-            json.dumps(payload, sort_keys=True, indent=1), encoding="utf-8"
-        )
+        worsen(tmp_path / "cur", factor=2.0)
         capsys.readouterr()
-        assert main(["sweep", "--report", "--cache", str(tmp_path / "cur"),
+        assert main(["report", "--cache", str(tmp_path / "cur"),
                      "--baseline", str(tmp_path / "base")]) == 0
         out = capsys.readouterr().out
         assert "+100.0%)" in out   # the doubled cell
         assert "(=)" in out        # the untouched cells
 
     def test_baseline_rejected_without_report(self, tmp_path):
-        # --baseline shapes --report output only; a sweep run that
-        # silently ignored it would mislead like --group-by would.
+        # --baseline shapes `repro report` output only; argparse
+        # refuses it on a sweep like --group-by.
         with pytest.raises(SystemExit):
             main(["sweep", *self.GRID, "--baseline", str(tmp_path)])
 
@@ -321,12 +323,7 @@ class TestDiffCLI:
 
     @staticmethod
     def _worsen(cache, factor=1.5):
-        import json
-
-        entry = sorted(cache.glob("*.json"))[0]
-        payload = json.loads(entry.read_text(encoding="utf-8"))
-        payload["result"]["vim_ms"] *= factor
-        entry.write_text(json.dumps(payload), encoding="utf-8")
+        worsen(cache, factor)
 
     def test_identical_caches_all_zero_table_exit_0(self, capsys, tmp_path):
         a, b = self._two_caches(tmp_path)
@@ -376,7 +373,7 @@ class TestDiffCLI:
 
 
 class TestStoreCli:
-    """The store-layer CLI surface: --store, migrate, history, dry-run."""
+    """The store-layer CLI surface: legacy import, history, dry-run."""
 
     GRID = ["--app", "vadd", "--kb", "1", "--policy", "fifo", "lru"]
 
@@ -387,53 +384,49 @@ class TestStoreCli:
         assert main(["sweep", *self.GRID, "--cache", str(store)]) == 0
         assert "0 simulated, 2 from cache" in capsys.readouterr().out
 
-    def test_store_flag_forces_backend(self, capsys, tmp_path):
-        store = tmp_path / "oddly-named"
-        assert main(["sweep", *self.GRID, "--cache", str(store),
-                     "--store", "sqlite"]) == 0
-        assert store.is_file()  # sqlite file despite the dir-like name
-
-    def test_store_flag_requires_cache(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", *self.GRID, "--store", "sqlite"])
-        assert excinfo.value.code == 2
-        assert "pass --cache" in capsys.readouterr().err
-
-    def test_store_flag_rejected_under_report(self, capsys, tmp_path):
-        store = tmp_path / "results.sqlite"
-        assert main(["sweep", *self.GRID, "--cache", str(store)]) == 0
-        with pytest.raises(SystemExit):
-            main(["sweep", "--report", "--cache", str(store),
-                  "--store", "sqlite"])
-
     def test_report_byte_identical_across_backends(self, capsys, tmp_path):
-        json_cache = tmp_path / "cache"
-        sqlite_store = tmp_path / "results.sqlite"
-        assert main(["sweep", *self.GRID, "--cache", str(json_cache)]) == 0
+        # A legacy JSON cache imported with `repro merge` reports the
+        # same bytes as the store the sweep itself wrote.
+        store = tmp_path / "results.sqlite"
+        assert main(["sweep", *self.GRID, "--cache", str(store),
+                     "--json", str(tmp_path / "rows.json")]) == 0
+        legacy = write_legacy_dir(tmp_path / "cache", [
+            row for _origin, row in iter_dump_rows(tmp_path / "rows.json")
+        ])
         capsys.readouterr()
-        assert main(["migrate", str(json_cache), str(sqlite_store)]) == 0
+        imported = tmp_path / "imported.sqlite"
+        assert main(["merge", str(imported), str(legacy)]) == 0
         assert "2 written" in capsys.readouterr().out
         for fmt in ("md", "ascii", "csv"):
             outputs = []
-            for path in (json_cache, sqlite_store):
-                assert main(["sweep", "--report", "--cache", str(path),
+            for path in (store, imported):
+                assert main(["report", "--cache", str(path),
                              "--format", fmt]) == 0
                 outputs.append(capsys.readouterr().out)
             assert outputs[0] == outputs[1]
 
-    def test_migrate_round_trip_restores_files(self, capsys, tmp_path):
-        json_cache = tmp_path / "cache"
-        assert main(["sweep", *self.GRID, "--cache", str(json_cache)]) == 0
-        assert main(["migrate", str(json_cache),
-                     str(tmp_path / "hop.sqlite")]) == 0
-        assert main(["migrate", str(tmp_path / "hop.sqlite"),
-                     str(tmp_path / "back")]) == 0
-        original = {p.name: p.read_bytes() for p in json_cache.glob("*.json")}
-        restored = {
-            p.name: p.read_bytes()
-            for p in (tmp_path / "back").glob("*.json")
-        }
-        assert original == restored
+    def test_directories_are_rejected_before_simulating(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # A directory is never a store: sweep, report and diff refuse
+        # one up front (exit 2), pointing at the legacy import.
+        import repro.exp.sweep as sweep_module
+
+        monkeypatch.setattr(
+            sweep_module, "run_cell",
+            lambda config: pytest.fail("simulated despite a bad store"),
+        )
+        legacy = tmp_path / "cache"
+        legacy.mkdir()
+        store = write_store(tmp_path / "x.sqlite", [])
+        for argv in (["sweep", *self.GRID, "--cache", str(legacy)],
+                     ["report", "--cache", str(legacy)],
+                     ["diff", str(legacy), str(store)]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert f"repro merge NEW.sqlite {legacy}" in \
+                capsys.readouterr().err
 
     def test_merge_dry_run_writes_nothing(self, capsys, tmp_path):
         source = tmp_path / "cache"
@@ -473,20 +466,23 @@ class TestStoreCli:
         assert "vadd-1KB" not in out  # aggregated, not per-cell
 
     def test_diff_streams_sqlite_same_as_json(self, capsys, tmp_path):
-        json_a = tmp_path / "a"
-        json_b = tmp_path / "b"
-        for name in (json_a, json_b):
-            assert main(["sweep", *self.GRID, "--cache", str(name)]) == 0
-        assert main(["migrate", str(json_a),
-                     str(tmp_path / "a.sqlite")]) == 0
-        assert main(["migrate", str(json_b),
-                     str(tmp_path / "b.sqlite")]) == 0
+        # Two stores stream through the merge-join; their --json dumps
+        # are sorted in memory.  Either way, the same bytes.
+        for name in ("a", "b"):
+            assert main(["sweep", *self.GRID,
+                         "--cache", str(tmp_path / f"{name}.sqlite"),
+                         "--json", str(tmp_path / f"{name}.json")]) == 0
+        worsen(tmp_path / "b.sqlite")
+        with open_store(tmp_path / "b.sqlite") as store:
+            write_dump(tmp_path / "b.json", list(store.iter_rows()))
         capsys.readouterr()
-        assert main(["diff", str(json_a), str(json_b)]) == 0
-        from_json = capsys.readouterr().out
-        assert main(["diff", str(tmp_path / "a.sqlite"),
-                     str(tmp_path / "b.sqlite")]) == 0
-        assert capsys.readouterr().out == from_json
+        outputs = []
+        for suffix in ("sqlite", "json"):
+            assert main(["diff", str(tmp_path / f"a.{suffix}"),
+                         str(tmp_path / f"b.{suffix}")]) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "REGRESSION" in outputs[0]
 
     def test_history_renders_per_run_series(self, capsys, tmp_path):
         store = tmp_path / "results.sqlite"
@@ -510,16 +506,75 @@ class TestStoreCli:
         assert "vadd-1KB/lru" in out
         assert "vadd-1KB  " not in out  # the fifo cell is filtered out
 
-    def test_history_on_json_cache_points_at_migrate(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        assert main(["sweep", *self.GRID, "--cache", str(cache)]) == 0
+    def test_history_on_json_cache_points_at_merge(self, capsys, tmp_path):
+        cache = write_legacy_dir(tmp_path / "cache", [])
         with pytest.raises(SystemExit) as excinfo:
             main(["history", "vim_ms", str(cache)])
         assert excinfo.value.code == 2
-        assert "repro migrate" in capsys.readouterr().err
+        assert "repro merge" in capsys.readouterr().err
 
     def test_history_missing_store_exits_2(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["history", "vim_ms", str(tmp_path / "absent.sqlite")])
         assert excinfo.value.code == 2
         assert "does not exist" in capsys.readouterr().err
+
+
+class TestDamagedStore:
+    """A damaged store is a clean exit 2, never a traceback or exit 1.
+
+    For ``repro diff`` exit 1 means "regression", so a crash there
+    would let CI read a corrupt baseline as a performance regression.
+    """
+
+    @pytest.fixture(scope="class")
+    def damaged(self, tmp_path_factory):
+        # 2,000 rows with three pages zeroed mid-file: the header and
+        # schema still read, so the store opens and fails mid-cursor.
+        path = tmp_path_factory.mktemp("damaged") / "store.sqlite"
+        write_store(path, (
+            fake_result(config) for config in SweepSpec(
+                apps=("synthetic",), input_bytes=(1024,),
+                seeds=tuple(range(2000)),
+            ).expand()
+        ))
+        pages = path.stat().st_size // 4096
+        with path.open("r+b") as handle:
+            handle.seek(pages // 2 * 4096)
+            handle.write(bytes(3 * 4096))
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--cache", "{store}"],
+        ["report", "--cache", "{store}", "--group-by", "policy"],
+        ["diff", "{store}", "{store}"],
+        ["merge", "{out}", "{store}"],
+        ["history", "vim_ms", "{store}"],
+    ], ids=["report", "report-grouped", "diff", "merge", "history"])
+    def test_mid_file_damage_exits_2(self, argv, damaged, tmp_path, capsys):
+        argv = [
+            arg.format(store=damaged, out=tmp_path / "out.sqlite")
+            for arg in argv
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(damaged) in err
+
+    @pytest.mark.parametrize("keep", ["half", "all-but-last-page"])
+    def test_truncated_store_exits_2(self, keep, tmp_path, capsys):
+        path = write_store(tmp_path / "store.sqlite", (
+            fake_result(config) for config in SweepSpec(
+                apps=("synthetic",), input_bytes=(1024,),
+                seeds=tuple(range(200)),
+            ).expand()
+        ))
+        size = path.stat().st_size
+        with path.open("r+b") as handle:
+            handle.truncate(size // 2 if keep == "half" else size - 4096)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--cache", str(path)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("error:")

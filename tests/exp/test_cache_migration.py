@@ -2,10 +2,11 @@
 
 A version bump (v4 → v5 added the replication summary columns and the
 synthetic-pattern fields) must degrade *loudly and legibly*: old
-entries classify as ``"stale-version"`` — recognisably "re-run me",
-never "corrupt" — and a merge fed nothing but stale entries fails with
-an explicit error instead of writing an empty cache that a later
-report would misdiagnose.
+entries of a legacy JSON cache directory classify as
+``"stale-version"`` — recognisably "re-run me", never "corrupt" — and
+a merge (the import path for such directories) fed nothing but stale
+entries fails with an explicit error instead of writing an empty store
+that a later report would misdiagnose.
 """
 
 import json
@@ -14,17 +15,19 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ReproError
-from repro.exp import run_sweep
 from repro.exp.cache import iter_classified
+from repro.exp.cell import run_cell
 from repro.exp.merge import merge_into
-from repro.exp.spec import CACHE_VERSION, SweepSpec
+from repro.exp.spec import CACHE_VERSION, CellConfig
+from repro.exp.store import open_store
+from tests.store_helpers import write_legacy_dir
 
 #: The previous on-disk schema version, as real pre-bump caches have.
 OLD_VERSION = CACHE_VERSION - 1
 
 #: One cheap cell, used wherever a genuine current-version entry or a
 #: downgraded copy of one is needed.
-SPEC = SweepSpec(apps=("vadd",), input_bytes=(1024,))
+CELL = CellConfig(app="vadd", input_bytes=1024)
 
 
 def _entry_paths(root):
@@ -33,10 +36,8 @@ def _entry_paths(root):
 
 @pytest.fixture()
 def current_cache(tmp_path):
-    """A real cache directory holding one current-version entry."""
-    cache_dir = tmp_path / "current"
-    run_sweep(SPEC, cache_dir=cache_dir)
-    return cache_dir
+    """A legacy cache directory holding one current-version entry."""
+    return write_legacy_dir(tmp_path / "current", [run_cell(CELL)])
 
 
 def _downgrade(path) -> None:
@@ -104,15 +105,15 @@ class TestMergeDegradesLoudly:
     def test_mixed_merge_skips_stale_and_reports_it(
         self, current_cache, tmp_path
     ):
-        stale_dir = tmp_path / "stale"
-        run_sweep(SPEC, cache_dir=stale_dir)
+        stale_dir = write_legacy_dir(tmp_path / "stale", [run_cell(CELL)])
         _downgrade(_entry_paths(stale_dir)[0])
         summary = merge_into(
             tmp_path / "merged", [current_cache, stale_dir]
         )
         assert summary.written == 1
         assert summary.skipped == 1
-        # The merged cache holds exactly the current-version entry.
-        [(_, status, result)] = iter_classified(tmp_path / "merged")
+        # The merged store holds exactly the current-version entry.
+        with open_store(tmp_path / "merged") as store:
+            [(_, status, result)] = store.iter_classified()
         assert status == "ok"
         assert result is not None

@@ -11,9 +11,9 @@ import pytest
 from repro.cli import main
 from repro.errors import ReproError
 from repro.exp import build_tenant_workloads, contention, run_cell, run_sweep
-from repro.exp.cache import SweepCache
 from repro.exp.results import CellResult
 from repro.exp.spec import CellConfig, SweepSpec
+from repro.exp.store import open_store
 
 
 def _contended_config(**overrides):
@@ -99,9 +99,9 @@ class TestContendedCell:
 
     def test_cache_round_trip(self, tmp_path):
         row = run_cell(_contended_config())
-        cache = SweepCache(tmp_path)
-        cache.store(row)
-        assert cache.load(row.config) == row
+        with open_store(tmp_path / "store.sqlite", create=True) as store:
+            store.put(row)
+            assert store.get(row.config) == row
 
     def test_parallel_equals_serial(self):
         configs = [

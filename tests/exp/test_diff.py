@@ -1,10 +1,10 @@
 """Tests for cross-run diffing (``repro.exp.diff``).
 
-All caches here are synthetic (hand-written rows stored through the
-real :class:`~repro.exp.cache.SweepCache`, no simulation), so each
-test controls the injected deltas exactly.  The golden test renders
-the committed ``tests/exp/fixtures/baseline_cache`` against
-``report_cache`` — regenerate both with
+All stores here are synthetic (hand-written rows stored through the
+real :class:`~repro.exp.store.SqliteStore`, no simulation), so each
+test controls the injected deltas exactly.  The golden test diffs the
+committed row dumps ``tests/exp/fixtures/baseline_rows.json`` and
+``report_rows.json`` — regenerate both with
 ``tools/make_report_fixture.py`` after a ``CACHE_VERSION`` bump.
 """
 
@@ -15,17 +15,16 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ReproError
-from repro.exp.cache import SweepCache
 from repro.exp.diff import (
     DEFAULT_METRICS,
     METRICS,
-    diff_caches,
-    load_side,
+    diff_stores,
     render_diff,
     scalar_delta,
 )
 from repro.exp.results import CellResult
-from repro.exp.spec import CACHE_VERSION, CellConfig
+from repro.exp.spec import CellConfig
+from tests.store_helpers import corrupt, make_stale, store_keys, write_store
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -63,24 +62,21 @@ CONFIGS = [
 
 
 def _write_cache(path, rows):
-    cache = SweepCache(path)
-    for row in rows:
-        cache.store(row)
-    return path
+    return write_store(path, rows)
 
 
 @pytest.fixture
 def identical_caches(tmp_path):
     rows = [_row(config) for config in CONFIGS]
     return (
-        _write_cache(tmp_path / "a", rows),
-        _write_cache(tmp_path / "b", rows),
+        _write_cache(tmp_path / "a.sqlite", rows),
+        _write_cache(tmp_path / "b.sqlite", rows),
     )
 
 
 class TestIdenticalRuns:
     def test_empty_diff_and_no_regressions(self, identical_caches):
-        result = diff_caches(*identical_caches)
+        result = diff_stores(*identical_caches)
         assert len(result.cells) == len(CONFIGS)
         assert result.changed_cells == ()
         assert result.regressions == ()
@@ -88,7 +84,7 @@ class TestIdenticalRuns:
         assert result.added == () and result.removed == ()
 
     def test_renders_all_zero_table(self, identical_caches):
-        text = render_diff(diff_caches(*identical_caches))
+        text = render_diff(diff_stores(*identical_caches))
         for line in text.splitlines()[2:2 + len(CONFIGS)]:
             cells = line.split()
             assert set(cells[1:-1]) == {"0"}
@@ -96,7 +92,7 @@ class TestIdenticalRuns:
         assert "0 changed, 0 regression(s)" in text
 
     def test_fingerprints_match(self, identical_caches):
-        base, current = diff_caches(*identical_caches).fingerprints()
+        base, current = diff_stores(*identical_caches).fingerprints()
         assert base == current
 
 
@@ -110,9 +106,9 @@ class TestToleranceClassification:
             )
             for row in base
         ]
-        return diff_caches(
-            _write_cache(tmp_path / "a", base),
-            _write_cache(tmp_path / "b", current),
+        return diff_stores(
+            _write_cache(tmp_path / "a.sqlite", base),
+            _write_cache(tmp_path / "b.sqlite", current),
             **kwargs,
         )
 
@@ -153,9 +149,9 @@ class TestToleranceClassification:
     def test_directionless_metric_never_gates(self, tmp_path):
         base = [_row(config, dma=4) for config in CONFIGS]
         current = [dataclasses.replace(row, dma_transfers=8) for row in base]
-        result = diff_caches(
-            _write_cache(tmp_path / "a", base),
-            _write_cache(tmp_path / "b", current),
+        result = diff_stores(
+            _write_cache(tmp_path / "a.sqlite", base),
+            _write_cache(tmp_path / "b.sqlite", current),
             metrics=("dma_transfers",),
         )
         assert len(result.changed_cells) == len(CONFIGS)
@@ -174,12 +170,12 @@ class TestAddedRemovedStale:
     def test_added_and_removed_cells_reported(self, tmp_path):
         extra = CellConfig(app="vadd", input_bytes=2048)
         base = _write_cache(
-            tmp_path / "a", [_row(CONFIGS[0]), _row(CONFIGS[1])]
+            tmp_path / "a.sqlite", [_row(CONFIGS[0]), _row(CONFIGS[1])]
         )
         current = _write_cache(
-            tmp_path / "b", [_row(CONFIGS[0]), _row(extra)]
+            tmp_path / "b.sqlite", [_row(CONFIGS[0]), _row(extra)]
         )
-        result = diff_caches(base, current)
+        result = diff_stores(base, current)
         assert [r.label for r in result.added] == [extra.label()]
         assert [r.label for r in result.removed] == [CONFIGS[1].label()]
         assert not result.has_regressions  # shape changes never gate
@@ -190,13 +186,10 @@ class TestAddedRemovedStale:
 
     def test_stale_version_reported_distinctly(self, tmp_path):
         rows = [_row(config) for config in CONFIGS]
-        base = _write_cache(tmp_path / "a", rows)
-        current = _write_cache(tmp_path / "b", rows)
-        entry = sorted(base.glob("*.json"))[0]
-        payload = json.loads(entry.read_text(encoding="utf-8"))
-        payload["version"] = CACHE_VERSION + 1
-        entry.write_text(json.dumps(payload), encoding="utf-8")
-        result = diff_caches(base, current)
+        base = _write_cache(tmp_path / "a.sqlite", rows)
+        current = _write_cache(tmp_path / "b.sqlite", rows)
+        make_stale(base, store_keys(base)[0])
+        result = diff_stores(base, current)
         assert result.baseline.stale == 1
         assert result.baseline.invalid == 0
         assert len(result.added) == 1  # its counterpart lost its match
@@ -206,10 +199,10 @@ class TestAddedRemovedStale:
 
     def test_invalid_file_reported_separately_from_stale(self, tmp_path):
         rows = [_row(config) for config in CONFIGS]
-        base = _write_cache(tmp_path / "a", rows)
-        current = _write_cache(tmp_path / "b", rows)
-        sorted(base.glob("*.json"))[0].write_text("][", encoding="utf-8")
-        result = diff_caches(base, current)
+        base = _write_cache(tmp_path / "a.sqlite", rows)
+        current = _write_cache(tmp_path / "b.sqlite", rows)
+        corrupt(base, store_keys(base)[0])
+        result = diff_stores(base, current)
         assert result.baseline.stale == 0
         assert result.baseline.invalid == 1
         assert "1 invalid file(s)" in render_diff(result)
@@ -218,13 +211,11 @@ class TestAddedRemovedStale:
         # The CACHE_VERSION-bump escape hatch: nothing comparable, no
         # gate, and the renderer says so.
         rows = [_row(config) for config in CONFIGS]
-        base = _write_cache(tmp_path / "a", rows)
-        current = _write_cache(tmp_path / "b", rows)
-        for entry in base.glob("*.json"):
-            payload = json.loads(entry.read_text(encoding="utf-8"))
-            payload["version"] = CACHE_VERSION + 1
-            entry.write_text(json.dumps(payload), encoding="utf-8")
-        result = diff_caches(base, current)
+        base = _write_cache(tmp_path / "a.sqlite", rows)
+        current = _write_cache(tmp_path / "b.sqlite", rows)
+        for key in store_keys(base):
+            make_stale(base, key)
+        result = diff_stores(base, current)
         assert result.cells == ()
         assert not result.has_regressions
         assert "no comparable cells" in render_diff(result)
@@ -233,13 +224,13 @@ class TestAddedRemovedStale:
 class TestSources:
     def test_json_dump_as_either_side(self, tmp_path):
         rows = [_row(config) for config in CONFIGS]
-        cache = _write_cache(tmp_path / "a", rows)
+        cache = _write_cache(tmp_path / "a.sqlite", rows)
         dump = tmp_path / "rows.json"
         dump.write_text(
             json.dumps([row.to_dict() for row in rows]), encoding="utf-8"
         )
         for pair in ((cache, dump), (dump, cache)):
-            result = diff_caches(*pair)
+            result = diff_stores(*pair)
             assert len(result.cells) == len(CONFIGS)
             assert not result.changed_cells
 
@@ -251,34 +242,41 @@ class TestSources:
             json.dumps([row.to_dict(), clash.to_dict()]), encoding="utf-8"
         )
         with pytest.raises(ReproError, match="two different results"):
-            load_side(dump)
+            diff_stores(dump, dump)
 
     def test_missing_source_rejected(self, tmp_path):
         with pytest.raises(ReproError, match="does not exist"):
-            load_side(tmp_path / "absent")
+            diff_stores(tmp_path / "absent", tmp_path / "absent")
 
     def test_empty_directory_rejected(self, tmp_path):
+        # A directory is never a side: a legacy JSON cache is imported
+        # with `repro merge` first.
         (tmp_path / "empty").mkdir()
-        with pytest.raises(ReproError, match="no cache entries"):
-            load_side(tmp_path / "empty")
+        with pytest.raises(ReproError, match="repro merge"):
+            diff_stores(tmp_path / "empty", tmp_path / "empty")
+
+    def test_empty_store_rejected(self, tmp_path):
+        empty = write_store(tmp_path / "empty.sqlite", [])
+        with pytest.raises(ReproError, match="holds no result rows"):
+            diff_stores(empty, empty)
 
     def test_non_list_dump_rejected(self, tmp_path):
         dump = tmp_path / "rows.json"
         dump.write_text("{}", encoding="utf-8")
-        with pytest.raises(ReproError, match="not a cache directory"):
-            load_side(dump)
+        with pytest.raises(ReproError, match="not a SQLite result store"):
+            diff_stores(dump, dump)
 
 
 class TestRendering:
     def test_golden_fixture_diff(self):
-        result = diff_caches(FIXTURES / "baseline_cache",
-                             FIXTURES / "report_cache")
+        result = diff_stores(FIXTURES / "baseline_rows.json",
+                             FIXTURES / "report_rows.json")
         text = render_diff(result, fmt="md")
         golden = (FIXTURES / "diff.md").read_text(encoding="utf-8")
         assert text == golden.rstrip("\n")
 
     def test_metrics_become_columns(self, identical_caches):
-        result = diff_caches(*identical_caches, metrics=("vim_ms", "faults"))
+        result = diff_stores(*identical_caches, metrics=("vim_ms", "faults"))
         header = render_diff(result, fmt="md").splitlines()[0]
         assert header == "| cell | Δ vim_ms | Δ faults | status |"
 
@@ -295,9 +293,9 @@ class TestRendering:
         current = [
             dataclasses.replace(row, vim_ms=row.vim_ms * 2) for row in base
         ]
-        result = diff_caches(
-            _write_cache(tmp_path / "a", base),
-            _write_cache(tmp_path / "b", current),
+        result = diff_stores(
+            _write_cache(tmp_path / "a.sqlite", base),
+            _write_cache(tmp_path / "b.sqlite", current),
         )
         ascii_text = render_diff(result, fmt="ascii")
         assert "Δ vim_ms vs baseline:" in ascii_text
@@ -312,9 +310,9 @@ class TestRendering:
     def test_md_bars_are_fenced(self, tmp_path):
         base = [_row(CONFIGS[0])]
         current = [dataclasses.replace(base[0], vim_ms=2.0)]
-        result = diff_caches(
-            _write_cache(tmp_path / "a", base),
-            _write_cache(tmp_path / "b", current),
+        result = diff_stores(
+            _write_cache(tmp_path / "a.sqlite", base),
+            _write_cache(tmp_path / "b.sqlite", current),
         )
         text = render_diff(result, fmt="md")
         assert "```\nΔ vim_ms vs baseline:" in text

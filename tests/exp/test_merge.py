@@ -1,35 +1,48 @@
-"""Tests for merging shard caches (``repro.exp.merge``).
+"""Tests for merging shard stores (``repro.exp.merge``).
 
-The merge is what turns N per-machine shard caches back into the one
-durable result store: merged files must be byte-identical to an
-unsharded run's cache (so re-runs simulate nothing and reports
+The merge is what turns N per-machine shard stores back into the one
+durable result store: merged payloads must be byte-identical to an
+unsharded run's store (so re-runs simulate nothing and reports
 byte-match), and two sources disagreeing about one config hash must
 fail loudly instead of silently picking a winner.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import ReproError
 from repro.exp import run_sweep
 from repro.exp.merge import merge_into
-from repro.exp.spec import CACHE_VERSION, SweepSpec, shard_cells
+from repro.exp.spec import SweepSpec, shard_cells
+from repro.exp.store import open_store
+from tests.store_helpers import (
+    corrupt,
+    execute,
+    make_stale,
+    payloads,
+    store_keys,
+)
 
 #: A fast 2-cell grid (1 KB vector-add, two policies).
 GRID = SweepSpec(apps=("vadd",), input_bytes=(1024,), policies=("fifo", "lru"))
 
 
-def _files(directory) -> dict:
-    return {
-        path.name: path.read_bytes()
-        for path in sorted(directory.glob("*.json"))
-    }
+def _tamper(store, **deltas) -> str:
+    """Append a changed version of *store*'s first row; return its key."""
+    with open_store(store) as handle:
+        row = next(handle.iter_rows())
+        handle.put(replace(row, **{
+            field: getattr(row, field) + delta
+            for field, delta in deltas.items()
+        }))
+    return row.key
 
 
 @pytest.fixture()
 def shard_caches(tmp_path):
-    """Two shard caches plus the unsharded reference cache."""
+    """Two shard stores plus the unsharded reference store."""
     cells = GRID.expand()
     for index in (1, 2):
         run_sweep(
@@ -49,7 +62,7 @@ class TestMerge:
         assert summary.written == 2
         assert summary.identical == 0
         assert summary.skipped == 0
-        assert _files(dest) == _files(shard_caches / "full")
+        assert payloads(dest) == payloads(shard_caches / "full")
 
     def test_rerun_against_merged_cache_simulates_nothing(self, shard_caches):
         dest = shard_caches / "merged"
@@ -96,8 +109,8 @@ class TestMerge:
         )
         assert summary.written == 2
         assert summary.identical == 2
-        # First-seen provenance wins in the merged files.
-        assert _files(tmp_path / "merged") == _files(tmp_path / "ref")
+        # First-seen provenance wins in the merged store.
+        assert payloads(tmp_path / "merged") == payloads(tmp_path / "ref")
 
     def test_rows_json_dump_is_a_valid_source(self, shard_caches, tmp_path):
         rows = run_sweep(GRID, cache_dir=shard_caches / "full").rows
@@ -108,7 +121,7 @@ class TestMerge:
         dest = tmp_path / "from-dump"
         summary = merge_into(dest, [dump])
         assert summary.written == 2
-        assert _files(dest) == _files(shard_caches / "full")
+        assert payloads(dest) == payloads(shard_caches / "full")
 
 
 class TestConflicts:
@@ -116,10 +129,7 @@ class TestConflicts:
         # A conflicted merge must not leave a half-merged destination:
         # a later report over it would silently render the first-seen
         # copy of the contested hash.
-        tampered = next((shard_caches / "shard2").glob("*.json"))
-        payload = json.loads(tampered.read_text(encoding="utf-8"))
-        payload["result"]["vim_ms"] += 1.0
-        tampered.write_text(json.dumps(payload), encoding="utf-8")
+        _tamper(shard_caches / "shard2", vim_ms=1.0)
         dest = shard_caches / "merged"
         with pytest.raises(ReproError, match="nothing was written"):
             merge_into(
@@ -130,14 +140,11 @@ class TestConflicts:
                     shard_caches / "shard2",
                 ],
             )
-        assert not dest.exists()  # not even an empty directory appears
+        assert not dest.exists()  # not even an empty store appears
 
     def test_conflicting_entry_for_same_hash_rejected(self, shard_caches):
         # Tamper one shard entry: same config hash, different numbers.
-        tampered = next((shard_caches / "shard1").glob("*.json"))
-        payload = json.loads(tampered.read_text(encoding="utf-8"))
-        payload["result"]["vim_ms"] += 1.0
-        tampered.write_text(json.dumps(payload), encoding="utf-8")
+        _tamper(shard_caches / "shard1", vim_ms=1.0)
         with pytest.raises(ReproError, match="conflict"):
             merge_into(
                 shard_caches / "merged",
@@ -145,11 +152,8 @@ class TestConflicts:
             )
 
     def test_conflict_message_names_the_hash(self, shard_caches):
-        tampered = next((shard_caches / "shard1").glob("*.json"))
-        payload = json.loads(tampered.read_text(encoding="utf-8"))
-        payload["result"]["page_faults"] += 7
-        tampered.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ReproError, match=tampered.stem):
+        key = _tamper(shard_caches / "shard1", page_faults=7)
+        with pytest.raises(ReproError, match=key):
             merge_into(
                 shard_caches / "merged",
                 [shard_caches / "full", shard_caches / "shard1"],
@@ -161,10 +165,7 @@ class TestConflicts:
         # The same diverging hash arriving from two source copies must
         # count as ONE contested hash, not one conflict per copy.
         dest = shard_caches / "full"
-        entry = next((shard_caches / "shard1").glob("*.json"))
-        payload = json.loads(entry.read_text(encoding="utf-8"))
-        payload["result"]["vim_ms"] += 1.0
-        entry.write_text(json.dumps(payload), encoding="utf-8")
+        _tamper(shard_caches / "shard1", vim_ms=1.0)
         with pytest.raises(ReproError, match="1 merge conflict"):
             merge_into(
                 dest, [shard_caches / "shard1", shard_caches / "shard1"]
@@ -173,10 +174,7 @@ class TestConflicts:
     def test_source_vs_source_conflict_reported_once(self, shard_caches):
         # Same dedupe rule when the first copy came from a source
         # rather than a pre-existing destination entry.
-        entry = next((shard_caches / "shard1").glob("*.json"))
-        payload = json.loads(entry.read_text(encoding="utf-8"))
-        payload["result"]["vim_ms"] += 1.0
-        entry.write_text(json.dumps(payload), encoding="utf-8")
+        _tamper(shard_caches / "shard1", vim_ms=1.0)
         with pytest.raises(ReproError, match="1 merge conflict"):
             merge_into(
                 shard_caches / "merged",
@@ -191,20 +189,15 @@ class TestConflicts:
         # Merge into a destination that already holds a diverging row.
         dest = shard_caches / "full"
         tampered_src = shard_caches / "shard1"
-        entry = next(tampered_src.glob("*.json"))
-        payload = json.loads(entry.read_text(encoding="utf-8"))
-        payload["result"]["evictions"] += 1
-        entry.write_text(json.dumps(payload), encoding="utf-8")
+        _tamper(tampered_src, evictions=1)
         with pytest.raises(ReproError, match="pre-existing"):
             merge_into(dest, [tampered_src])
 
 
 class TestDegradation:
     def test_stale_version_entries_skipped(self, shard_caches):
-        stale = next((shard_caches / "shard1").glob("*.json"))
-        payload = json.loads(stale.read_text(encoding="utf-8"))
-        payload["version"] = CACHE_VERSION - 1
-        stale.write_text(json.dumps(payload), encoding="utf-8")
+        shard1 = shard_caches / "shard1"
+        make_stale(shard1, store_keys(shard1)[0])
         summary = merge_into(
             shard_caches / "merged",
             [shard_caches / "shard1", shard_caches / "shard2"],
@@ -213,8 +206,8 @@ class TestDegradation:
         assert summary.written == 1
 
     def test_corrupt_entry_skipped(self, shard_caches):
-        broken = next((shard_caches / "shard2").glob("*.json"))
-        broken.write_text("{not json", encoding="utf-8")
+        shard2 = shard_caches / "shard2"
+        corrupt(shard2, store_keys(shard2)[0])
         summary = merge_into(
             shard_caches / "merged",
             [shard_caches / "shard1", shard_caches / "shard2"],
@@ -222,10 +215,12 @@ class TestDegradation:
         assert summary.skipped == 1
 
     def test_renamed_cache_entry_skipped(self, shard_caches):
-        # Same rule as the report loader: a dir entry must be named by
-        # its config hash; a hand-renamed file is skipped, not re-keyed.
-        entry = next((shard_caches / "shard1").glob("*.json"))
-        entry.rename(entry.with_name("0000000000000000.json"))
+        # Same rule as the report loader: a row must be stored under
+        # its config hash; a re-keyed row is skipped, not re-keyed back.
+        execute(
+            shard_caches / "shard1",
+            "UPDATE results SET key = '0000000000000000'",
+        )
         summary = merge_into(
             shard_caches / "merged",
             [shard_caches / "shard1", shard_caches / "shard2"],
@@ -238,10 +233,8 @@ class TestDegradation:
         # CACHE_VERSION bump) must fail here, not downstream at report
         # time with a misleading "no loadable results".
         for source in ("shard1", "shard2"):
-            for entry in (shard_caches / source).glob("*.json"):
-                payload = json.loads(entry.read_text(encoding="utf-8"))
-                payload["version"] = CACHE_VERSION - 1
-                entry.write_text(json.dumps(payload), encoding="utf-8")
+            for key in store_keys(shard_caches / source):
+                make_stale(shard_caches / source, key)
         dest = tmp_path / "dest"
         with pytest.raises(ReproError, match="nothing to merge"):
             merge_into(
@@ -261,10 +254,10 @@ class TestDegradation:
 
     def test_file_destination_rejected(self, shard_caches, tmp_path):
         # Swapping DEST with a dump source must be a clean error, not
-        # a FileExistsError traceback from mkdir.
+        # a SQLite traceback.
         dump = tmp_path / "rows.json"
         dump.write_text("[]", encoding="utf-8")
-        with pytest.raises(ReproError, match="not a directory"):
+        with pytest.raises(ReproError, match="not a SQLite store"):
             merge_into(dump, [shard_caches / "shard1"])
 
 
@@ -297,10 +290,7 @@ class TestDryRun:
     def test_dry_run_collects_conflicts_instead_of_raising(
         self, shard_caches
     ):
-        entry = next((shard_caches / "shard1").glob("*.json"))
-        payload = json.loads(entry.read_text(encoding="utf-8"))
-        payload["result"]["vim_ms"] *= 2
-        entry.write_text(json.dumps(payload), encoding="utf-8")
+        _tamper(shard_caches / "shard1", vim_ms=1.0)
         dest = shard_caches / "merged"
         summary = merge_into(
             dest,
@@ -316,9 +306,9 @@ class TestDryRun:
     ):
         dest = shard_caches / "merged"
         merge_into(dest, [shard_caches / "shard1"])
-        before = _files(dest)
+        before = payloads(dest)
         summary = merge_into(
             dest, [shard_caches / "shard2"], dry_run=True
         )
         assert summary.written == 1
-        assert _files(dest) == before
+        assert payloads(dest) == before

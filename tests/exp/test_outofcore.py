@@ -17,19 +17,18 @@ the simulator.
 """
 
 import gc
-import io
 import tracemalloc
 import weakref
 
 import pytest
 
 import repro.exp.store as store_module
+from repro.cli import main
 from repro.exp.diff import diff_stores
-from repro.exp.merge import merge_into, migrate_store
-from repro.exp.report import stream_report
-from repro.exp.results import CellResult
+from repro.exp.merge import merge_into
 from repro.exp.spec import SweepSpec
 from repro.exp.store import open_store
+from tests.store_helpers import fake_result
 
 #: Rows in the big fixture.  ~5k distinct cells via the seed axis.
 ROWS = 5000
@@ -51,32 +50,6 @@ MAX_TRACED_PEAK = 4 * 1024 * 1024
 MAX_DIFF_TRACED_PEAK = 16 * 1024 * 1024
 
 
-def _fake_result(config) -> CellResult:
-    """A deterministic synthetic row under *config*'s real hash."""
-    seed = config.seed
-    return CellResult(
-        config=config,
-        key=config.key(),
-        label=config.label(),
-        workload=f"synthetic-{seed}",
-        sw_ms=10.0 + seed * 0.001,
-        vim_ms=2.0 + seed * 0.0005,
-        hw_ms=1.0,
-        sw_dp_ms=0.5,
-        sw_imu_ms=0.25,
-        sw_other_ms=0.25 + seed * 0.0005,
-        vim_speedup=(10.0 + seed * 0.001) / (2.0 + seed * 0.0005),
-        page_faults=seed % 97,
-        compulsory_loads=seed % 11,
-        evictions=seed % 7,
-        writebacks=seed % 5,
-        prefetches=0,
-        bytes_to_dpram=1024 * (seed % 13),
-        bytes_from_dpram=512 * (seed % 13),
-        tlb_hit_rate=0.9,
-    )
-
-
 def _grid(rows: int) -> SweepSpec:
     return SweepSpec(
         apps=("synthetic",), input_bytes=(1024,), seeds=tuple(range(rows))
@@ -86,7 +59,7 @@ def _grid(rows: int) -> SweepSpec:
 def _populate(path, configs):
     with open_store(path, create=True) as store:
         for config in configs:
-            store.put(_fake_result(config))
+            store.put(fake_result(config))
 
 
 @pytest.fixture(scope="module")
@@ -134,17 +107,16 @@ def live_rows(monkeypatch):
 
 
 class TestOutOfCore:
-    def test_report_streams(self, big_store, live_rows):
-        sink = io.StringIO()
+    def test_report_streams(self, big_store, live_rows, capsys):
+        # Exactly what a flat `repro report` runs, output captured.
         tracemalloc.start()
-        with open_store(big_store) as store:
-            rows = stream_report(store, sink, fmt="md")
+        assert main(["report", "--cache", str(big_store)]) == 0
         _current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         live_rows.checkpoint()
-        assert rows == ROWS
+        out = capsys.readouterr().out
         assert live_rows.parsed >= ROWS
-        assert sink.getvalue().count("\n") == ROWS + 1  # header + rule
+        assert out.count("\n") == ROWS + 2  # header + rule + final newline
         assert peak < MAX_TRACED_PEAK
 
     def test_diff_streams(self, big_store, tmp_path, live_rows):
@@ -156,7 +128,7 @@ class TestOutOfCore:
             from dataclasses import replace
 
             for config in _grid(10).expand():
-                row = _fake_result(config)
+                row = fake_result(config)
                 store.put(replace(row, vim_ms=row.vim_ms * 2.0))
         tracemalloc.start()
         result = diff_stores(big_store, other)
@@ -192,13 +164,3 @@ class TestOutOfCore:
         with open_store(dest) as merged:
             assert len(merged) == 5500
 
-    def test_migrate_to_json_streams(self, big_store, tmp_path, live_rows):
-        dest = tmp_path / "json-cache"
-        tracemalloc.start()
-        summary = migrate_store(big_store, dest)
-        _current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        live_rows.checkpoint()
-        assert summary.written == ROWS
-        assert peak < MAX_TRACED_PEAK
-        assert len(list(dest.glob("*.json"))) == ROWS

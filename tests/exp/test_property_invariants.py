@@ -24,6 +24,7 @@ import pytest
 from repro.exp import run_sweep
 from repro.exp.merge import merge_into
 from repro.exp.spec import SweepSpec, config_hash, shard_cells
+from tests.store_helpers import payloads
 
 #: Number of random specs the pure (no-simulation) invariants cover.
 SPEC_COUNT = 50
@@ -133,13 +134,6 @@ def _tiny_run_specs(count: int) -> list[SweepSpec]:
     return specs
 
 
-def _files(directory) -> dict:
-    return {
-        path.name: path.read_bytes()
-        for path in sorted(directory.glob("*.json"))
-    }
-
-
 @pytest.mark.parametrize(
     "spec", _tiny_run_specs(3), ids=lambda s: f"{s.apps[0]}-n{s.replicates}"
 )
@@ -154,4 +148,4 @@ def test_merged_shard_caches_byte_match_unsharded_run(spec, tmp_path):
     dest = tmp_path / "merged"
     summary = merge_into(dest, [tmp_path / "shard1", tmp_path / "shard2"])
     assert summary.written == len(_hashes(cells))
-    assert _files(dest) == _files(tmp_path / "full")
+    assert payloads(dest) == payloads(tmp_path / "full")

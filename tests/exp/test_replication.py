@@ -22,9 +22,7 @@ from repro.exp.diff import (
     CV_BAND_SIGMA,
     METRICS,
     banded_delta,
-    diff_caches,
-    diff_rows,
-    load_side,
+    diff_stores,
 )
 from repro.exp.results import REPLICATED_COLUMNS, replicate_summary
 from repro.exp.spec import CellConfig, SweepSpec, replica_hash
@@ -188,23 +186,27 @@ class TestCvAlignment:
     def test_disjoint_seed_sets_align_and_pass(self, tmp_path):
         a = self._sweep(tmp_path, "a", seed=1)
         b = self._sweep(tmp_path, "b", seed=1001)
-        exact = diff_caches(a, b)
+        exact = diff_stores(a, b)
         assert not exact.cells  # config hashes differ: nothing matches
-        banded = diff_caches(a, b, bands="cv")
+        banded = diff_stores(a, b, bands="cv")
         assert len(banded.cells) == 2
         assert not banded.has_regressions
+        # The cv fingerprint is seed-blind: same design space, same print.
+        base_print, current_print = banded.fingerprints()
+        assert base_print == current_print
+        assert exact.fingerprints()[0] != exact.fingerprints()[1]
 
     def test_seed_axis_within_one_run_is_refused(self, tmp_path):
         spec = SweepSpec(apps=("vadd",), input_bytes=(1024,), seeds=(1, 2))
         run_sweep(spec, cache_dir=tmp_path / "axis")
-        side = load_side(tmp_path / "axis")
+        side = tmp_path / "axis"
         with pytest.raises(ReproError, match="differing only by seed"):
-            diff_rows(side, side, bands="cv")
+            diff_stores(side, side, bands="cv")
 
     def test_unknown_band_policy_is_refused(self, tmp_path):
         a = self._sweep(tmp_path, "a", seed=1)
         with pytest.raises(ReproError, match="unknown band policy"):
-            diff_caches(a, a, bands="sigma")
+            diff_stores(a, a, bands="sigma")
         assert BANDS == ("exact", "cv")
 
 

@@ -1,34 +1,44 @@
-"""Tests for cache-driven reporting (``repro.exp.report``).
+"""Tests for store-driven reporting (``repro.exp.report``).
 
-Golden-output tests render the committed fixture cache
-(``tests/exp/fixtures/report_cache``, written by
-``tools/make_report_fixture.py``) and compare byte-for-byte against
-the committed golden files — if ``CACHE_VERSION`` is ever bumped, the
-fixture goes stale and these tests fail until the regeneration script
-is re-run (one command; see the tool's docstring).
+Golden-output tests render the committed fixture rows
+(``tests/exp/fixtures/report_rows.json``, a ``repro sweep --json``
+dump written by ``tools/make_report_fixture.py``), merged into a
+SQLite store, through ``repro report`` itself, and compare
+byte-for-byte against the committed golden files — if
+``CACHE_VERSION`` is ever bumped, the fixture goes stale and these
+tests fail until the regeneration script is re-run (one command; see
+the tool's docstring).
 
 The end-to-end class asserts the PR's acceptance criterion: a report
-rendered from two merged shard caches is byte-identical to the report
+rendered from two merged shard stores is byte-identical to the report
 of a single unsharded run.
 """
 
-import json
 import random
 from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ReproError
 from repro.exp import run_sweep
+from repro.exp.cache import iter_dump_rows
 from repro.exp.merge import merge_into
 from repro.exp.report import (
     FORMATS,
     load_cache_rows,
     render_report,
     render_table,
-    report_from_cache,
 )
-from repro.exp.spec import CACHE_VERSION, SweepSpec, shard_cells
+from repro.exp.spec import SweepSpec, shard_cells
+from tests.store_helpers import (
+    corrupt,
+    execute,
+    make_stale,
+    store_keys,
+    write_legacy_dir,
+    write_store,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -37,41 +47,83 @@ def _golden(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8").rstrip("\n")
 
 
+def _fixture_rows(name: str = "report_rows.json"):
+    return [row for _origin, row in iter_dump_rows(FIXTURES / name)]
+
+
+@pytest.fixture(scope="module")
+def fixture_stores(tmp_path_factory):
+    """The committed fixture dumps merged into (current, baseline) stores."""
+    root = tmp_path_factory.mktemp("fixtures")
+    stores = (root / "report.sqlite", root / "baseline.sqlite")
+    for store, dump in zip(stores, ("report_rows.json", "baseline_rows.json")):
+        merge_into(store, [FIXTURES / dump])
+    return stores
+
+
+def _report(capsys, *argv) -> str:
+    """``repro report ARGV``'s stdout, minus the final newline."""
+    assert main(["report", *map(str, argv)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n")
+    return out[:-1]
+
+
 class TestGoldenOutputs:
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_flat_report_matches_golden(self, fmt):
-        text = report_from_cache(FIXTURES / "report_cache", fmt=fmt)
+    def test_flat_report_matches_golden(self, fmt, fixture_stores, capsys):
+        text = _report(capsys, "--cache", fixture_stores[0], "--format", fmt)
         assert text == _golden(f"report.{fmt}")
 
     @pytest.mark.parametrize("fmt", ["md", "csv"])
-    def test_grouped_report_matches_golden(self, fmt):
-        text = report_from_cache(
-            FIXTURES / "report_cache", group_by=("policy",), fmt=fmt
+    def test_grouped_report_matches_golden(self, fmt, fixture_stores, capsys):
+        text = _report(
+            capsys, "--cache", fixture_stores[0],
+            "--group-by", "policy", "--format", fmt,
         )
         assert text == _golden(f"report_by_policy.{fmt}")
 
     def test_rendering_order_is_canonical(self):
-        rows = list(load_cache_rows(FIXTURES / "report_cache").rows)
+        rows = _fixture_rows()
         shuffled = rows[:]
         random.Random(7).shuffle(shuffled)
         assert render_report(shuffled) == render_report(rows)
 
-    def test_baseline_annotated_report_matches_golden(self):
-        text = report_from_cache(
-            FIXTURES / "report_cache",
-            baseline_dir=FIXTURES / "baseline_cache",
-        )
+    def test_baseline_annotated_report_matches_golden(
+        self, fixture_stores, capsys
+    ):
+        current, baseline = fixture_stores
+        text = _report(capsys, "--cache", current, "--baseline", baseline)
         assert text == _golden("report_vs_baseline.md")
+        # The library path renders the same bytes.
+        assert render_report(
+            load_cache_rows(current).rows,
+            baseline=load_cache_rows(baseline).rows,
+        ) == text
 
-    def test_no_baseline_is_byte_identical_to_pre_feature_output(self):
+    def test_no_baseline_is_byte_identical_to_pre_feature_output(
+        self, fixture_stores
+    ):
         # baseline=None must not perturb the historical golden bytes.
-        assert report_from_cache(FIXTURES / "report_cache", fmt="md") == \
-            _golden("report.md")
+        rows = load_cache_rows(fixture_stores[0]).rows
+        assert render_report(rows, fmt="md") == _golden("report.md")
+
+    def test_legacy_directory_import_renders_the_golden_report(
+        self, tmp_path, capsys
+    ):
+        # A legacy JSON cache directory (one <key>.json per cell) is
+        # imported with `repro merge NEW.sqlite DIR`; the imported
+        # store reports exactly the rows the directory held.
+        legacy = write_legacy_dir(tmp_path / "legacy", _fixture_rows())
+        assert main(["merge", str(tmp_path / "new.sqlite"), str(legacy)]) == 0
+        assert "4 written" in capsys.readouterr().out
+        text = _report(capsys, "--cache", tmp_path / "new.sqlite")
+        assert text == _golden("report.md")
 
 
 class TestCacheLoading:
-    def test_rows_sorted_by_label_then_key(self):
-        loaded = load_cache_rows(FIXTURES / "report_cache")
+    def test_rows_sorted_by_label_then_key(self, fixture_stores):
+        loaded = load_cache_rows(fixture_stores[0])
         order = [(r.label, r.key) for r in loaded.rows]
         assert order == sorted(order)
         assert loaded.skipped == 0
@@ -81,64 +133,43 @@ class TestCacheLoading:
             load_cache_rows(tmp_path / "absent")
 
     def test_empty_directory_rejected(self, tmp_path):
+        # A directory is never a store: a legacy JSON cache is imported
+        # with `repro merge` first.
         (tmp_path / "cache").mkdir()
-        with pytest.raises(ReproError, match="no loadable"):
+        with pytest.raises(ReproError, match="repro merge"):
             load_cache_rows(tmp_path / "cache")
+
+    def test_empty_store_rejected(self, tmp_path):
+        write_store(tmp_path / "cache.sqlite", [])
+        with pytest.raises(ReproError, match="no loadable"):
+            load_cache_rows(tmp_path / "cache.sqlite")
 
     def test_allow_empty_returns_no_rows(self, tmp_path):
         # The baseline loader's degradation path: an empty or all-stale
-        # directory means "nothing to compare", not a failed report.
-        (tmp_path / "cache").mkdir()
-        loaded = load_cache_rows(tmp_path / "cache", allow_empty=True)
+        # store means "nothing to compare", not a failed report.
+        write_store(tmp_path / "cache.sqlite", [])
+        loaded = load_cache_rows(tmp_path / "cache.sqlite", allow_empty=True)
         assert loaded.rows == () and loaded.skipped == 0
 
     def test_stale_and_corrupt_entries_skipped(self, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        for name, payload in _fixture_payloads():
-            (cache / name).write_text(json.dumps(payload), encoding="utf-8")
-        good = load_cache_rows(cache)
+        store = write_store(tmp_path / "cache.sqlite", _fixture_rows())
+        good = load_cache_rows(store)
         # Break one entry's version and another's JSON.
-        entries = sorted(cache.glob("*.json"))
-        stale = json.loads(entries[0].read_text(encoding="utf-8"))
-        stale["version"] = CACHE_VERSION + 1
-        entries[0].write_text(json.dumps(stale), encoding="utf-8")
-        entries[1].write_text("][", encoding="utf-8")
-        degraded = load_cache_rows(cache)
+        keys = store_keys(store)
+        make_stale(store, keys[0])
+        corrupt(store, keys[1])
+        degraded = load_cache_rows(store)
         assert degraded.skipped == 2
         assert len(degraded.rows) == len(good.rows) - 2
 
-    def test_strict_report_refuses_partial_cache(self, tmp_path):
-        # The library path must not render a partial cache as if it
-        # were the whole grid (the CLI passes strict=False and warns).
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        for name, payload in _fixture_payloads():
-            (cache / name).write_text(json.dumps(payload), encoding="utf-8")
-        stale = sorted(cache.glob("*.json"))[0]
-        payload = json.loads(stale.read_text(encoding="utf-8"))
-        payload["version"] = CACHE_VERSION + 1
-        stale.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ReproError, match="stale/invalid"):
-            report_from_cache(cache)
-        assert report_from_cache(cache, strict=False)  # subset renders
-
     def test_renamed_entry_fails_hash_check(self, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        payloads = _fixture_payloads()
-        for name, payload in payloads:
-            (cache / name).write_text(json.dumps(payload), encoding="utf-8")
-        first = sorted(cache.glob("*.json"))[0]
-        first.rename(cache / "0000000000000000.json")
-        assert load_cache_rows(cache).skipped == 1
-
-
-def _fixture_payloads():
-    return [
-        (path.name, json.loads(path.read_text(encoding="utf-8")))
-        for path in sorted((FIXTURES / "report_cache").glob("*.json"))
-    ]
+        store = write_store(tmp_path / "cache.sqlite", _fixture_rows())
+        execute(
+            store,
+            "UPDATE results SET key = '0000000000000000' WHERE key = ?",
+            (store_keys(store)[0],),
+        )
+        assert load_cache_rows(store).skipped == 1
 
 
 def _synthetic_row(config, index=0):
@@ -251,17 +282,17 @@ class TestGrouping:
 
 class TestValidation:
     def test_unknown_format_rejected(self):
-        rows = load_cache_rows(FIXTURES / "report_cache").rows
+        rows = _fixture_rows()
         with pytest.raises(ReproError, match="format"):
             render_report(rows, fmt="pdf")
 
     def test_unknown_group_axis_rejected(self):
-        rows = load_cache_rows(FIXTURES / "report_cache").rows
+        rows = _fixture_rows()
         with pytest.raises(ReproError, match="axis"):
             render_report(rows, group_by=("colour",))
 
     def test_unknown_column_rejected(self):
-        rows = load_cache_rows(FIXTURES / "report_cache").rows
+        rows = _fixture_rows()
         with pytest.raises(ReproError, match="column"):
             render_report(rows, columns=("cell", "warp_factor"))
 
@@ -270,7 +301,7 @@ class TestValidation:
             render_table(["a"], [[1]], fmt="html")
 
     def test_csv_grouping_is_flat_with_leading_axes(self):
-        rows = load_cache_rows(FIXTURES / "report_cache").rows
+        rows = _fixture_rows()
         text = render_report(rows, group_by=("policy",), fmt="csv")
         lines = text.splitlines()
         assert lines[0].startswith("policy,")
@@ -288,14 +319,18 @@ class TestEndToEnd:
         for index in (1, 2):
             run_sweep(
                 shard_cells(cells, index, 2),
-                cache_dir=tmp_path / f"shard{index}",
+                cache_dir=tmp_path / f"shard{index}.sqlite",
             )
-        run_sweep(self.GRID, cache_dir=tmp_path / "full")
+        run_sweep(self.GRID, cache_dir=tmp_path / "full.sqlite")
         merge_into(
-            tmp_path / "merged",
-            [tmp_path / "shard1", tmp_path / "shard2"],
+            tmp_path / "merged.sqlite",
+            [tmp_path / "shard1.sqlite", tmp_path / "shard2.sqlite"],
         )
         for fmt in FORMATS:
-            merged = report_from_cache(tmp_path / "merged", fmt=fmt)
-            unsharded = report_from_cache(tmp_path / "full", fmt=fmt)
+            merged = render_report(
+                load_cache_rows(tmp_path / "merged.sqlite").rows, fmt=fmt
+            )
+            unsharded = render_report(
+                load_cache_rows(tmp_path / "full.sqlite").rows, fmt=fmt
+            )
             assert merged == unsharded, fmt

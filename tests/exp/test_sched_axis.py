@@ -178,21 +178,3 @@ class TestCliSpelling:
         with pytest.raises(SystemExit):
             main(["record", str(tmp_path / "t.gz"), "--app", "trace",
                   "--trace", "x.gz"])
-
-    def test_sweep_report_warns_deprecated(self, tmp_path, capsys):
-        trace = tmp_path / "t.gz"
-        main(["record", str(trace), "--app", "synthetic", "--kb", "2"])
-        cache = tmp_path / "cache"
-        main(["sweep", "--app", "trace", "--trace", str(trace),
-              "--cache", str(cache)])
-        capsys.readouterr()
-        assert main(["sweep", "--report", "--cache", str(cache)]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        legacy_out = captured.out
-        assert main(["report", "--cache", str(cache)]) == 0
-        captured = capsys.readouterr()
-        # The alias forwards to the same renderer: identical stdout,
-        # and the dedicated subcommand never warns.
-        assert captured.out == legacy_out
-        assert "deprecated" not in captured.err

@@ -1,11 +1,11 @@
-"""Tests for the result-store layer (``repro.exp.store``).
+"""Tests for the result store (``repro.exp.store``).
 
-The :class:`~repro.exp.store.ResultStore` protocol is the one contract
-between the sweep engine and everything that reads results back
-(merge, diff, report, history), so its invariants are pinned
-backend-parametrised: whatever holds for the JSON directory must hold
-for SQLite, and a store migrated across backends must reproduce
-byte-identical reports and the original files on the way back.
+:class:`~repro.exp.store.SqliteStore` is the one contract between the
+sweep engine and everything that reads results back (merge, diff,
+report, history), so its invariants are pinned for both ways rows
+arrive: swept straight into a store, and imported from a legacy JSON
+cache directory with ``repro merge``.  An import must reproduce the
+directory's rows, reports and grid fingerprint exactly.
 """
 
 import json
@@ -16,46 +16,49 @@ import pytest
 
 from repro.errors import ReproError
 from repro.exp import run_sweep
-from repro.exp.cache import SweepCache
-from repro.exp.merge import migrate_store
-from repro.exp.report import report_from_cache
-from repro.exp.spec import CACHE_VERSION, SweepSpec, grid_fingerprint
-from repro.exp.store import (
-    STORES,
-    JsonDirStore,
-    SqliteStore,
-    is_sqlite_file,
-    open_store,
-    store_kind_of,
+from repro.exp.cache import iter_classified, iter_dump_rows
+from repro.exp.merge import merge_into
+from repro.exp.report import load_cache_rows, render_report
+from repro.exp.spec import (
+    CACHE_VERSION,
+    SweepSpec,
+    fingerprint_from_keys,
+    grid_fingerprint,
 )
+from repro.exp.store import SqliteStore, is_sqlite_file, open_store
+from tests.store_helpers import write_dump, write_legacy_dir
 
 #: A fast 2-cell grid (1 KB vector-add, two policies).
 GRID = SweepSpec(apps=("vadd",), input_bytes=(1024,), policies=("fifo", "lru"))
 
 
-def _store_path(tmp_path, kind):
-    return tmp_path / ("store.sqlite" if kind == "sqlite" else "store")
-
-
-@pytest.fixture(params=STORES)
+@pytest.fixture(params=("json", "sqlite"))
 def populated(request, tmp_path):
-    """One store per backend holding the 2-cell GRID, plus its rows."""
-    path = _store_path(tmp_path, request.param)
-    result = run_sweep(GRID, cache_dir=path, store_kind=request.param)
-    return path, request.param, result.rows
+    """A store holding the 2-cell GRID, plus its rows.
+
+    ``sqlite``: swept straight into the store; ``json``: swept into a
+    legacy JSON cache directory layout and imported with a merge.
+    """
+    path = tmp_path / "store.sqlite"
+    if request.param == "sqlite":
+        rows = run_sweep(GRID, cache_dir=path).rows
+    else:
+        rows = run_sweep(GRID).rows
+        merge_into(path, [write_legacy_dir(tmp_path / "legacy", rows)])
+    return path, request.param, rows
 
 
 class TestProtocolConformance:
     def test_kind_and_len(self, populated):
-        path, kind, rows = populated
+        path, _origin, rows = populated
         with open_store(path) as store:
-            assert store.kind == kind
+            assert isinstance(store, SqliteStore)
             assert len(store) == len(rows) == 2
 
     def test_get_hits_modulo_engine(self, populated):
         from dataclasses import replace
 
-        path, _kind, rows = populated
+        path, _origin, rows = populated
         with open_store(path) as store:
             for row in rows:
                 assert store.get(row.config) == row
@@ -67,7 +70,7 @@ class TestProtocolConformance:
             assert store.get(replace(rows[0].config, input_bytes=4096)) is None
 
     def test_iter_classified_key_sorted(self, populated):
-        path, _kind, _rows = populated
+        path, _origin, _rows = populated
         with open_store(path) as store:
             entries = list(store.iter_classified())
         assert [status for _o, status, _r in entries] == ["ok", "ok"]
@@ -75,22 +78,24 @@ class TestProtocolConformance:
         assert keys == sorted(keys)
 
     def test_iter_report_rows_label_key_sorted(self, populated):
-        path, _kind, _rows = populated
+        path, _origin, _rows = populated
         with open_store(path) as store:
             rows = list(store.iter_report_rows())
+            # Iterating the store is the same report-order walk.
+            assert list(store) == rows
         assert [(r.label, r.key) for r in rows] == sorted(
             (r.label, r.key) for r in rows
         )
 
     def test_counts_and_identical_report(self, populated):
-        path, _kind, _rows = populated
+        path, _origin, _rows = populated
         with open_store(path) as store:
             counts = store.counts()
         assert (counts.ok, counts.stale, counts.invalid) == (2, 0, 0)
         assert counts.skipped == 0 and counts.total == 2
 
     def test_rerun_simulates_nothing(self, populated):
-        path, _kind, _rows = populated
+        path, _origin, _rows = populated
         result = run_sweep(GRID, cache_dir=path)
         assert result.executed == 0
         assert result.cached == 2
@@ -99,28 +104,28 @@ class TestProtocolConformance:
 class TestLenCountsOnlyLoadableRows:
     """Regression: ``len`` used to count every ``*.json`` file.
 
-    On the seed, ``SweepCache.__len__`` counted directory entries, so
-    a corrupt file or a stale-version row inflated the count past what
-    any consumer could actually load.  The store protocol pins the
-    corrected semantics on both backends.
+    On the seed, the JSON cache's ``__len__`` counted directory
+    entries, so a corrupt file or a stale-version row inflated the
+    count past what any consumer could actually load.  The legacy
+    reader and the store both pin the corrected semantics.
     """
 
     def test_json_corrupt_and_stale_files_not_counted(self, tmp_path):
-        run_sweep(GRID, cache_dir=tmp_path)
-        (tmp_path / "0123456789abcdef.json").write_text("{not json")
+        legacy = write_legacy_dir(tmp_path / "legacy", run_sweep(GRID).rows)
+        (legacy / "0123456789abcdef.json").write_text("{not json")
         stale_payload = {
             "version": CACHE_VERSION - 1,
             "result": {"anything": True},
         }
-        (tmp_path / "fedcba9876543210.json").write_text(
+        (legacy / "fedcba9876543210.json").write_text(
             json.dumps(stale_payload)
         )
-        assert len(SweepCache(tmp_path)) == 2  # the seed said 4
-        with open_store(tmp_path) as store:
+        statuses = [status for _p, status, _r in iter_classified(legacy)]
+        assert statuses.count("ok") == 2  # the seed said 4
+        summary = merge_into(tmp_path / "store.sqlite", [legacy])
+        assert (summary.written, summary.skipped) == (2, 2)
+        with open_store(tmp_path / "store.sqlite") as store:
             assert len(store) == 2
-            counts = store.counts()
-        assert counts.ok == 2
-        assert counts.skipped == 2
 
     def test_sqlite_stale_versions_not_counted(self, tmp_path):
         path = tmp_path / "store.sqlite"
@@ -203,61 +208,54 @@ class TestSqliteVersioning:
         for row in rows:
             assert by_key[row.key] == (row.vim_ms, row.page_faults)
 
-    def test_json_store_has_no_history(self, tmp_path):
-        run_sweep(GRID, cache_dir=tmp_path)
-        with open_store(tmp_path) as store:
-            assert store.runs() == ()
-            with pytest.raises(ReproError, match="repro migrate"):
-                list(store.iter_versions())
-
 
 class TestOpenStore:
     def test_detects_existing_backends(self, tmp_path):
         sqlite_path = tmp_path / "odd-name"  # magic beats the suffix
-        run_sweep(GRID, cache_dir=sqlite_path, store_kind="sqlite")
-        json_path = tmp_path / "cache"
-        run_sweep(GRID, cache_dir=json_path)
+        run_sweep(GRID, cache_dir=sqlite_path)
         assert is_sqlite_file(sqlite_path)
-        assert store_kind_of(sqlite_path) == "sqlite"
-        assert store_kind_of(json_path) == "json"
         assert isinstance(open_store(sqlite_path), SqliteStore)
-        assert isinstance(open_store(json_path), JsonDirStore)
 
-    def test_missing_path_infers_kind_from_suffix(self, tmp_path):
-        assert store_kind_of(tmp_path / "x.sqlite") == "sqlite"
-        assert store_kind_of(tmp_path / "x.sqlite3") == "sqlite"
-        assert store_kind_of(tmp_path / "x.db") == "sqlite"
-        assert store_kind_of(tmp_path / "x") == "json"
+    def test_missing_path_creates_sqlite_whatever_suffix(self, tmp_path):
+        for name in ("x.sqlite", "x.sqlite3", "x.db", "x"):
+            open_store(tmp_path / name, create=True).close()
+            assert is_sqlite_file(tmp_path / name)
+
+    def test_kind_contradiction_is_an_error(self, tmp_path):
+        # A legacy JSON cache directory is never reinterpreted as a
+        # store, even with create=True: the error names the import.
+        legacy = write_legacy_dir(tmp_path / "cache", run_sweep(GRID).rows)
+        for create in (False, True):
+            with pytest.raises(ReproError, match="repro merge NEW.sqlite"):
+                open_store(legacy, create=create)
 
     def test_missing_path_without_create_raises(self, tmp_path):
         with pytest.raises(ReproError, match="does not exist"):
             open_store(tmp_path / "missing")
 
-    def test_kind_contradiction_is_an_error(self, tmp_path):
-        run_sweep(GRID, cache_dir=tmp_path / "cache")
-        with pytest.raises(ReproError, match="is a json store"):
-            open_store(tmp_path / "cache", kind="sqlite")
-
     def test_row_dump_is_not_a_store(self, tmp_path):
         dump = tmp_path / "rows.json"
         dump.write_text("[]")
-        assert store_kind_of(dump) is None
         with pytest.raises(ReproError, match="not a result store"):
             open_store(dump)
 
-    def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(ReproError, match="unknown store kind"):
-            open_store(tmp_path / "x", kind="parquet", create=True)
-
     def test_sweep_store_contradiction_fails_before_simulating(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
-        run_sweep(GRID, cache_dir=tmp_path / "cache")
-        with pytest.raises(ReproError, match="is a json store"):
-            run_sweep(GRID, cache_dir=tmp_path / "cache", store_kind="sqlite")
+        # An existing directory is never a store: the sweep refuses it
+        # before simulating anything, and points at the import.
+        import repro.exp.sweep as sweep_module
+
+        monkeypatch.setattr(
+            sweep_module, "run_cell",
+            lambda config: pytest.fail("simulated despite a bad store"),
+        )
+        (tmp_path / "cache").mkdir()
+        with pytest.raises(ReproError, match="repro merge"):
+            run_sweep(GRID, cache_dir=tmp_path / "cache")
 
 
-#: Seeded-random grids for the migration round-trip property (same
+#: Seeded-random grids for the import round-trip property (same
 #: regression-corpus convention as test_property_invariants: append,
 #: never reorder).
 def _random_specs(count):
@@ -278,48 +276,41 @@ def _random_specs(count):
 
 
 class TestMigrationRoundTrip:
-    """JSON -> SQLite -> JSON must be lossless to the byte."""
+    """Legacy JSON -> SQLite -> row dump -> SQLite loses nothing."""
 
     @pytest.mark.parametrize(
         "spec", _random_specs(5), ids=lambda s: grid_fingerprint(s.expand())
     )
     def test_round_trip_property(self, tmp_path, spec):
-        original = tmp_path / "original"
-        run_sweep(spec, cache_dir=original)
-        sqlite_path = tmp_path / "migrated.sqlite"
-        back = tmp_path / "back"
-        migrate_store(original, sqlite_path)
-        migrate_store(sqlite_path, back)
-        read = {
-            path.name: path.read_bytes()
-            for path in sorted(original.glob("*.json"))
-        }
-        assert read == {
-            path.name: path.read_bytes()
-            for path in sorted(back.glob("*.json"))
-        }
+        rows = run_sweep(spec).rows
+        legacy = write_legacy_dir(tmp_path / "legacy", rows)
+        imported = tmp_path / "imported.sqlite"
+        merge_into(imported, [legacy])
+        with open_store(imported) as store:
+            dump = write_dump(tmp_path / "rows.json", list(store.iter_rows()))
+        back = tmp_path / "back.sqlite"
+        merge_into(back, [dump])
+        legacy_rows = [r for _p, _s, r in iter_classified(legacy)]
+        dumped_rows = [r for _o, r in iter_dump_rows(dump)]
+        assert sorted(dumped_rows, key=lambda r: r.key) == legacy_rows
         # Same rows in, same report out — and the same fingerprint, so
-        # the CI cache key is invariant under migration.
-        report_md = report_from_cache(original)
-        assert report_from_cache(sqlite_path) == report_md
-        assert report_from_cache(back) == report_md
-        from repro.exp.spec import fingerprint_from_keys
-
+        # the CI cache key is invariant under the import.
+        report_md = render_report(legacy_rows)
         expected = grid_fingerprint(spec.expand())
-        for path in (original, sqlite_path, back):
+        for path in (imported, back):
+            assert render_report(load_cache_rows(path).rows) == report_md
             with open_store(path) as store:
                 keys = [r.key for r in store.iter_rows()]
             assert keys == sorted(keys)
             assert fingerprint_from_keys(keys) == expected
 
     def test_migrated_fingerprint_matches(self, tmp_path):
-        from repro.exp.spec import fingerprint_from_keys
-
-        original = tmp_path / "original"
-        run_sweep(GRID, cache_dir=original)
-        sqlite_path = tmp_path / "migrated.sqlite"
-        migrate_store(original, sqlite_path)
-        with open_store(original) as a, open_store(sqlite_path) as b:
-            fp_a = fingerprint_from_keys(r.key for r in a.iter_rows())
-            fp_b = fingerprint_from_keys(r.key for r in b.iter_rows())
+        legacy = write_legacy_dir(tmp_path / "legacy", run_sweep(GRID).rows)
+        imported = tmp_path / "imported.sqlite"
+        merge_into(imported, [legacy])
+        fp_a = fingerprint_from_keys(
+            r.key for _p, _s, r in iter_classified(legacy)
+        )
+        with open_store(imported) as store:
+            fp_b = fingerprint_from_keys(r.key for r in store.iter_rows())
         assert fp_a == fp_b == grid_fingerprint(GRID.expand())

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core.drivers import vector_add_workload
 from repro.exp import ablation_policies, figure8, run_cell, run_sweep
 from repro.exp.spec import CellConfig, SweepSpec
+from repro.exp.store import open_store
 
 #: Small, fault-producing grid: 2 policies x 2 page sizes on 2 KB adpcm.
 GRID = SweepSpec(
@@ -60,26 +61,30 @@ class TestGridExecution:
 
 class TestCaching:
     def test_second_run_simulates_nothing(self, tmp_path):
-        first = run_sweep(GRID, jobs=2, cache_dir=tmp_path)
+        store = tmp_path / "store.sqlite"
+        first = run_sweep(GRID, jobs=2, cache_dir=store)
         assert first.executed == 4
-        second = run_sweep(GRID, jobs=1, cache_dir=tmp_path)
+        second = run_sweep(GRID, jobs=1, cache_dir=store)
         assert second.executed == 0
         assert second.cached == 4
         assert _dump(first.rows) == _dump(second.rows)
 
     def test_grid_growth_is_incremental(self, tmp_path):
-        run_sweep(GRID, cache_dir=tmp_path)
+        store = tmp_path / "store.sqlite"
+        run_sweep(GRID, cache_dir=store)
         grown = dataclasses.replace(GRID, policies=("fifo", "lru", "random"))
-        result = run_sweep(grown, cache_dir=tmp_path)
+        result = run_sweep(grown, cache_dir=store)
         assert result.cached == 4  # the old cells
         assert result.executed == 2  # only the new policy's cells
 
     def test_api_drivers_share_the_cache(self, tmp_path):
-        rows = figure8(sizes_kb=(2,), cache_dir=tmp_path)
+        store = tmp_path / "store.sqlite"
+        rows = figure8(sizes_kb=(2,), cache_dir=store)
         assert len(rows) == 1
-        again = figure8(sizes_kb=(2,), cache_dir=tmp_path)
+        again = figure8(sizes_kb=(2,), cache_dir=store)
         assert rows == again
-        assert len(list(tmp_path.glob("*.json"))) == 1
+        with open_store(store) as handle:
+            assert len(handle) == 1
 
 
 class TestPrefetcherEncoding:

@@ -137,32 +137,13 @@ class TestCheckerCatchesRot:
         )
         assert check_docs.check_engines(page) == []
 
-    def test_stale_store_list_detected(self, tmp_path):
-        page = tmp_path / "page.md"
-        page.write_text(
-            "pick `--store {json,parquet}` for the backend\n",
-            encoding="utf-8",
-        )
-        failures = check_docs.check_store_kinds(page)
-        assert len(failures) == 1
-        assert "stale store-backend list" in failures[0]
-
-    def test_current_store_list_passes(self, tmp_path):
-        from repro.exp.store import STORES
-
-        page = tmp_path / "page.md"
-        page.write_text(
-            f"pick `--store {{{','.join(STORES)}}}`\n", encoding="utf-8"
-        )
-        assert check_docs.check_store_kinds(page) == []
-
     def test_undocumented_subcommand_detected(self, tmp_path):
-        # A page that never writes `repro migrate` / `repro history`
+        # A page that never writes `repro merge` / `repro history`
         # misses those subcommands.
         page = tmp_path / "page.md"
         page.write_text("only repro sweep here\n", encoding="utf-8")
         failures = check_docs.check_subcommands_documented(page)
-        assert any("repro migrate" in f for f in failures)
+        assert any("repro merge" in f for f in failures)
         assert any("repro history" in f for f in failures)
         assert all("undocumented" in f for f in failures)
 
@@ -175,11 +156,10 @@ class TestCheckerCatchesRot:
         # The coverage direction must include the store-layer
         # subcommands, so adding a flag there without documenting it
         # fails the gate.
-        for command in ("merge", "migrate", "history"):
+        for command in ("merge", "history"):
             assert command in check_docs.DOCUMENTED_COMMANDS
         _every, per_command = check_docs._parser_options()
         assert "--dry-run" in per_command["merge"]
-        assert "--store" in per_command["migrate"]
         assert "--cells" in per_command["history"]
         assert "--group-by" in per_command["diff"]
 
@@ -237,7 +217,7 @@ class TestCheckerCatchesRot:
         assert "diff" in check_docs.DOCUMENTED_COMMANDS
         _every, per_command = check_docs._parser_options()
         assert "--rtol" in per_command["diff"]
-        assert "--baseline" in per_command["sweep"]
+        assert "--baseline" in per_command["report"]
 
     def test_docs_flag_mentions_are_current(self):
         for doc in sorted((REPO_ROOT / "docs").glob("*.md")):

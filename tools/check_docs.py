@@ -18,23 +18,21 @@ Three guarantees over ``README.md`` and every ``docs/*.md``:
    must match ``repro.exp.spec.TRANSFERS``, every ``--format {...}``
    list must match ``repro.exp.report.FORMATS``, every ``--engine
    {...}`` list must match ``repro.sim.engine.ENGINES``, every
-   ``--bands {...}`` list must match ``repro.exp.diff.BANDS``, every
-   ``--sched {...}`` list must match ``repro.os.scheduler.SCHEDS``,
-   and every ``--store {...}`` list must match
-   ``repro.exp.store.STORES`` exactly — adding a value without
+   ``--bands {...}`` list must match ``repro.exp.diff.BANDS``, and
+   every ``--sched {...}`` list must match
+   ``repro.os.scheduler.SCHEDS`` exactly — adding a value without
    documenting it (or documenting one that does not exist) fails the
    job.
 4. **The CLI flag lists are current.**  Every option the parser
    defines on the :data:`DOCUMENTED_COMMANDS` subcommands (``sweep``,
    ``record``, ``report``, ``serve``, ``worker``, ``submit``,
-   ``merge``, ``migrate``, ``history``, ``diff``) must be mentioned
+   ``merge``, ``history``, ``diff``) must be mentioned
    in README.md, and every inline-code flag the README mentions must
    exist on some ``repro`` subcommand — renaming or removing a flag
    without updating the docs fails the job (both directions).
 5. **Every subcommand is documented.**  Each subcommand the parser
    registers must appear in README.md as ``repro <name>`` — adding a
-   subcommand (``migrate``, ``history``, …) without documenting it
-   fails the job.
+   subcommand (``history``, …) without documenting it fails the job.
 
 ``main()`` returns the number of failing checks; the process exit
 status is 1 if anything failed, else 0 (a raw count would wrap modulo
@@ -58,7 +56,6 @@ from repro.cli import iter_option_actions  # noqa: E402  (repo import)
 from repro.exp.diff import BANDS  # noqa: E402
 from repro.exp.report import FORMATS  # noqa: E402
 from repro.exp.spec import TRANSFERS  # noqa: E402
-from repro.exp.store import STORES  # noqa: E402
 from repro.os.scheduler import SCHEDS  # noqa: E402
 from repro.sim.engine import ENGINES  # noqa: E402
 
@@ -90,8 +87,6 @@ _FORMAT_LIST_RE = re.compile(r"--format[ \t]*\n?[ \t]*\{([^}]*)\}")
 _ENGINE_LIST_RE = re.compile(r"--engine[ \t]*\n?[ \t]*\{([^}]*)\}")
 #: A documented tolerance-band list: ``--bands {exact,cv}``.
 _BANDS_LIST_RE = re.compile(r"--bands[ \t]*\n?[ \t]*\{([^}]*)\}")
-#: A documented store-backend list: ``--store {json,sqlite}``.
-_STORE_LIST_RE = re.compile(r"--store[ \t]*\n?[ \t]*\{([^}]*)\}")
 #: A documented scheduling-policy list: ``--sched {rr,priority,wrr}``.
 _SCHED_LIST_RE = re.compile(r"--sched[ \t]*\n?[ \t]*\{([^}]*)\}")
 #: An inline-code span (fenced blocks are stripped before scanning).
@@ -232,13 +227,6 @@ def check_bands(path: Path) -> list[str]:
     )
 
 
-def check_store_kinds(path: Path) -> list[str]:
-    """Stale ``--store {...}`` lists vs :data:`repro.exp.store.STORES`."""
-    return _check_value_list(
-        path, _STORE_LIST_RE, STORES, "store-backend"
-    )
-
-
 def check_scheds(path: Path) -> list[str]:
     """Stale ``--sched {...}`` lists vs :data:`repro.os.scheduler.SCHEDS`."""
     return _check_value_list(
@@ -251,7 +239,7 @@ def check_scheds(path: Path) -> list[str]:
 #: subcommand automatically).
 DOCUMENTED_COMMANDS = (
     "sweep", "record", "report", "serve", "worker", "submit", "merge",
-    "migrate", "history", "diff",
+    "history", "diff",
 )
 
 
@@ -325,7 +313,7 @@ def check_cli_flags(path: Path) -> list[str]:
 def check_subcommands_documented(path: Path) -> list[str]:
     """Every registered subcommand must appear as ``repro <name>``.
 
-    A new subcommand (``migrate``, ``history``, …) that never shows up
+    A new subcommand (``history``, …) that never shows up
     in the README is invisible to users; requiring the literal
     ``repro <name>`` spelling also guarantees at least one usable
     invocation example exists.
@@ -356,7 +344,6 @@ def main() -> int:
         failures += check_report_formats(path)
         failures += check_engines(path)
         failures += check_bands(path)
-        failures += check_store_kinds(path)
         failures += check_scheds(path)
         if name != "README.md":
             # README gets the full two-direction check below; other
@@ -369,7 +356,6 @@ def main() -> int:
         failures += check_report_formats(REPO_ROOT / name)
         failures += check_engines(REPO_ROOT / name)
         failures += check_bands(REPO_ROOT / name)
-        failures += check_store_kinds(REPO_ROOT / name)
         failures += check_scheds(REPO_ROOT / name)
     for failure in failures:
         print(f"FAIL {failure}")

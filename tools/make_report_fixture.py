@@ -1,44 +1,43 @@
 #!/usr/bin/env python
-"""Regenerate the committed report-fixture cache and golden outputs.
+"""Regenerate the committed report-fixture row dumps and golden outputs.
 
 Run from the repository root::
 
     PYTHONPATH=src python tools/make_report_fixture.py
 
-The report golden tests (``tests/exp/test_report.py``) render tables
-from a **committed** cache directory so the expected bytes live in git
-and never depend on simulation timing.  The fixture rows are synthetic
-— deterministic hand-written numbers, no simulation — but they are
-stored through the real :class:`~repro.exp.cache.SweepCache`, so their
-file names embed :data:`~repro.exp.spec.CACHE_VERSION` via the config
-hash.
+The report and diff golden tests (``tests/exp/test_report.py``,
+``tests/exp/test_diff.py``) render tables from **committed** row
+dumps, in the ``repro sweep --json`` format, so the expected bytes
+live in git and never depend on simulation timing.  The fixture rows
+are synthetic — deterministic hand-written numbers, no simulation —
+but every row carries its real config hash, which embeds
+:data:`~repro.exp.spec.CACHE_VERSION`.
 
 Consequently, **whenever ``CACHE_VERSION`` is bumped** (or a
-``CellConfig``/``CellResult`` field changes), the committed fixture
-goes stale and the golden tests fail with "no loadable cell results".
-The fix is one command: re-run this script and commit the refreshed
-``tests/exp/fixtures/`` tree alongside the bump.
+``CellConfig``/``CellResult`` field changes), the committed dumps go
+stale and the golden tests fail.  The fix is one command: re-run this
+script and commit the refreshed ``tests/exp/fixtures/`` tree alongside
+the bump.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import shutil
+import json
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.exp.cache import SweepCache  # noqa: E402
-from repro.exp.diff import diff_caches, render_diff  # noqa: E402
+from repro.exp.diff import diff_stores, render_diff  # noqa: E402
 from repro.exp.report import render_report  # noqa: E402
 from repro.exp.results import CellResult  # noqa: E402
 from repro.exp.spec import CellConfig  # noqa: E402
 
 FIXTURE_DIR = REPO_ROOT / "tests" / "exp" / "fixtures"
-CACHE_DIR = FIXTURE_DIR / "report_cache"
-BASELINE_DIR = FIXTURE_DIR / "baseline_cache"
+ROWS_DUMP = FIXTURE_DIR / "report_rows.json"
+BASELINE_DUMP = FIXTURE_DIR / "baseline_rows.json"
 
 #: The fixture grid: 2 apps x 2 policies at 4 KB.
 GRID = [
@@ -90,7 +89,7 @@ def synthetic_result(config: CellConfig, index: int) -> CellResult:
 
 
 def baseline_result(row: CellResult, index: int) -> CellResult | None:
-    """The baseline-cache variant of one fixture row.
+    """The baseline variant of one fixture row.
 
     Deliberately exercises every diff classification: row 0 is
     identical, row 1's baseline is *faster* (so the current row reads
@@ -110,25 +109,28 @@ def baseline_result(row: CellResult, index: int) -> CellResult | None:
     return row
 
 
+def write_dump(path: Path, rows: list[CellResult]) -> None:
+    """Write *rows* exactly as ``repro sweep --json`` does."""
+    with path.open("w", encoding="utf-8") as handle:
+        json.dump([row.to_dict() for row in rows], handle,
+                  sort_keys=True, indent=1)
+        handle.write("\n")
+
+
 def main() -> int:
-    for stale in (CACHE_DIR, BASELINE_DIR):
-        if stale.exists():
-            shutil.rmtree(stale)
-    cache = SweepCache(CACHE_DIR)
-    baseline_cache = SweepCache(BASELINE_DIR)
     rows = [
         synthetic_result(config, index)
         for index, config in enumerate(
             sorted(GRID, key=lambda c: (c.app, c.policy))
         )
     ]
-    baseline_rows = []
-    for index, row in enumerate(rows):
-        cache.store(row)
-        base = baseline_result(row, index)
-        if base is not None:
-            baseline_cache.store(base)
-            baseline_rows.append(base)
+    baseline_rows = [
+        base
+        for index, row in enumerate(rows)
+        if (base := baseline_result(row, index)) is not None
+    ]
+    write_dump(ROWS_DUMP, rows)
+    write_dump(BASELINE_DUMP, baseline_rows)
     for name, options in GOLDENS.items():
         text = render_report(
             rows, group_by=options["group_by"], fmt=options["fmt"]
@@ -138,10 +140,10 @@ def main() -> int:
     (FIXTURE_DIR / "report_vs_baseline.md").write_text(
         annotated + "\n", encoding="utf-8"
     )
-    diff_text = render_diff(diff_caches(BASELINE_DIR, CACHE_DIR), fmt="md")
+    diff_text = render_diff(diff_stores(BASELINE_DUMP, ROWS_DUMP), fmt="md")
     (FIXTURE_DIR / "diff.md").write_text(diff_text + "\n", encoding="utf-8")
     print(
-        f"wrote {len(rows)}+{len(baseline_rows)} cache entries and "
+        f"wrote {len(rows)}+{len(baseline_rows)} dumped rows and "
         f"{len(GOLDENS) + 2} golden file(s) under "
         f"{FIXTURE_DIR.relative_to(REPO_ROOT)}"
     )
