@@ -1,35 +1,49 @@
 #!/usr/bin/env python
-"""Regenerate the committed report-fixture row dumps and golden outputs.
+"""Regenerate the committed fixture row dumps and golden outputs.
 
 Run from the repository root::
 
     PYTHONPATH=src python tools/make_report_fixture.py
 
-The report and diff golden tests (``tests/exp/test_report.py``,
-``tests/exp/test_diff.py``) render tables from **committed** row
-dumps, in the ``repro sweep --json`` format, so the expected bytes
-live in git and never depend on simulation timing.  The fixture rows
-are synthetic — deterministic hand-written numbers, no simulation —
-but every row carries its real config hash, which embeds
-:data:`~repro.exp.spec.CACHE_VERSION`.
+Everything it writes lives under ``tests/exp/fixtures/`` in the
+``repro sweep --json`` row-dump format, so the expected bytes live in
+git and a refresh shows up as a reviewable diff.  Two kinds of dump:
 
-Consequently, **whenever ``CACHE_VERSION`` is bumped** (or a
-``CellConfig``/``CellResult`` field changes), the committed dumps go
-stale and the golden tests fail.  The fix is one command: re-run this
-script and commit the refreshed ``tests/exp/fixtures/`` tree alongside
-the bump.
+* **Report fixtures** (``report_rows.json``, ``baseline_rows.json`` and
+  the rendered goldens).  The report and diff golden tests
+  (``tests/exp/test_report.py``, ``tests/exp/test_diff.py``) render
+  tables from these rows.  The rows are synthetic — deterministic
+  hand-written numbers, no simulation — so the goldens never depend on
+  simulation timing.
+* **Golden rows** (``golden_rows.json``): real simulated rows for a
+  fixed corpus of configurations (:func:`golden_configs`).
+  ``tests/exp/test_golden_rows.py`` re-runs every config and requires
+  the fresh row to equal the committed one field for field, which makes
+  the corpus the oracle for refactors of the simulation spine.  A
+  change that moves a golden row changes what the simulator computes;
+  regenerating the file is then a deliberate, reviewed decision.
+
+Every row carries its real config hash, which embeds
+:data:`~repro.exp.spec.CACHE_VERSION`.  Consequently, **whenever
+``CACHE_VERSION`` is bumped** (or a ``CellConfig``/``CellResult`` field
+changes), the committed dumps go stale and the golden tests fail.  The
+fix is one command: re-run this script and commit the refreshed
+``tests/exp/fixtures/`` tree alongside the bump.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.cli import build_parser, spec_from_args  # noqa: E402
+from repro.exp.cell import run_cell  # noqa: E402
 from repro.exp.diff import diff_stores, render_diff  # noqa: E402
 from repro.exp.report import render_report  # noqa: E402
 from repro.exp.results import CellResult  # noqa: E402
@@ -38,6 +52,7 @@ from repro.exp.spec import CellConfig  # noqa: E402
 FIXTURE_DIR = REPO_ROOT / "tests" / "exp" / "fixtures"
 ROWS_DUMP = FIXTURE_DIR / "report_rows.json"
 BASELINE_DUMP = FIXTURE_DIR / "baseline_rows.json"
+GOLDEN_DUMP = FIXTURE_DIR / "golden_rows.json"
 
 #: The fixture grid: 2 apps x 2 policies at 4 KB.
 GRID = [
@@ -54,6 +69,135 @@ GOLDENS = {
     "report_by_policy.md": {"fmt": "md", "group_by": ("policy",)},
     "report_by_policy.csv": {"fmt": "csv", "group_by": ("policy",)},
 }
+
+
+#: Hand-picked golden configurations, each covering a mechanism whose
+#: event order is easy to disturb: dual-domain IDEA, TLB pressure
+#: (faults and evictions mid-run), DMA one-shot completions racing
+#: clock edges, overlapped prefetch, the pipelined IMU's different
+#: translation latency, and the multi-tenant session interleaving
+#: (clock stop/start per interrupt).
+CURATED = [
+    CellConfig(app="adpcm", input_bytes=2 * 1024),
+    CellConfig(app="adpcm", input_bytes=4 * 1024, policy="lru", tlb_capacity=4),
+    CellConfig(app="idea", input_bytes=2 * 1024),
+    CellConfig(app="vadd", input_bytes=4 * 1024, transfer="dma"),
+    CellConfig(
+        app="vadd", input_bytes=4 * 1024,
+        prefetch="overlapped", prefetch_depth=2, transfer="dma",
+    ),
+    CellConfig(app="adpcm", input_bytes=2 * 1024, pipelined_imu=True),
+    CellConfig(app="adpcm", input_bytes=2 * 1024, with_typical=True),
+    CellConfig(
+        app="adpcm", input_bytes=2 * 1024,
+        tenants=2, tenant_mix="adpcm+idea", tenant_repeats=2,
+    ),
+    # The synthetic app: the only workload whose access pattern is
+    # non-sequential and phase-changing, so faults land at irregular
+    # word offsets.  The DP-RAM override forces faulting at small
+    # (fast) input sizes.
+    CellConfig(app="synthetic", input_bytes=4 * 1024),
+    CellConfig(
+        app="synthetic", input_bytes=8 * 1024,
+        dpram_bytes=4 * 1024, page_bytes=1024, policy="lru",
+        syn_locality_pct=60, syn_read_pct=50, syn_phases=3,
+    ),
+    CellConfig(
+        app="synthetic", input_bytes=8 * 1024,
+        dpram_bytes=4 * 1024, page_bytes=512, transfer="dma",
+        syn_stride=5, syn_read_pct=0,
+    ),
+    # tenant_repeats stays 1: the synthetic data object is INOUT, and
+    # run_tenants refuses to repeat INOUT workloads (exec N+1 would see
+    # exec N's writes, which the one-shot reference cannot model).
+    CellConfig(
+        app="synthetic", input_bytes=4 * 1024,
+        dpram_bytes=4 * 1024, tenants=2,
+        tenant_mix="synthetic+adpcm",
+    ),
+]
+
+#: The CI smoke design space: the ``SMOKE_GRID`` and
+#: ``SMOKE_SCHED_CELL`` sweep flags of ``.github/workflows/ci.yml``.
+SMOKE_FLAGS = (
+    "--app adpcm --kb 2 --policy fifo lru --page 1024 2048 "
+    "--transfer double dma",
+    "--app adpcm --kb 2 --tenants 2 --tenant-mix adpcm:2+idea "
+    "--sched priority",
+)
+
+
+def random_configs(count: int) -> list[CellConfig]:
+    """A seeded sample of the axis space (small inputs, fast to run).
+
+    The seed is fixed so the sample is reproducible, but it still
+    sweeps corners no one thought to hand-pick.  Keep the generator
+    stable: appending new axes is fine, reordering draws is not.
+    """
+    rng = random.Random(0xD47E2004)
+    configs = []
+    while len(configs) < count:
+        tenants = rng.choice([1, 1, 1, 2])
+        config = CellConfig(
+            app=rng.choice(("adpcm", "idea", "vadd")),
+            input_bytes=rng.choice((1024, 2048, 4096)),
+            seed=rng.randrange(1, 100),
+            policy=rng.choice(("fifo", "lru")),
+            transfer=rng.choice(("double", "single", "dma")),
+            prefetch=rng.choice(("none", "sequential", "overlapped")),
+            tlb_capacity=rng.choice((None, 4, 8)),
+            pipelined_imu=rng.random() < 0.25,
+            tenants=tenants,
+            tenant_repeats=rng.choice((1, 2)) if tenants > 1 else 1,
+        )
+        configs.append(config)
+    return configs
+
+
+def random_synthetic_configs(count: int) -> list[CellConfig]:
+    """A seeded sample of the synthetic-pattern axes.
+
+    Separate generator (own seed) so adding synthetic draws cannot
+    perturb the :func:`random_configs` sample; same stability rule —
+    append draws, never reorder them.
+    """
+    rng = random.Random(0x5E9D47E2)
+    configs = []
+    while len(configs) < count:
+        configs.append(CellConfig(
+            app="synthetic",
+            input_bytes=rng.choice((2048, 4096, 8192)),
+            seed=rng.randrange(1, 100),
+            dpram_bytes=rng.choice((None, 4096)),
+            page_bytes=rng.choice((None, 512, 1024)),
+            policy=rng.choice(("fifo", "lru")),
+            transfer=rng.choice(("double", "single", "dma")),
+            syn_stride=rng.choice((1, 3, 7)),
+            syn_locality_pct=rng.choice((0, 50, 80, 100)),
+            syn_read_pct=rng.choice((0, 50, 70, 100)),
+            syn_phases=rng.choice((1, 2, 4)),
+        ))
+    return configs
+
+
+def smoke_configs() -> list[CellConfig]:
+    """The CI smoke cells, expanded exactly as ``repro sweep`` would."""
+    parser = build_parser()
+    cells = []
+    for flags in SMOKE_FLAGS:
+        spec = spec_from_args(parser.parse_args(["sweep", *flags.split()]))
+        cells.extend(spec.expand())
+    return cells
+
+
+def golden_configs() -> list[CellConfig]:
+    """The golden corpus, in dump order."""
+    return (
+        CURATED
+        + random_configs(4)
+        + random_synthetic_configs(4)
+        + smoke_configs()
+    )
 
 
 def synthetic_result(config: CellConfig, index: int) -> CellResult:
@@ -142,8 +286,11 @@ def main() -> int:
     )
     diff_text = render_diff(diff_stores(BASELINE_DUMP, ROWS_DUMP), fmt="md")
     (FIXTURE_DIR / "diff.md").write_text(diff_text + "\n", encoding="utf-8")
+    golden_rows = [run_cell(config) for config in golden_configs()]
+    write_dump(GOLDEN_DUMP, golden_rows)
     print(
-        f"wrote {len(rows)}+{len(baseline_rows)} dumped rows and "
+        f"wrote {len(rows)}+{len(baseline_rows)} dumped rows, "
+        f"{len(golden_rows)} simulated golden rows and "
         f"{len(GOLDENS) + 2} golden file(s) under "
         f"{FIXTURE_DIR.relative_to(REPO_ROOT)}"
     )
