@@ -92,8 +92,7 @@ class CoprocessorSession:
             # (re)acquired at execute time and the scheduler decides
             # who runs; the process stays READY in the run queue.
             self.domains = system.build_clock_domains(
-                bitstream, self.imu.tick, self.core.tick,
-                iface=self.imu, core=self.core,
+                bitstream, self.imu.tick, self.core.tick
             )
             self.executions = 0
             self._closed = False
@@ -139,8 +138,7 @@ class CoprocessorSession:
         system.interrupts.register(INT_PLD_LINE, self.vim.handle_interrupt)
         system.interrupts.register(INT_DMA_LINE, self.vim.handle_dma_complete)
         self.domains = system.build_clock_domains(
-            bitstream, self.imu.tick, self.core.tick,
-            iface=self.imu, core=self.core,
+            bitstream, self.imu.tick, self.core.tick
         )
         self.executions = 0
         self._closed = False

@@ -11,9 +11,7 @@ that no state leaks between measurements.
 
 from __future__ import annotations
 
-from repro.coproc.base import Coprocessor
 from repro.coproc.bitstream import Bitstream
-from repro.errors import SimulationError
 from repro.hw.bus import AhbBus
 from repro.hw.dma import DmaEngine
 from repro.hw.dpram import DualPortRam
@@ -24,25 +22,19 @@ from repro.os.costs import CpuCostModel
 from repro.os.kernel import Kernel
 from repro.core.soc import EPXA1, SocConfig
 from repro.sim.clock import ClockDomain
-from repro.sim.engine import EngineBackend, make_engine
+from repro.sim.engine import Engine
 
 
 class System:
-    """A powered-on reconfigurable SoC running the mini-OS.
-
-    *engine* selects the simulation kernel backend by name (see
-    :data:`repro.sim.engine.ENGINES`); an already-built backend object
-    is also accepted.  The default is the reference backend.
-    """
+    """A powered-on reconfigurable SoC running the mini-OS."""
 
     def __init__(
         self,
         soc: SocConfig = EPXA1,
         costs: CpuCostModel | None = None,
-        engine: str | EngineBackend = "reference",
     ) -> None:
         self.soc = soc
-        self.engine = make_engine(engine) if isinstance(engine, str) else engine
+        self.engine = Engine()
         self.interrupts = InterruptController()
         self.dpram = DualPortRam(soc.dpram_bytes, soc.page_bytes)
         self.bus = AhbBus(soc.ahb_timing)
@@ -62,8 +54,6 @@ class System:
         bitstream: Bitstream,
         iface_tick,
         core_tick,
-        iface=None,
-        core=None,
     ) -> list[ClockDomain]:
         """Clock the interface and the core per the bit-stream's split.
 
@@ -71,47 +61,25 @@ class System:
         core on one clock, so a request issued on edge *n* is seen by
         the interface on edge *n+1* and the core samples results after
         the interface has driven them.  Dual-domain designs (IDEA: core
-        6 MHz, IMU/memory 24 MHz) get one domain each, the interface
-        domain started first for deterministic ordering at coincident
-        edges.
-
-        Passing the *iface* and *core* objects (not just their tick
-        callables) arms the fast-engine edge-skip hook when the
-        interface provides ``translate_burst`` (the IMU does, the
-        direct interface does not).  On the reference backend the hook
-        is inert, so callers may always pass them.
+        6 MHz, IMU/memory 24 MHz) get one domain each.  Their start
+        order does not order coincident edges: every edge is scheduled
+        one period ahead (by ``start`` or by the domain's previous
+        edge) and ties run in scheduling order, so at an instant both
+        domains share, the core's edge, scheduled a whole core period
+        earlier, runs first.
         """
-        burst = getattr(iface, "translate_burst", None)
-        domains: list[ClockDomain] = []
         if bitstream.single_domain:
             domain = ClockDomain(self.engine, "fabric", bitstream.core_frequency)
             domain.attach(iface_tick)
             domain.attach(core_tick)
-            if burst is not None and core is not None:
-                # A skipped shared edge would have run both ticks: the
-                # burst pre-applies the interface counters, the wrapper
-                # adds the core's stall cycles.
-                def fast_forward() -> int:
-                    skip = burst()
-                    if skip:
-                        core.cycles += skip
-                    return skip
-
-                domain.fast_forward = fast_forward
-            domains.append(domain)
-        else:
-            iface_domain = ClockDomain(
-                self.engine, "interface", bitstream.iface_frequency
-            )
-            iface_domain.attach(iface_tick)
-            if burst is not None:
-                # Only interface edges are skipped; the core's domain
-                # keeps ticking for real at its own (slower) rate.
-                iface_domain.fast_forward = burst
-            core_domain = ClockDomain(self.engine, "core", bitstream.core_frequency)
-            core_domain.attach(core_tick)
-            domains.extend([iface_domain, core_domain])
-        return domains
+            return [domain]
+        iface_domain = ClockDomain(
+            self.engine, "interface", bitstream.iface_frequency
+        )
+        iface_domain.attach(iface_tick)
+        core_domain = ClockDomain(self.engine, "core", bitstream.core_frequency)
+        core_domain.attach(core_tick)
+        return [iface_domain, core_domain]
 
     @staticmethod
     def start_clocks(domains: list[ClockDomain]) -> None:

@@ -211,9 +211,9 @@ def run_cell(config: CellConfig, workload: WorkloadSpec | None = None) -> CellRe
         return _run_contended(config)
     workload = workload if workload is not None else build_workload(config)
     soc = build_soc(config)
-    sw = run_software(System(soc, engine=config.engine), workload)
+    sw = run_software(System(soc), workload)
     vim = run_vim(
-        System(soc, engine=config.engine),
+        System(soc),
         workload,
         policy=config.policy,
         transfer_mode=_TRANSFER_MODES[config.transfer],
@@ -229,7 +229,7 @@ def run_cell(config: CellConfig, workload: WorkloadSpec | None = None) -> CellRe
     typical_fits = True
     if config.with_typical:
         try:
-            typical = run_typical(System(soc, engine=config.engine), workload)
+            typical = run_typical(System(soc), workload)
             typical.verify()
             typical_ms = typical.total_ms
             typical_speedup = typical.measurement.speedup_over(sw.measurement)
@@ -327,10 +327,10 @@ def _run_contended(config: CellConfig) -> CellResult:
     workloads = build_tenant_workloads(config)
     sw_ms = 0.0
     for workload in workloads:
-        sw = run_software(System(soc, engine=config.engine), workload.spec)
+        sw = run_software(System(soc), workload.spec)
         sw_ms += sw.total_ms * workload.repeats
     result = run_tenants(
-        System(soc, engine=config.engine),
+        System(soc),
         workloads,
         policy=config.policy,
         transfer_mode=_TRANSFER_MODES[config.transfer],

@@ -29,8 +29,8 @@ diff --bands {exact,cv}``):
 
 * ``exact`` (the default) — the hand-picked ``--rtol``/``--atol``
   applied uniformly, rows aligned by config hash.  Right for
-  deterministic comparisons of the *same* grid (engine equivalence,
-  cache reproducibility).
+  deterministic comparisons of the *same* grid (a refactor that must
+  not move a row, cache reproducibility).
 * ``cv`` — rows aligned by :func:`~repro.exp.spec.replica_hash`
   (seed-blind), replicated metrics compared **mean against mean**
   with a per-cell, per-metric tolerance of

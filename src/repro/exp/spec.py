@@ -17,7 +17,6 @@ from functools import lru_cache
 
 from repro.errors import ReproError
 from repro.os.scheduler import SCHEDS
-from repro.sim.engine import ENGINES
 
 #: Bump when CellResult semantics change, so stale caches miss.
 #: (6: the ``sched`` scheduling-policy axis, per-tenant priorities in
@@ -174,13 +173,13 @@ class CellConfig:
         path must miss.  Both are canonicalised to ``None`` for every
         other app.
     engine : str
-        Simulation kernel backend, one of
-        :data:`repro.sim.engine.ENGINES`.  **Not an axis of the design
-        space**: both backends are required to produce byte-identical
-        results, so the field is excluded from :func:`config_hash` and
-        from :meth:`label` — a fast-backend sweep reads and writes the
-        same cache cells a reference sweep would, which is exactly what
-        lets ``repro diff`` check the two against each other.
+        Always ``"reference"``: the simulator has one engine.  The
+        field stays a stored row column so existing rows keep their
+        bytes; it is excluded from :func:`config_hash`,
+        :func:`replica_hash` and :meth:`label`, so it forks no store
+        key.  :meth:`from_dict` reads a legacy ``"fast"`` (a row of the
+        removed second backend, byte-identical by contract) as
+        ``"reference"``.
     """
 
     app: str = "adpcm"
@@ -213,9 +212,10 @@ class CellConfig:
     def __post_init__(self) -> None:
         if self.app not in APPS:
             raise ReproError(f"unknown app {self.app!r}; choices: {APPS}")
-        if self.engine not in ENGINES:
+        if self.engine != "reference":
             raise ReproError(
-                f"unknown engine backend {self.engine!r}; choices: {ENGINES}"
+                f"unknown engine {self.engine!r}; the simulator has one "
+                "engine, 'reference'"
             )
         if self.transfer not in TRANSFERS:
             raise ReproError(
@@ -373,6 +373,8 @@ class CellConfig:
         unknown = set(data) - names
         if unknown:
             raise ReproError(f"unknown cell config fields: {sorted(unknown)}")
+        if data.get("engine") == "fast":
+            data = {**data, "engine": "reference"}
         return cls(**data)
 
     def key(self) -> str:
@@ -428,11 +430,9 @@ def config_hash(config: CellConfig) -> str:
     change to either the configuration or the result schema produces a
     clean cache miss rather than a stale read.
 
-    The ``engine`` field is the one exception: the backend is required
-    to be observationally equivalent, so it must not fork the cache
-    identity — reference and fast sweeps share cells, and ``repro
-    diff`` aligns their caches row for row.  ``trace_path`` is the
-    other: the trace's *content digest* is hashed in its stead, so
+    Two fields are left out.  ``engine`` has one legal value and was
+    never part of the hash, so keys stay what they always were.
+    ``trace_path`` is replaced by the trace's *content digest*, so
     moving a trace file never forks the cache while changing its
     contents always does.
     """
@@ -450,9 +450,10 @@ def replica_hash(config: CellConfig) -> str:
     Two runs of the same grid with disjoint seed sets produce rows
     whose :func:`config_hash` keys never collide (the seed is part of
     the cache identity).  ``repro diff --bands cv`` still has to pair
-    those rows up: this digest drops ``seed`` (and ``engine``, like
-    :func:`config_hash`) so replicate families align across seed sets
-    while every other axis still separates rows.
+    those rows up: this digest drops ``seed`` (and, like
+    :func:`config_hash`, ``engine`` and ``trace_path``) so replicate
+    families align across seed sets while every other axis still
+    separates rows.
     """
     config_dict = config.to_dict()
     config_dict.pop("engine", None)
@@ -543,12 +544,6 @@ class SweepSpec:
         Deliberately a whole-spec knob — mixing replicated and
         unreplicated rows in one cache would leave ``repro diff
         --bands cv`` without bands for half the grid.
-    engine : str
-        Applied to every cell (not an axis): the simulation kernel
-        backend, one of :data:`repro.sim.engine.ENGINES`.  Deliberately
-        a whole-spec knob — as an axis it would be futile, because the
-        engine is excluded from the config hash and the duplicate cells
-        would collapse to one.
 
     Examples
     --------
@@ -583,7 +578,6 @@ class SweepSpec:
     syn_phases: tuple[int, ...] = (1,)
     with_typical: bool = False
     replicates: int = 1
-    engine: str = "reference"
 
     def expand(self) -> list[CellConfig]:
         """Expand the grid to concrete cells.
@@ -635,7 +629,6 @@ class SweepSpec:
                     syn_read_pct=read_pct,
                     syn_phases=phases,
                     replicates=self.replicates,
-                    engine=self.engine,
                 )
             )
         return cells

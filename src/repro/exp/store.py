@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -252,8 +252,6 @@ class SqliteStore:
 
         A corrupt payload, a stale ``CACHE_VERSION`` or a stored config
         that differs from *config* is a miss, never a wrong row.
-        Matching is modulo the ``engine`` field: backends are
-        result-equivalent, so a row priced by either serves both.
         """
         row = self._one(
             "SELECT payload FROM results WHERE key = ? "
@@ -265,7 +263,7 @@ class SqliteStore:
         result = self._parse(config.key(), row[0])
         if result is None:
             return None
-        if replace(result.config, engine=config.engine) != config:
+        if result.config != config:
             return None  # a collision or corruption: a miss
         return result
 

@@ -124,9 +124,8 @@ class Imu:
         #: after fault service, on the retried access's hit — with the
         #: untagged CP_OBJ id; parameter-page traffic is not recorded
         #: (it is protocol, not workload).  The call sits on the firing
-        #: edge, which both engine backends execute for real, so a
-        #: recording changes nothing about timing or backend
-        #: equivalence.
+        #: edge and schedules nothing, so a recording changes nothing
+        #: about timing.
         self.trace_sink = None
         self.state = ImuState.IDLE
         self._remaining = 0
@@ -163,59 +162,6 @@ class Imu:
                 self._fire()
         elif self.state is ImuState.FAULT:
             self.fault_stall_cycles += 1
-
-    def translate_burst(self) -> int:
-        """Pre-account a run of inert edges; returns how many to skip.
-
-        This is the fast engine's ``fast_forward`` hook (called right
-        after each executed edge).  It recognises the two windows in
-        which every upcoming edge is provably a pure stall — the
-        coprocessor is suspended inside its ``CP_TLBHIT`` wait, so its
-        edges are cycle counts over an unchanged generator state, and
-        the IMU edges are pure countdown decrements:
-
-        * mid-``TRANSLATE`` with *r* edges to the access firing: the
-          first ``r - 1`` are decrement-only;
-        * a freshly issued, not yet detected request: the detection
-          edge plus the countdown, up to the edge before the firing.
-
-        It applies those edges' counter effects (``ticks``,
-        ``translate_cycles``) now, leaves ``_remaining = 1`` so the
-        access still **fires on a real edge** — lookups, port writes,
-        faults and interrupts happen at their exact reference times —
-        and returns the number of edges granted.  Anything else
-        (pending CP_FIN / param release, a fault stall, zero-latency
-        pipelined translation) returns 0: those edges must run for
-        real.
-        """
-        ports = self.ports
-        if ports.cp_fin.value and not self.sr.done:
-            return 0
-        if ports.cp_param_done.value and not self._param_handled:
-            return 0
-        state = self.state
-        if state is ImuState.TRANSLATE:
-            skip = self._remaining - 1
-            if skip <= 0:
-                return 0
-            self.ticks += skip
-            self.translate_cycles += skip
-            self._remaining = 1
-            return skip
-        if state is ImuState.IDLE:
-            if ports.cp_access.value and ports.cp_req.value != self._last_req:
-                latency = self._translation_latency()
-                if latency <= 0:
-                    return 0
-                # Perform the detection edge's state change now (AR
-                # latch, CP_TLBHIT drop — invisible to the stalled
-                # core), then collapse it plus the countdown.
-                self._begin_translation()
-                self.ticks += latency
-                self.translate_cycles += latency - 1
-                self._remaining = 1
-                return latency
-        return 0
 
     def tag(self, obj: int) -> int:
         """Widen a CP_OBJ value with the active ASID (CAM match tag).

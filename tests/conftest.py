@@ -15,18 +15,14 @@ from repro.core.system import System
 from repro.hw.dpram import DualPortRam
 from repro.hw.interrupts import InterruptController
 from repro.imu.imu import Imu
-from repro.sim.engine import ENGINES, EngineBackend, make_engine
+from repro.sim.engine import Engine
 from repro.sim.time import mhz
 
 
-@pytest.fixture(params=ENGINES)
-def engine(request) -> EngineBackend:
-    """A fresh discrete-event engine, parametrized over both backends.
-
-    Every test built on this fixture (engine, clock, SoC plumbing)
-    therefore exercises the reference and the fast kernel alike.
-    """
-    return make_engine(request.param)
+@pytest.fixture
+def engine() -> Engine:
+    """A fresh discrete-event engine."""
+    return Engine()
 
 
 @pytest.fixture

@@ -39,6 +39,8 @@ class TestParser:
         ["sweep", "--app", "vadd", "--cache", "x.sqlite", "--store", "sqlite"],
         ["serve", "--cache", "x.sqlite", "--store", "sqlite"],
         ["sweep", "--report", "--cache", "x.sqlite"],
+        ["sweep", "--app", "vadd", "--engine", "reference"],
+        ["submit", "http://127.0.0.1:9", "--engine", "reference"],
     ])
     def test_removed_commands_and_flags_are_argparse_errors(
         self, argv, capsys

@@ -10,7 +10,6 @@ imports old caches through) keeps the same gatekeeper.
 
 import json
 import sqlite3
-from dataclasses import replace
 
 from repro.exp import cache as cache_module
 from repro.exp import spec as spec_module
@@ -19,7 +18,7 @@ from repro.exp.cache import iter_classified
 from repro.exp.cell import run_cell
 from repro.exp.spec import CACHE_VERSION, CellConfig
 from repro.exp.store import open_store
-from tests.store_helpers import corrupt, execute, write_legacy_dir
+from tests.store_helpers import corrupt, execute, payloads, write_legacy_dir
 
 #: The smallest meaningful cell: a 64-element vector add.
 TINY = CellConfig(app="vadd", input_bytes=256)
@@ -47,14 +46,21 @@ class TestRoundTrip:
             other = CellConfig(app="vadd", input_bytes=256, policy="lru")
             assert store.get(other) is None
 
-    def test_row_serves_the_other_engine(self, tmp_path):
-        # The engine backend is excluded from cell identity: a row
-        # priced by either backend must serve a sweep running the
-        # other (the CI equivalence job's cache-hit guard relies on
-        # this).  The returned row keeps its own provenance.
+    def test_legacy_fast_row_serves_the_reference_config(self, tmp_path):
+        # Rows priced by the removed second engine say "fast"; they were
+        # byte-identical to reference rows by contract, so they keep
+        # serving and load as "reference".
+        path = tmp_path / "store.sqlite"
         result = run_cell(TINY)
-        with _store(tmp_path, result) as store:
-            hit = store.get(replace(TINY, engine="fast"))
+        _store(tmp_path, result).close()
+        execute(
+            path,
+            "UPDATE results SET payload = replace(payload, ?, ?)",
+            ('"engine": "reference"', '"engine": "fast"'),
+        )
+        assert '"engine": "fast"' in payloads(path)[TINY.key()]
+        with open_store(path) as store:
+            hit = store.get(TINY)
         assert hit == result
         assert hit.config.engine == "reference"
 

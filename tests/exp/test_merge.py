@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ReproError
 from repro.exp import run_sweep
 from repro.exp.merge import merge_into
@@ -23,6 +24,7 @@ from tests.store_helpers import (
     make_stale,
     payloads,
     store_keys,
+    write_dump,
 )
 
 #: A fast 2-cell grid (1 KB vector-add, two policies).
@@ -95,22 +97,23 @@ class TestMerge:
         assert summary.written == 2
         assert summary.identical == 2
 
-    def test_engine_differing_rows_merge_as_identical(self, tmp_path):
-        # A reference cache and a fast cache of the same grid hold
-        # rows differing only in the recorded engine field; the merge
-        # must treat them as the identical cells they are (backends
-        # are result-equivalent), not as conflicts.
-        from dataclasses import replace
-
-        run_sweep(GRID, cache_dir=tmp_path / "ref")
-        run_sweep(replace(GRID, engine="fast"), cache_dir=tmp_path / "fast")
-        summary = merge_into(
-            tmp_path / "merged", [tmp_path / "ref", tmp_path / "fast"]
-        )
-        assert summary.written == 2
-        assert summary.identical == 2
-        # First-seen provenance wins in the merged store.
-        assert payloads(tmp_path / "merged") == payloads(tmp_path / "ref")
+    def test_legacy_fast_dump_merges_as_identical(self, tmp_path, capsys):
+        # A row dump priced by the removed second engine differs from
+        # the reference store only in its "engine" field; `repro merge`
+        # reads it as "reference", so its rows are identical, not
+        # conflicts.
+        rows = run_sweep(GRID, cache_dir=tmp_path / "ref.sqlite").rows
+        before = payloads(tmp_path / "ref.sqlite")
+        dump = write_dump(tmp_path / "fast.json", rows)
+        text = dump.read_text(encoding="utf-8")
+        legacy = text.replace('"engine": "reference"', '"engine": "fast"')
+        assert legacy.count('"engine": "fast"') == 2
+        dump.write_text(legacy, encoding="utf-8")
+        assert main(
+            ["merge", str(tmp_path / "ref.sqlite"), str(dump)]
+        ) == 0
+        assert "0 written, 2 identical" in capsys.readouterr().out
+        assert payloads(tmp_path / "ref.sqlite") == before
 
     def test_rows_json_dump_is_a_valid_source(self, shard_caches, tmp_path):
         rows = run_sweep(GRID, cache_dir=shard_caches / "full").rows

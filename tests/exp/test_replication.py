@@ -124,11 +124,6 @@ class TestReplicaHash:
             replace(CELL, seed=1001)
         )
 
-    def test_engine_blind(self):
-        assert replica_hash(replace(CELL, engine="fast")) == replica_hash(
-            replace(CELL, engine="reference")
-        )
-
     def test_other_axes_fork_the_hash(self):
         assert replica_hash(CELL) != replica_hash(replace(CELL, policy="lru"))
 

@@ -25,6 +25,10 @@ class TestCellConfig:
         with pytest.raises(ReproError):
             CellConfig(transfer="triple")
 
+    def test_second_engine_rejected(self):
+        with pytest.raises(ReproError, match="one engine, 'reference'"):
+            CellConfig(engine="fast")
+
     def test_dma_is_a_transfer_axis_value(self):
         config = CellConfig(transfer="dma")
         assert "dma" in config.label()

@@ -55,18 +55,13 @@ class TestProtocolConformance:
             assert isinstance(store, SqliteStore)
             assert len(store) == len(rows) == 2
 
-    def test_get_hits_modulo_engine(self, populated):
+    def test_get_hits_exact_config(self, populated):
         from dataclasses import replace
 
         path, _origin, rows = populated
         with open_store(path) as store:
             for row in rows:
                 assert store.get(row.config) == row
-                # Engine is excluded from cell identity: a row priced
-                # by either backend serves both.
-                other = replace(row.config, engine="fast")
-                hit = store.get(other)
-                assert hit is not None and hit.key == row.key
             assert store.get(replace(rows[0].config, input_bytes=4096)) is None
 
     def test_iter_classified_key_sorted(self, populated):

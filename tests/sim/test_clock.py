@@ -97,3 +97,106 @@ class TestStartStop:
 
     def test_elapsed_ps(self, clock_40mhz: ClockDomain):
         assert clock_40mhz.elapsed_ps(4) == 100_000
+
+
+class TestOrdering:
+    """Coincident events run in the engine's FIFO order of scheduling.
+
+    Every edge is scheduled by the edge before it (the first by
+    ``start``), so at a shared instant the event scheduled earliest
+    runs first.  The interleavings are literal: any change to the
+    event order fails here before it moves a golden row.
+    """
+
+    def test_one_shot_runs_before_coincident_edge(self, engine: Engine):
+        log = []
+        domain = ClockDomain(engine, "d", mhz(100.0))  # 10 000 ps period
+        domain.attach(lambda: log.append(("edge", engine.now)))
+        domain.start()
+        # Scheduled after start, but before edge 2 schedules edge 3.
+        engine.schedule_at(30_000, lambda: log.append(("shot", engine.now)))
+        engine.run_until(lambda: len(log) >= 6)
+        domain.stop()
+        assert log == [
+            ("edge", 10_000), ("edge", 20_000), ("shot", 30_000),
+            ("edge", 30_000), ("edge", 40_000), ("edge", 50_000),
+        ]
+
+    def test_slower_domain_wins_shared_edge(self, engine: Engine):
+        # The fast domain starts first, yet the slow domain's edge at
+        # 40 000 ps was scheduled at 0 and the fast one's at 30 000.
+        log = []
+        fast = ClockDomain(engine, "fastclk", mhz(100.0))
+        slow = ClockDomain(engine, "slowclk", mhz(25.0))
+        fast.attach(lambda: log.append(("f", engine.now)))
+        slow.attach(lambda: log.append(("s", engine.now)))
+        fast.start()
+        slow.start()
+        engine.run_until(lambda: len(log) >= 10)
+        fast.stop()
+        slow.stop()
+        assert log == [
+            ("f", 10_000), ("f", 20_000), ("f", 30_000),
+            ("s", 40_000), ("f", 40_000),
+            ("f", 50_000), ("f", 60_000), ("f", 70_000),
+            ("s", 80_000), ("f", 80_000),
+        ]
+
+    def test_rescheduling_chain_runs_after_each_edge(self, engine: Engine):
+        # Each shot reschedules itself one period ahead from inside its
+        # own run, i.e. after the coincident edge has rescheduled.
+        log = []
+        domain = ClockDomain(engine, "d", mhz(100.0))
+        domain.attach(lambda: log.append(("edge", engine.now)))
+        domain.start()
+
+        def shot():
+            log.append(("shot", engine.now))
+            if len(log) < 10:
+                engine.schedule(10_000, shot)
+
+        engine.schedule(10_000, shot)
+        engine.run_until(lambda: len(log) >= 10)
+        domain.stop()
+        assert log == [
+            ("edge", 10_000), ("shot", 10_000),
+            ("edge", 20_000), ("shot", 20_000),
+            ("edge", 30_000), ("shot", 30_000),
+            ("edge", 40_000), ("shot", 40_000),
+            ("edge", 50_000), ("shot", 50_000),
+        ]
+
+    def test_handler_attached_after_start_runs_from_next_edge(
+        self, engine: Engine
+    ):
+        domain = ClockDomain(engine, "d", mhz(100.0))
+        hits = []
+        domain.start()
+        engine.step()  # edge 1: no handler yet
+        domain.attach(lambda: hits.append(engine.now))
+        engine.step()
+        assert hits == [20_000]
+        assert domain.cycles == 2
+
+    def test_handler_stopping_its_domain_halts_it(self, engine: Engine):
+        domain = ClockDomain(engine, "d", mhz(100.0))
+        edges = []
+
+        def handler():
+            edges.append(engine.now)
+            if len(edges) == 2:
+                domain.stop()
+
+        domain.attach(handler)
+        domain.start()
+        assert engine.drain() == 2
+        assert edges == [10_000, 20_000]
+        assert domain.cycles == 2
+
+    def test_run_until_deadline_stops_at_last_edge(self, engine: Engine):
+        domain = ClockDomain(engine, "d", mhz(100.0))
+        domain.attach(lambda: None)
+        domain.start()
+        with pytest.raises(SimulationError):
+            engine.run_until(lambda: False, max_time_ps=35_000)
+        assert (engine.now, domain.cycles) == (30_000, 3)

@@ -118,25 +118,6 @@ class TestCheckerCatchesRot:
         )
         assert check_docs.check_report_formats(page) == []
 
-    def test_stale_engine_list_detected(self, tmp_path):
-        page = tmp_path / "page.md"
-        page.write_text(
-            "pick `--engine {reference,warp}` for the kernel\n",
-            encoding="utf-8",
-        )
-        failures = check_docs.check_engines(page)
-        assert len(failures) == 1
-        assert "stale engine-backend list" in failures[0]
-
-    def test_current_engine_list_passes(self, tmp_path):
-        from repro.sim.engine import ENGINES
-
-        page = tmp_path / "page.md"
-        page.write_text(
-            f"pick `--engine {{{','.join(ENGINES)}}}`\n", encoding="utf-8"
-        )
-        assert check_docs.check_engines(page) == []
-
     def test_undocumented_subcommand_detected(self, tmp_path):
         # A page that never writes `repro merge` / `repro history`
         # misses those subcommands.

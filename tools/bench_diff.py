@@ -18,10 +18,10 @@ benchmark row, and they are treated differently:
   (exit 1) regardless of direction — and a key that *vanishes* is
   lost gate coverage, which fails the same way.  Keys prefixed
   ``wall_`` are the exception: they hold wall-clock-derived numbers
-  (e.g. the paired engine benches' ``wall_speedup_vs_reference``),
-  which are as noisy as ``stats.mean`` — they are reported alongside
-  it but never gate, not even under ``--fail-on-wall`` (a ratio has
-  no regression direction a tolerance could classify).
+  (e.g. the service bench's ``wall_warm_hits_per_s``), which are as
+  noisy as ``stats.mean`` — they are reported alongside it but never
+  gate, not even under ``--fail-on-wall`` (such a key carries no
+  regression direction a tolerance could classify).
 * ``stats.mean`` — harness **wall time**.  Noisy on shared CI
   runners, so it is reported but gates only with ``--fail-on-wall``
   (where an increase beyond tolerance is the regression).

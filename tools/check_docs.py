@@ -16,10 +16,9 @@ Three guarantees over ``README.md`` and every ``docs/*.md``:
    must exist on disk; dead links fail the job.
 3. **Axis-value lists are current.**  Every ``--transfer {...}`` list
    must match ``repro.exp.spec.TRANSFERS``, every ``--format {...}``
-   list must match ``repro.exp.report.FORMATS``, every ``--engine
-   {...}`` list must match ``repro.sim.engine.ENGINES``, every
-   ``--bands {...}`` list must match ``repro.exp.diff.BANDS``, and
-   every ``--sched {...}`` list must match
+   list must match ``repro.exp.report.FORMATS``, every ``--bands
+   {...}`` list must match ``repro.exp.diff.BANDS``, and every
+   ``--sched {...}`` list must match
    ``repro.os.scheduler.SCHEDS`` exactly — adding a value without
    documenting it (or documenting one that does not exist) fails the
    job.
@@ -57,7 +56,6 @@ from repro.exp.diff import BANDS  # noqa: E402
 from repro.exp.report import FORMATS  # noqa: E402
 from repro.exp.spec import TRANSFERS  # noqa: E402
 from repro.os.scheduler import SCHEDS  # noqa: E402
-from repro.sim.engine import ENGINES  # noqa: E402
 
 #: Markdown files the checker covers.
 DOC_FILES = ["README.md", *sorted(
@@ -83,8 +81,6 @@ _LINK_RE = re.compile(r"(?<!!)\[[^\]]+\]\(([^)\s]+)\)")
 _TRANSFER_LIST_RE = re.compile(r"--transfer[ \t]*\n?[ \t]*\{([^}]*)\}")
 #: A documented report-format list: ``--format {md,csv,ascii}``.
 _FORMAT_LIST_RE = re.compile(r"--format[ \t]*\n?[ \t]*\{([^}]*)\}")
-#: A documented engine-backend list: ``--engine {reference,fast}``.
-_ENGINE_LIST_RE = re.compile(r"--engine[ \t]*\n?[ \t]*\{([^}]*)\}")
 #: A documented tolerance-band list: ``--bands {exact,cv}``.
 _BANDS_LIST_RE = re.compile(r"--bands[ \t]*\n?[ \t]*\{([^}]*)\}")
 #: A documented scheduling-policy list: ``--sched {rr,priority,wrr}``.
@@ -213,13 +209,6 @@ def check_report_formats(path: Path) -> list[str]:
     )
 
 
-def check_engines(path: Path) -> list[str]:
-    """Stale ``--engine {...}`` lists vs :data:`repro.sim.engine.ENGINES`."""
-    return _check_value_list(
-        path, _ENGINE_LIST_RE, ENGINES, "engine-backend"
-    )
-
-
 def check_bands(path: Path) -> list[str]:
     """Stale ``--bands {...}`` lists vs :data:`repro.exp.diff.BANDS`."""
     return _check_value_list(
@@ -342,7 +331,6 @@ def main() -> int:
         failures += check_links(path)
         failures += check_transfer_modes(path)
         failures += check_report_formats(path)
-        failures += check_engines(path)
         failures += check_bands(path)
         failures += check_scheds(path)
         if name != "README.md":
@@ -354,7 +342,6 @@ def main() -> int:
     for name in AXIS_LIST_FILES:
         failures += check_transfer_modes(REPO_ROOT / name)
         failures += check_report_formats(REPO_ROOT / name)
-        failures += check_engines(REPO_ROOT / name)
         failures += check_bands(REPO_ROOT / name)
         failures += check_scheds(REPO_ROOT / name)
     for failure in failures:
