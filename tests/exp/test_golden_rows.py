@@ -5,8 +5,10 @@ dump of real simulated rows, written by ``tools/make_report_fixture.py``
 for a fixed corpus: a curated list of configurations whose event order
 is easy to disturb (dual-domain IDEA, faulting LRU, DMA completions
 racing clock edges, overlapped prefetch, the pipelined IMU,
-contention), two seeded-random samples of the axis space, and the CI
-smoke design space.  Each row's config is re-run through ``run_cell``
+contention), two seeded-random samples of the axis space, the CI smoke
+design space, and a list of event-order corners (dual-domain faults,
+translation latencies other than four cycles, the typical IDEA
+version, faulting mixed-domain contention).  Each row's config is re-run through ``run_cell``
 and the fresh row must equal the committed one — same timing, same
 counters, same fault ordering, same cache hash.
 

@@ -190,13 +190,44 @@ def smoke_configs() -> list[CellConfig]:
     return cells
 
 
+#: Event-order corners the lists above miss: faults in the dual-domain
+#: IDEA system (alone and racing DMA completions), translation latencies
+#: other than four cycles, the pipelined and typical IDEA versions, and
+#: contended cells that fault mid-run under a mixed-domain tenant mix
+#: and weighted scheduling.
+EVENT_ORDER = [
+    CellConfig(app="idea", input_bytes=4 * 1024, dpram_bytes=4 * 1024),
+    CellConfig(
+        app="idea", input_bytes=4 * 1024, dpram_bytes=4 * 1024,
+        transfer="dma", prefetch="overlapped",
+    ),
+    CellConfig(app="idea", input_bytes=2 * 1024, access_cycles=6),
+    CellConfig(app="idea", input_bytes=2 * 1024, pipelined_imu=True),
+    CellConfig(app="idea", input_bytes=2 * 1024, with_typical=True),
+    CellConfig(app="adpcm", input_bytes=2 * 1024, access_cycles=2),
+    CellConfig(
+        app="adpcm", input_bytes=2 * 1024, dpram_bytes=4 * 1024,
+        policy="lru", access_cycles=3,
+    ),
+    CellConfig(
+        app="idea", input_bytes=4 * 1024, dpram_bytes=4 * 1024,
+        tenants=2, tenant_mix="adpcm+idea",
+    ),
+    CellConfig(
+        app="synthetic", input_bytes=4 * 1024, dpram_bytes=4 * 1024,
+        tenants=3, tenant_mix="synthetic:2+adpcm", sched="wrr",
+    ),
+]
+
+
 def golden_configs() -> list[CellConfig]:
-    """The golden corpus, in dump order."""
+    """The golden corpus, in dump order (new lists go at the end)."""
     return (
         CURATED
         + random_configs(4)
         + random_synthetic_configs(4)
         + smoke_configs()
+        + EVENT_ORDER
     )
 
 
