@@ -272,9 +272,10 @@ class CoprocessorSession:
             self.services.fpga_execute(self.process, list(params))
             own = self._own_objects()
             total_bytes = sum(obj.size for obj in own.values())
-            deadline = (
-                system.engine.now
-                + system.fabric_ticks_limit(total_bytes)
+            # The livelock guard budgets fabric time only: fault service
+            # between windows is OS time and must not use it up.
+            budget_ps = (
+                system.fabric_ticks_limit(total_bytes)
                 * self.bitstream.iface_frequency.period_ps
             )
             while not self.vim.execution_done:
@@ -282,9 +283,11 @@ class CoprocessorSession:
                 hw_start = system.engine.now
                 arrived = system.engine.run_until(
                     lambda: bool(system.interrupts.pending_unmasked()),
-                    max_time_ps=deadline,
+                    max_time_ps=hw_start + budget_ps,
                 )
-                measurement.add_hw(system.engine.now - hw_start)
+                hw_ps = system.engine.now - hw_start
+                budget_ps -= hw_ps
+                measurement.add_hw(hw_ps)
                 System.stop_clocks(self.domains)
                 if not arrived:
                     raise VimError(f"{name}: clocks drained without an interrupt")

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from repro.apps import adpcm, workloads
+from repro.coproc.base import Coprocessor
+from repro.coproc.bitstream import Bitstream
 from repro.coproc.kernels import adpcm as adpcm_core
 from repro.coproc.kernels import vector_add as vadd_core
 from repro.core.session import CoprocessorSession
 from repro.core.system import System
-from repro.errors import FpgaError, VimError
+from repro.errors import FpgaError, SimulationError, VimError
+from repro.hw.fpga import PldResources
+from repro.imu.imu import INT_PLD_LINE
 from repro.os.vim.objects import Hint
+from repro.sim.time import mhz
 
 
 def vadd_session(system=None):
@@ -139,3 +144,80 @@ class TestHints:
             session.map_output(1, "out", 4 * size)
             with pytest.raises(VimError, match="pinned"):
                 session.execute([size])
+
+
+class _ComputeForever(Coprocessor):
+    """Never finishes: one datapath computation longer than any guard."""
+
+    name = "compute-forever"
+
+    def behavior(self):
+        yield from self.read_param(0)
+        yield from self.compute(10**9)
+
+
+class _ReadOnce(Coprocessor):
+    """Reads one word of object 0 and finishes."""
+
+    name = "read-once"
+
+    def behavior(self):
+        yield from self.read(0, 0)
+
+
+def _bitstream(core_factory):
+    return Bitstream(
+        name=core_factory.name,
+        core_factory=core_factory,
+        core_frequency=mhz(40.0),
+        resources=PldResources(logic_elements=100, memory_bits=0),
+    )
+
+
+def _tight_guard(system, edges=1_000):
+    # The default guard allows millions of edges; a short one keeps the
+    # livelock tests fast without changing what they check.
+    system.fabric_ticks_limit = lambda workload_bytes: edges
+    return system
+
+
+class TestLivelockGuard:
+    def test_core_stuck_in_one_long_compute_raises(self):
+        system = _tight_guard(System())
+        with CoprocessorSession(system, _bitstream(_ComputeForever)) as session:
+            session.map_input(0, "in", bytes(64))
+            with pytest.raises(SimulationError, match="run_until exceeded"):
+                session.execute([1])
+
+    def test_core_spinning_on_tlbhit_raises(self):
+        # INT_PLD masked: the fault is never serviced, the IMU stays in
+        # FAULT and the core waits for CP_TLBHIT forever.
+        system = _tight_guard(System())
+        session = CoprocessorSession(
+            system, _bitstream(_ReadOnce), eager_mapping=False
+        )
+        with session:
+            session.map_input(0, "in", bytes(64))
+            system.interrupts.mask(INT_PLD_LINE)
+            with pytest.raises(SimulationError, match="run_until exceeded"):
+                session.execute([1])
+            assert session.imu.stalled_on_fault
+
+    def test_fault_service_does_not_use_up_the_guard(self):
+        # About 9 200 fabric edges fit the 12 000-edge budget, but the
+        # six faults' OS service alone lasts longer than the budget:
+        # only hardware windows may count against it.
+        system = _tight_guard(System(), edges=12_000)
+        session = CoprocessorSession(
+            system, vadd_core.bitstream(), eager_mapping=False
+        )
+        with session:
+            session.map_input(0, "A", bytes(4096))
+            session.map_input(1, "B", bytes(4096))
+            session.map_output(2, "C", 4096)
+            result = session.execute([1024])
+        measurement = result.measurement
+        assert measurement.counters.page_faults == 6
+        budget_ps = 12_000 * vadd_core.bitstream().iface_frequency.period_ps
+        assert measurement.hw_ps < budget_ps
+        assert measurement.total_ps - measurement.hw_ps > budget_ps
