@@ -2,7 +2,11 @@
 
 A coprocessor core is written as a Python generator: **each ``yield``
 is one rising edge of the core's clock**, playing the role of one state
-of the VHDL finite state machine in Figure 5.  Cores interact with the
+of the VHDL finite state machine in Figure 5.  The helpers below yield
+*waits* instead of runs of bare edges: ``compute(n)`` one wait for the
+core's *n*-th edge, an access one wait for the first edge that samples
+``CP_TLBHIT`` high.  The core's clock domain counts the edges in
+between instead of running them.  Cores interact with the
 outside world only through the CP_* port helpers below, so — like the
 paper's VHDL cores — they contain *no physical address and no knowledge
 of the interface memory size*, and run unchanged against:
@@ -28,25 +32,31 @@ calls out.
 
 from __future__ import annotations
 
-from typing import Generator, Iterator
+from typing import Generator
 
 from repro.coproc.ports import DATA_BITS, PARAM_OBJECT, CoprocessorPorts
 from repro.errors import CoprocessorError
+from repro.sim.clock import UNTIL_WOKEN, Clocked
 
-#: Generator type produced by coprocessor behaviours.
-Behavior = Generator[None, None, None]
+#: Generator type produced by coprocessor behaviours.  A behaviour
+#: yields None for one edge, an int *n* for the *n*-th edge from now,
+#: or :data:`TLBHIT` for the first edge that samples CP_TLBHIT high.
+Behavior = Generator[object, None, None]
+
+#: Wait token: resume on the first edge that samples CP_TLBHIT high.
+TLBHIT = object()
 
 _DATA_MASK = (1 << DATA_BITS) - 1
 
 
-class Coprocessor:
+class Coprocessor(Clocked):
     """Base class of all coprocessor cores.
 
     Subclasses implement :meth:`behavior` as a generator and may use
     the ``read`` / ``write`` / ``read_param`` / ``compute`` helpers.
     The core is *bound* to an interface (IMU or direct wrapper) by the
-    system builder, then driven one generator step per clock edge by
-    :meth:`tick`.
+    system builder, then driven by :meth:`tick`: one generator step per
+    clock edge, except on the edges of a wait, which only count.
     """
 
     #: Human-readable core name (subclasses override).
@@ -59,6 +69,10 @@ class Coprocessor:
         self.started = False
         self.finished = False
         self.cycles = 0
+        # Edges left in a compute wait, and whether the core waits for
+        # CP_TLBHIT.
+        self._wait = 0
+        self._hit_wait = False
 
     # -- wiring ---------------------------------------------------------
 
@@ -66,6 +80,11 @@ class Coprocessor:
         """Attach the core to an interface's port bundle."""
         self.iface = iface
         self.ports = iface.ports
+        self.ports.cp_tlbhit.observe(self._tlbhit_changed)
+
+    def _tlbhit_changed(self, _signal, _time_ps: int, value: int) -> None:
+        if value and self._hit_wait:
+            self.wake()
 
     def _require_ports(self) -> CoprocessorPorts:
         if self.ports is None:
@@ -74,26 +93,50 @@ class Coprocessor:
 
     # -- clocked behaviour -----------------------------------------------
 
-    def tick(self) -> None:
+    def tick(self) -> int:
         """One rising edge of the core clock.
 
         The core idles until ``CP_START``; afterwards each edge advances
-        the behaviour generator by one step.  Exhaustion of the
-        generator asserts ``CP_FIN`` automatically.
+        the behaviour generator by one step, unless the core is in a
+        wait, whose edges only count.  Exhaustion of the generator
+        asserts ``CP_FIN`` automatically.  Returns the edges until the
+        next one the core needs (:class:`~repro.sim.clock.Clocked`).
         """
         ports = self._require_ports()
         if self.finished:
-            return
+            return UNTIL_WOKEN
         if not self.started:
             if not ports.cp_start.value:
-                return
+                return 1
             self.started = True
             self._gen = self.behavior()
         self.cycles += 1
+        if self._wait:
+            self._wait -= 1
+            return self._wait + 1
+        if self._hit_wait:
+            if not ports.cp_tlbhit.value:
+                return UNTIL_WOKEN
+            self._hit_wait = False
         try:
-            next(self._gen)  # type: ignore[arg-type]
+            wait = next(self._gen)  # type: ignore[arg-type]
         except StopIteration:
             self.finish()
+            return UNTIL_WOKEN
+        if wait is None:
+            return 1
+        if wait is TLBHIT:
+            self._hit_wait = True
+            return UNTIL_WOKEN
+        self._wait = wait - 1
+        return wait
+
+    def idle(self, edges: int) -> None:
+        """Account *edges* core edges of a wait."""
+        if self.started and not self.finished:
+            self.cycles += edges
+            if self._wait:
+                self._wait -= edges
 
     def behavior(self) -> Behavior:
         """The core FSM; subclasses must override."""
@@ -106,6 +149,9 @@ class Coprocessor:
         self.started = False
         self.finished = False
         self.cycles = 0
+        self._wait = 0
+        self._hit_wait = False
+        self.wake()
 
     def finish(self) -> None:
         """Assert CP_FIN, signalling end of operation to the interface."""
@@ -114,34 +160,37 @@ class Coprocessor:
 
     # -- interface helpers (generators: cost is in core clock cycles) ----
 
-    def read(self, obj: int, addr: int, size: int = 4) -> Generator[None, None, int]:
+    def read(
+        self, obj: int, addr: int, size: int = 4
+    ) -> Generator[object, None, int]:
         """Read ``size`` bytes at byte address *addr* of object *obj*.
 
-        The helper issues the request, then samples ``CP_TLBHIT`` every
-        core cycle; a TLB miss therefore stalls the core here, without
-        the core being aware of it — the paper's stall mechanism.
+        The helper issues the request, then waits for the first core
+        edge that samples ``CP_TLBHIT`` high; a TLB miss therefore
+        stalls the core here, without the core being aware of it — the
+        paper's stall mechanism.
         """
         ports = self._require_ports()
         ports.issue(obj, addr, write=False, size=size)
         yield
         while not ports.cp_tlbhit.value:
-            yield
+            yield TLBHIT
         data = ports.cp_din.value
         ports.retire()
         return data
 
     def write(
         self, obj: int, addr: int, value: int, size: int = 4
-    ) -> Generator[None, None, None]:
+    ) -> Generator[object, None, None]:
         """Write ``size`` bytes of *value* at byte address *addr*."""
         ports = self._require_ports()
         ports.issue(obj, addr, write=True, data=value & _DATA_MASK, size=size)
         yield
         while not ports.cp_tlbhit.value:
-            yield
+            yield TLBHIT
         ports.retire()
 
-    def read_param(self, index: int) -> Generator[None, None, int]:
+    def read_param(self, index: int) -> Generator[object, None, int]:
         """Read scalar parameter *index*.
 
         On an IMU, parameters live in the designated parameter-passing
@@ -161,7 +210,7 @@ class Coprocessor:
         value = yield from self.read(PARAM_OBJECT, index * 4, 4)
         return value
 
-    def release_params(self) -> Generator[None, None, None]:
+    def release_params(self) -> Generator[object, None, None]:
         """Declare the parameter page consumed (§3.2).
 
         "When the parameters are read, the coprocessor ... invalidates
@@ -174,7 +223,11 @@ class Coprocessor:
         self._require_ports().cp_param_done.set(1)
         yield
 
-    def compute(self, cycles: int) -> Iterator[None]:
-        """Model *cycles* clock cycles of datapath computation."""
-        for _ in range(cycles):
-            yield
+    def compute(self, cycles: int) -> Generator[object, None, None]:
+        """Model *cycles* clock cycles of datapath computation.
+
+        One wait: the code after it runs on the core's *cycles*-th edge
+        from the one that started it.
+        """
+        if cycles > 0:
+            yield cycles

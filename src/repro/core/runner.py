@@ -218,7 +218,7 @@ def run_typical(
     iface = DirectInterface(system.dpram, access_cycles=access_cycles)
     core = workload.bitstream.build_core()
     core.bind(iface)
-    domains = system.build_clock_domains(workload.bitstream, iface.tick, core.tick)
+    domains = system.build_clock_domains(workload.bitstream, iface, core)
     kernel.attach_measurement(measurement)
     try:
         # Programmer-managed layout: objects packed in id order.

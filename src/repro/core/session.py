@@ -92,7 +92,7 @@ class CoprocessorSession:
             # (re)acquired at execute time and the scheduler decides
             # who runs; the process stays READY in the run queue.
             self.domains = system.build_clock_domains(
-                bitstream, self.imu.tick, self.core.tick
+                bitstream, self.imu, self.core
             )
             self.executions = 0
             self._closed = False
@@ -137,9 +137,7 @@ class CoprocessorSession:
             kernel.detach_measurement()
         system.interrupts.register(INT_PLD_LINE, self.vim.handle_interrupt)
         system.interrupts.register(INT_DMA_LINE, self.vim.handle_dma_complete)
-        self.domains = system.build_clock_domains(
-            bitstream, self.imu.tick, self.core.tick
-        )
+        self.domains = system.build_clock_domains(bitstream, self.imu, self.core)
         self.executions = 0
         self._closed = False
 
@@ -278,11 +276,12 @@ class CoprocessorSession:
                 system.fabric_ticks_limit(total_bytes)
                 * self.bitstream.iface_frequency.period_ps
             )
+            interrupts = system.interrupts
             while not self.vim.execution_done:
                 System.start_clocks(self.domains)
                 hw_start = system.engine.now
                 arrived = system.engine.run_until(
-                    lambda: bool(system.interrupts.pending_unmasked()),
+                    lambda: interrupts.active,
                     max_time_ps=hw_start + budget_ps,
                 )
                 hw_ps = system.engine.now - hw_start

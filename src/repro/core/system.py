@@ -11,6 +11,8 @@ that no state leaks between measurements.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.coproc.bitstream import Bitstream
 from repro.hw.bus import AhbBus
 from repro.hw.dma import DmaEngine
@@ -21,7 +23,7 @@ from repro.hw.memory import Flash, Sdram
 from repro.os.costs import CpuCostModel
 from repro.os.kernel import Kernel
 from repro.core.soc import EPXA1, SocConfig
-from repro.sim.clock import ClockDomain
+from repro.sim.clock import ClockDomain, Clocked
 from repro.sim.engine import Engine
 
 
@@ -52,33 +54,37 @@ class System:
     def build_clock_domains(
         self,
         bitstream: Bitstream,
-        iface_tick,
-        core_tick,
+        iface: Clocked | Callable[[], object],
+        core: Clocked | Callable[[], object],
     ) -> list[ClockDomain]:
         """Clock the interface and the core per the bit-stream's split.
+
+        *iface* and *core* are :class:`~repro.sim.clock.Clocked`
+        components (an IMU or direct interface and its core), which run
+        only the edges they need, or plain per-edge callables.
 
         Single-domain designs (adpcm) attach the interface *before* the
         core on one clock, so a request issued on edge *n* is seen by
         the interface on edge *n+1* and the core samples results after
         the interface has driven them.  Dual-domain designs (IDEA: core
         6 MHz, IMU/memory 24 MHz) get one domain each.  Their start
-        order does not order coincident edges: every edge is scheduled
-        one period ahead (by ``start`` or by the domain's previous
-        edge) and ties run in scheduling order, so at an instant both
-        domains share, the core's edge, scheduled a whole core period
-        earlier, runs first.
+        order does not order coincident edges: every edge ranks as
+        scheduled one period ahead (by ``start`` or by the domain's
+        previous edge, run or slept through) and ties run in scheduling
+        order, so at an instant both domains share, the core's edge,
+        scheduled a whole core period earlier, runs first.
         """
         if bitstream.single_domain:
             domain = ClockDomain(self.engine, "fabric", bitstream.core_frequency)
-            domain.attach(iface_tick)
-            domain.attach(core_tick)
+            domain.attach(iface)
+            domain.attach(core)
             return [domain]
         iface_domain = ClockDomain(
             self.engine, "interface", bitstream.iface_frequency
         )
-        iface_domain.attach(iface_tick)
+        iface_domain.attach(iface)
         core_domain = ClockDomain(self.engine, "core", bitstream.core_frequency)
-        core_domain.attach(core_tick)
+        core_domain.attach(core)
         return [iface_domain, core_domain]
 
     @staticmethod

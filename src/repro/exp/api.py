@@ -167,8 +167,8 @@ def figure7(access_cycles: int = 4, pipelined: bool = False) -> Figure7Result:
     imu.tlb.insert(0, 0, frame)
     system.dpram.write_word(system.dpram.page_base(frame) + 4, 0x2A)
     domain = ClockDomain(system.engine, "fabric", mhz(40.0))
-    domain.attach(imu.tick)
-    domain.attach(core.tick)
+    domain.attach(imu)
+    domain.attach(core)
     ports = imu.ports
     probe = WaveformProbe(
         system.engine,

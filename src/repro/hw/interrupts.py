@@ -31,6 +31,10 @@ class InterruptController:
         self._masked = [False] * num_lines
         self._handlers: dict[int, Handler] = {}
         self.raised_count = [0] * num_lines
+        #: Pending, unmasked lines as a bit set (bit *n* = line *n*):
+        #: nonzero exactly when :meth:`pending_unmasked` is non-empty,
+        #: kept up to date so a hardware window's stop test is one read.
+        self.active = 0
 
     def _check(self, line: int) -> None:
         if not 0 <= line < self.num_lines:
@@ -54,21 +58,27 @@ class InterruptController:
         if not self._pending[line]:
             self._pending[line] = True
             self.raised_count[line] += 1
+            if not self._masked[line]:
+                self.active |= 1 << line
 
     def clear(self, line: int) -> None:
         """De-assert a line (done by the handler after servicing)."""
         self._check(line)
         self._pending[line] = False
+        self.active &= ~(1 << line)
 
     def mask(self, line: int) -> None:
         """Prevent a line from being dispatched."""
         self._check(line)
         self._masked[line] = True
+        self.active &= ~(1 << line)
 
     def unmask(self, line: int) -> None:
         """Allow a line to be dispatched again."""
         self._check(line)
         self._masked[line] = False
+        if self._pending[line]:
+            self.active |= 1 << line
 
     def is_pending(self, line: int) -> bool:
         """True if *line* is asserted (whether or not masked)."""
@@ -77,11 +87,8 @@ class InterruptController:
 
     def pending_unmasked(self) -> list[int]:
         """Lines that are pending and unmasked, lowest number first."""
-        return [
-            line
-            for line in range(self.num_lines)
-            if self._pending[line] and not self._masked[line]
-        ]
+        active = self.active
+        return [line for line in range(self.num_lines) if active >> line & 1]
 
     def dispatch(self) -> int:
         """Run handlers for all pending unmasked lines.

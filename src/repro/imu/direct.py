@@ -10,7 +10,9 @@ points "exceeds available memory".
 
 The same port bundle as the IMU is exposed so that the identical
 coprocessor kernel classes run against either interface; only the
-*system* differs, which is the comparison the paper makes.
+*system* differs, which is the comparison the paper makes.  The
+interface sleeps like the IMU: it runs the detection and firing edges
+of an access and wakes on a change of ``cp_req`` or ``cp_fin``.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from __future__ import annotations
 from repro.coproc.ports import CoprocessorPorts
 from repro.errors import CapacityError, HardwareError
 from repro.hw.dpram import DualPortRam
+from repro.sim.clock import UNTIL_WOKEN, Clocked
 
 
-class DirectInterface:
+class DirectInterface(Clocked):
     """Fixed-offset DP-RAM wrapper for a hand-integrated coprocessor.
 
     Parameters
@@ -47,6 +50,7 @@ class DirectInterface:
         self.writes = 0
         self.ticks = 0
         self.done = False
+        self.sense(self.ports.cp_req, self.ports.cp_fin)
 
     # -- driver-side configuration (the "platform-related details" a
     #    programmer of the typical version must manage by hand) --------
@@ -72,11 +76,17 @@ class DirectInterface:
         """Assert CP_START (driver launches the core)."""
         self.done = False
         self.ports.cp_start.set(1)
+        # With CP_FIN still high the next edge sets done again.
+        self.wake()
 
     # -- clocked behaviour --------------------------------------------
 
-    def tick(self) -> None:
-        """One rising edge of the interface clock domain."""
+    def tick(self) -> int:
+        """One rising edge of the interface clock domain.
+
+        Returns the edges until the next one the interface needs: the
+        firing edge of a pending access, none while idle.
+        """
         self.ticks += 1
         ports = self.ports
         if ports.cp_fin.value:
@@ -85,8 +95,7 @@ class DirectInterface:
             self._remaining -= 1
             if self._remaining <= 0:
                 self._fire()
-            return
-        if ports.cp_access.value and ports.cp_req.value != self._last_req:
+        elif ports.cp_access.value and ports.cp_req.value != self._last_req:
             self._last_req = ports.cp_req.value
             ports.cp_tlbhit.set(0)
             latency = self.access_cycles - 2
@@ -95,6 +104,13 @@ class DirectInterface:
             else:
                 self._pending = True
                 self._remaining = latency
+        return self._remaining if self._pending else UNTIL_WOKEN
+
+    def idle(self, edges: int) -> None:
+        """Account *edges* edges of idling or access countdown."""
+        self.ticks += edges
+        if self._pending:
+            self._remaining -= edges
 
     def _fire(self) -> None:
         ports = self.ports

@@ -28,6 +28,11 @@ The *pipelined* variant the paper announces as work in progress
 ("expected to mask almost completely the translation overhead") keeps
 the same detection handshake but completes the translation in the
 detection cycle, i.e. an effective 2-cycle access.
+
+The IMU runs only the edges on which it acts: the detection edge of a
+request, the firing edge of a translation, and every edge of a fault
+stall.  It sleeps while idle and while a translation counts down; a
+change on ``cp_req``, ``cp_fin`` or ``cp_param_done`` wakes it.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from repro.hw.dpram import DualPortRam
 from repro.hw.interrupts import InterruptController
 from repro.imu.registers import AddressRegister, ControlRegister, StatusRegister
 from repro.imu.tlb import Tlb
+from repro.sim.clock import UNTIL_WOKEN, Clocked
 
 #: Interrupt line used by the IMU (INT_PLD in Figure 4).
 INT_PLD_LINE = 0
@@ -53,7 +59,7 @@ class ImuState(Enum):
     FAULT = "fault"
 
 
-class Imu:
+class Imu(Clocked):
     """Interface Management Unit: CAM TLB + AR/SR/CR + translation FSM.
 
     Parameters
@@ -139,13 +145,19 @@ class Imu:
         self.fault_stall_cycles = 0
         self.translate_cycles = 0
         self.ticks = 0
+        self.sense(self.ports.cp_req, self.ports.cp_fin, self.ports.cp_param_done)
 
     # ------------------------------------------------------------------
     # Clocked behaviour
     # ------------------------------------------------------------------
 
-    def tick(self) -> None:
-        """One rising edge of the IMU clock domain."""
+    def tick(self) -> int:
+        """One rising edge of the IMU clock domain.
+
+        Returns the edges until the next one the IMU needs
+        (:class:`~repro.sim.clock.Clocked`): every edge of a fault
+        stall, the firing edge of a translation, none while idle.
+        """
         self.ticks += 1
         ports = self.ports
         if ports.cp_fin.value and not self.sr.done:
@@ -162,6 +174,20 @@ class Imu:
                 self._fire()
         elif self.state is ImuState.FAULT:
             self.fault_stall_cycles += 1
+        if self.state is ImuState.TRANSLATE:
+            return self._remaining
+        if self.state is ImuState.FAULT:
+            return 1
+        return UNTIL_WOKEN
+
+    def idle(self, edges: int) -> None:
+        """Account *edges* edges of idling or translation countdown."""
+        self.ticks += edges
+        if self.state is ImuState.TRANSLATE:
+            self.translate_cycles += edges
+            self._remaining -= edges
+        elif self.state is ImuState.FAULT:
+            self.fault_stall_cycles += edges
 
     def tag(self, obj: int) -> int:
         """Widen a CP_OBJ value with the active ASID (CAM match tag).
@@ -273,6 +299,8 @@ class Imu:
         """Clear the done status after end-of-operation service."""
         self.sr.clear(StatusRegister.DONE)
         self.interrupts.clear(self.irq_line)
+        # With CP_FIN still high the next edge finishes again.
+        self.wake()
 
     def reset(self, keep_tlb: bool = False) -> None:
         """Reset FSM and ports for a fresh execution.

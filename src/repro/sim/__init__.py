@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate (engine, clocks, signals, time)."""
 
-from repro.sim.clock import ClockDomain
+from repro.sim.clock import UNTIL_WOKEN, ClockDomain, Clocked
 from repro.sim.engine import Engine
 from repro.sim.signal import Signal, SignalBundle
 from repro.sim.time import (
@@ -20,6 +20,8 @@ from repro.sim.time import (
 
 __all__ = [
     "ClockDomain",
+    "Clocked",
+    "UNTIL_WOKEN",
     "Engine",
     "Signal",
     "SignalBundle",

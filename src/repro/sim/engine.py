@@ -9,6 +9,12 @@ instruction) advances time in bulk with :meth:`Engine.advance`.
 ordering for simultaneous events.  It is intentionally minimal because
 the paper's claims are about *architectural* interleavings (faults,
 stalls, copies), not about electrical timing.
+
+Simultaneous events run in the order they were scheduled.  An event
+may instead state the instant it counts as scheduled at (``since``):
+a clock domain that sleeps through idle edges schedules the edge it
+wakes on as if the edge before it had scheduled it, so that edge ties
+with other events exactly as under per-edge ticking.
 """
 
 from __future__ import annotations
@@ -22,15 +28,19 @@ from repro.errors import SimulationError
 class Engine:
     """An integer-picosecond discrete-event simulator.
 
-    Events are ``(time, sequence, callback)`` triples kept in a binary
-    heap; the sequence number makes ordering of simultaneous events
-    deterministic (FIFO in scheduling order), which keeps every
-    experiment in the repository exactly reproducible.
+    Events are ``(time, since, sequence, callback)`` entries kept in a
+    binary heap, where *since* is the instant the event was scheduled
+    at.  Simultaneous events therefore run in scheduling order (FIFO,
+    the sequence number breaking ties within one instant), which keeps
+    every experiment in the repository exactly reproducible.
     """
 
     def __init__(self) -> None:
         self._now = 0
-        self._queue: list[tuple[int, int, Callable[[], Any]]] = []
+        # Scheduling instant of the event running now (or run last);
+        # after advance() the deadline, since everything up to it ran.
+        self._since = 0
+        self._queue: list[tuple[int, int, int, Callable[[], Any]]] = []
         self._seq = 0
         self._cancelled: set[int] = set()
         # Handles currently live in the heap (scheduled, not yet run,
@@ -46,6 +56,16 @@ class Engine:
         """Current simulated time in picoseconds."""
         return self._now
 
+    @property
+    def since(self) -> int:
+        """The instant the event running now was scheduled at.
+
+        Together with :attr:`now` it places a would-be event at the
+        current instant: one scheduled at an earlier instant than
+        ``since`` would already have run, one scheduled later would not.
+        """
+        return self._since
+
     def schedule(self, delay_ps: int, callback: Callable[[], Any]) -> int:
         """Schedule *callback* to run ``delay_ps`` from now.
 
@@ -55,15 +75,27 @@ class Engine:
             raise SimulationError(f"cannot schedule in the past ({delay_ps} ps)")
         return self.schedule_at(self._now + delay_ps, callback)
 
-    def schedule_at(self, time_ps: int, callback: Callable[[], Any]) -> int:
-        """Schedule *callback* at absolute time ``time_ps``."""
+    def schedule_at(
+        self,
+        time_ps: int,
+        callback: Callable[[], Any],
+        since: int | None = None,
+    ) -> int:
+        """Schedule *callback* at absolute time ``time_ps``.
+
+        *since* (default: now) is the instant the event ranks as
+        scheduled at among simultaneous events.
+        """
         if time_ps < self._now:
             raise SimulationError(
                 f"cannot schedule at {time_ps} ps, now is {self._now} ps"
             )
         handle = self._seq
         self._seq += 1
-        heapq.heappush(self._queue, (time_ps, handle, callback))
+        heapq.heappush(
+            self._queue,
+            (time_ps, self._now if since is None else since, handle, callback),
+        )
         self._live.add(handle)
         return handle
 
@@ -84,28 +116,33 @@ class Engine:
 
     def peek(self) -> int | None:
         """Time of the next live event, or None when the queue is empty."""
-        while self._queue and self._queue[0][1] in self._cancelled:
-            _, handle, _ = heapq.heappop(self._queue)
-            self._cancelled.discard(handle)
+        self._purge()
         return self._queue[0][0] if self._queue else None
 
-    def _pop(self) -> tuple[int, int, Callable[[], Any]] | None:
+    def _purge(self) -> None:
+        """Drop cancelled entries from the top of the heap."""
+        queue = self._queue
+        cancelled = self._cancelled
+        while queue and queue[0][2] in cancelled:
+            cancelled.discard(heapq.heappop(queue)[2])
+
+    def _pop(self) -> tuple[int, int, int, Callable[[], Any]] | None:
         while self._queue:
-            time_ps, handle, callback = heapq.heappop(self._queue)
+            entry = heapq.heappop(self._queue)
+            handle = entry[2]
             if handle in self._cancelled:
                 self._cancelled.discard(handle)
                 continue
             self._live.discard(handle)
-            return time_ps, handle, callback
+            return entry
         return None
 
     def step(self) -> bool:
         """Run the earliest pending event.  Returns False if none left."""
-        item = self._pop()
-        if item is None:
+        entry = self._pop()
+        if entry is None:
             return False
-        time_ps, _, callback = item
-        self._now = time_ps
+        self._now, self._since, _, callback = entry
         callback()
         return True
 
@@ -122,22 +159,21 @@ class Engine:
         uses against livelocked hardware.
         """
         while not predicate():
-            item = self._pop()
-            if item is None:
+            entry = self._pop()
+            if entry is None:
                 return False
-            time_ps, handle, callback = item
-            if max_time_ps is not None and time_ps > max_time_ps:
+            if max_time_ps is not None and entry[0] > max_time_ps:
                 # Put it back under its original handle: the caller may
                 # want to continue later, and the event must stay
                 # cancellable and keep its FIFO rank among simultaneous
                 # events.
-                heapq.heappush(self._queue, (time_ps, handle, callback))
-                self._live.add(handle)
+                heapq.heappush(self._queue, entry)
+                self._live.add(entry[2])
                 raise SimulationError(
                     f"run_until exceeded {max_time_ps} ps without satisfying "
                     f"predicate (now={self._now} ps)"
                 )
-            self._now = time_ps
+            self._now, self._since, _, callback = entry
             callback()
         return True
 
@@ -156,16 +192,12 @@ class Engine:
             # Purge cancelled entries so the peek sees the next *live*
             # event; otherwise step() could skip past the deadline and
             # the final assignment would move time backwards.
-            while self._queue and self._queue[0][1] in self._cancelled:
-                _, handle, _ = heapq.heappop(self._queue)
-                self._cancelled.discard(handle)
-            if not self._queue:
-                break
-            time_ps, _, _ = self._queue[0]
-            if time_ps > deadline:
+            self._purge()
+            if not self._queue or self._queue[0][0] > deadline:
                 break
             self.step()
         self._now = deadline
+        self._since = deadline
 
     def drain(self, max_events: int = 10_000_000) -> int:
         """Run every pending event; returns the number executed."""

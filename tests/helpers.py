@@ -113,13 +113,13 @@ def make_imu_rig(
     core = ScriptCore(script)
     core.bind(imu)
     domain = ClockDomain(engine, "imu", mhz(imu_mhz))
-    domain.attach(imu.tick)
+    domain.attach(imu)
     extra = []
     if core_mhz is None:
-        domain.attach(core.tick)
+        domain.attach(core)
     else:
         core_domain = ClockDomain(engine, "core", mhz(core_mhz))
-        core_domain.attach(core.tick)
+        core_domain.attach(core)
         extra.append(core_domain)
     return ImuRig(engine, interrupts, dpram, imu, core, domain, extra)
 
@@ -135,6 +135,6 @@ def make_direct_rig(
     core = ScriptCore(script)
     core.bind(iface)
     domain = ClockDomain(engine, "fabric", mhz(40.0))
-    domain.attach(iface.tick)
-    domain.attach(core.tick)
+    domain.attach(iface)
+    domain.attach(core)
     return engine, dpram, iface, core, domain

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.clock import ClockDomain
+from repro.sim.clock import UNTIL_WOKEN, ClockDomain, Clocked
 from repro.sim.engine import Engine
 from repro.sim.time import mhz
+from tests.helpers import make_imu_rig
 
 
 class TestTicking:
@@ -200,3 +201,130 @@ class TestOrdering:
         with pytest.raises(SimulationError):
             engine.run_until(lambda: False, max_time_ps=35_000)
         assert (engine.now, domain.cycles) == (30_000, 3)
+
+
+class Sleeper(Clocked):
+    """Logs each edge it runs, then sleeps for the next scripted wait.
+
+    Past the end of *waits* it asks for every edge; ``ticks`` counts
+    the edges run or slept through, as a per-edge component would.
+    """
+
+    def __init__(self, engine: Engine, name: str, log: list, waits=()):
+        self.engine = engine
+        self.name = name
+        self.log = log
+        self.waits = list(waits)
+        self.ticks = 0
+
+    def tick(self) -> int:
+        self.ticks += 1
+        self.log.append((self.name, self.engine.now))
+        return self.waits.pop(0) if self.waits else 1
+
+    def idle(self, edges: int) -> None:
+        self.ticks += edges
+
+
+class TestSleepWake:
+    """Edges a handler sleeps through keep the per-edge event order.
+
+    A sleeping handler's next edge ranks as if the edges before it had
+    run, so every tie below resolves as in :class:`TestOrdering`.
+    """
+
+    def test_woken_fast_edge_runs_after_shared_slow_edge(self, engine: Engine):
+        log = []
+        fast = ClockDomain(engine, "fastclk", mhz(100.0))
+        slow = ClockDomain(engine, "slowclk", mhz(25.0))
+        sleeper = Sleeper(engine, "f", log, [UNTIL_WOKEN])
+        fast.attach(sleeper)
+
+        def slow_edge():
+            log.append(("s", engine.now))
+            sleeper.wake()
+
+        slow.attach(slow_edge)
+        fast.start()
+        slow.start()
+        engine.run_until(lambda: len(log) >= 5)
+        fast.stop()
+        slow.stop()
+        assert log == [
+            ("f", 10_000), ("s", 40_000), ("f", 40_000),
+            ("f", 50_000), ("f", 60_000),
+        ]
+        assert (fast.cycles, fast.executed, sleeper.ticks) == (6, 4, 6)
+
+    def test_one_shot_inside_sleep_stops_before_coincident_edge(
+        self, engine: Engine
+    ):
+        log = []
+        domain = ClockDomain(engine, "d", mhz(100.0))
+        domain.attach(Sleeper(engine, "edge", log, [5]))
+        engine.schedule_at(30_000, lambda: log.append(("shot", engine.now)))
+        domain.start()
+        engine.run_until(lambda: len(log) >= 2)
+        domain.stop()
+        assert log == [("edge", 10_000), ("shot", 30_000)]
+        assert (engine.now, domain.cycles, domain.executed) == (30_000, 2, 1)
+
+    def test_stop_mid_sleep_settles_and_restart_resumes(self, engine: Engine):
+        log = []
+        domain = ClockDomain(engine, "d", mhz(100.0))
+        sleeper = Sleeper(engine, "edge", log, [6])
+        domain.attach(sleeper)
+        domain.start()
+        engine.advance(35_000)  # edges 1-3 pass; only edge 1 runs
+        domain.stop()
+        assert (domain.cycles, domain.executed, sleeper.ticks) == (3, 1, 3)
+        engine.advance(1_000_000)
+        domain.start()  # four edges of the sleep are left
+        engine.run_until(lambda: len(log) >= 2)
+        domain.stop()
+        assert log == [("edge", 10_000), ("edge", 1_075_000)]
+        assert (domain.cycles, domain.executed, sleeper.ticks) == (7, 2, 7)
+
+    def test_wake_while_stopped_runs_first_edge_after_start(
+        self, engine: Engine
+    ):
+        log = []
+        domain = ClockDomain(engine, "d", mhz(100.0))
+        sleeper = Sleeper(engine, "edge", log, [UNTIL_WOKEN, UNTIL_WOKEN])
+        domain.attach(sleeper)
+        domain.start()
+        engine.advance(25_000)
+        domain.stop()
+        engine.advance(100_000)
+        sleeper.wake()  # e.g. the OS resetting the component
+        domain.start()
+        engine.advance(50_000)
+        domain.stop()
+        assert log == [("edge", 10_000), ("edge", 135_000)]
+        assert (domain.cycles, domain.executed, sleeper.ticks) == (7, 2, 7)
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["one-domain", "6-24MHz"])
+    def test_imu_rig_waits_match_per_edge_ticking(self, dual: bool):
+        # Stamps and counts measured with every edge run.
+        kwargs = {"core_mhz": 6.0, "imu_mhz": 24.0, "sync_cycles": 6} if dual else {}
+        rig = make_imu_rig(
+            [("read", 0, 4), ("compute", 7), ("write", 0, 8, 5),
+             ("compute", 3), ("read", 0, 8)],
+            **kwargs,
+        )
+        rig.imu.tlb.insert(0, 0, 2)
+        rig.dpram.write_word(rig.dpram.page_base(2) + 4, 0x11)
+        rig.run()
+        assert rig.core.stamps == [4, 11, 14, 17, 20]
+        assert rig.core.results == [0x11, None, None, None, 5]
+        assert rig.core.cycles == 20
+        domains = [rig.domain, *rig.extra_domains]
+        if dual:
+            assert (rig.imu.ticks, rig.imu.translate_cycles) == (79, 24)
+            assert [d.cycles for d in domains] == [79, 20]
+            assert rig.engine.now == 3_333_340
+        else:
+            assert (rig.imu.ticks, rig.imu.translate_cycles) == (20, 6)
+            assert [d.cycles for d in domains] == [20]
+            assert rig.engine.now == 500_000
+        assert all(d.executed < d.cycles for d in domains)
