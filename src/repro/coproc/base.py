@@ -40,10 +40,12 @@ from repro.sim.clock import UNTIL_WOKEN, Clocked
 
 #: Generator type produced by coprocessor behaviours.  A behaviour
 #: yields None for one edge, an int *n* for the *n*-th edge from now,
-#: or :data:`TLBHIT` for the first edge that samples CP_TLBHIT high.
+#: or :data:`TLBHIT` for the first later edge that samples CP_TLBHIT
+#: high.
 Behavior = Generator[object, None, None]
 
-#: Wait token: resume on the first edge that samples CP_TLBHIT high.
+#: Wait token: resume on the first later edge that samples CP_TLBHIT
+#: high.
 TLBHIT = object()
 
 _DATA_MASK = (1 << DATA_BITS) - 1
@@ -84,7 +86,10 @@ class Coprocessor(Clocked):
 
     def _tlbhit_changed(self, _signal, _time_ps: int, value: int) -> None:
         if value and self._hit_wait:
-            self.wake()
+            # wake(), inlined: this runs on every access.
+            waker = self._waker
+            if waker is not None:
+                waker()
 
     def _require_ports(self) -> CoprocessorPorts:
         if self.ports is None:
@@ -126,8 +131,11 @@ class Coprocessor(Clocked):
         if wait is None:
             return 1
         if wait is TLBHIT:
+            # A high CP_TLBHIT still belongs to the previous access:
+            # sample it again on the next edge, once the interface has
+            # seen the request.
             self._hit_wait = True
-            return UNTIL_WOKEN
+            return 1 if ports.cp_tlbhit.value else UNTIL_WOKEN
         self._wait = wait - 1
         return wait
 
@@ -172,9 +180,7 @@ class Coprocessor(Clocked):
         """
         ports = self._require_ports()
         ports.issue(obj, addr, write=False, size=size)
-        yield
-        while not ports.cp_tlbhit.value:
-            yield TLBHIT
+        yield TLBHIT
         data = ports.cp_din.value
         ports.retire()
         return data
@@ -185,9 +191,7 @@ class Coprocessor(Clocked):
         """Write ``size`` bytes of *value* at byte address *addr*."""
         ports = self._require_ports()
         ports.issue(obj, addr, write=True, data=value & _DATA_MASK, size=size)
-        yield
-        while not ports.cp_tlbhit.value:
-            yield TLBHIT
+        yield TLBHIT
         ports.retire()
 
     def read_param(self, index: int) -> Generator[object, None, int]:

@@ -74,7 +74,10 @@ class Clocked:
             signal.observe(self._sensed)
 
     def _sensed(self, _signal, _time_ps: int, _value: int) -> None:
-        self.wake()
+        # wake(), inlined: this runs on every access.
+        waker = self._waker
+        if waker is not None:
+            waker()
 
 
 class _Slot:

@@ -116,15 +116,10 @@ class Engine:
 
     def peek(self) -> int | None:
         """Time of the next live event, or None when the queue is empty."""
-        self._purge()
+        while self._queue and self._queue[0][2] in self._cancelled:
+            _, _, handle, _ = heapq.heappop(self._queue)
+            self._cancelled.discard(handle)
         return self._queue[0][0] if self._queue else None
-
-    def _purge(self) -> None:
-        """Drop cancelled entries from the top of the heap."""
-        queue = self._queue
-        cancelled = self._cancelled
-        while queue and queue[0][2] in cancelled:
-            cancelled.discard(heapq.heappop(queue)[2])
 
     def _pop(self) -> tuple[int, int, int, Callable[[], Any]] | None:
         while self._queue:
@@ -192,8 +187,12 @@ class Engine:
             # Purge cancelled entries so the peek sees the next *live*
             # event; otherwise step() could skip past the deadline and
             # the final assignment would move time backwards.
-            self._purge()
-            if not self._queue or self._queue[0][0] > deadline:
+            while self._queue and self._queue[0][2] in self._cancelled:
+                _, _, handle, _ = heapq.heappop(self._queue)
+                self._cancelled.discard(handle)
+            if not self._queue:
+                break
+            if self._queue[0][0] > deadline:
                 break
             self.step()
         self._now = deadline
