@@ -138,6 +138,7 @@ class ClockDomain:
         # running now (-1 outside the domain's own edge).
         self._edge = 0
         self._active = -1
+        # The edge event's callback, bound once instead of once per edge.
         self._run_edge = self._tick
 
     def attach(self, handler: Callable[[], object] | Clocked) -> None:
