@@ -56,9 +56,9 @@ class Coprocessor(Clocked):
 
     Subclasses implement :meth:`behavior` as a generator and may use
     the ``read`` / ``write`` / ``read_param`` / ``compute`` helpers.
-    The core is *bound* to an interface (IMU or direct wrapper) by the
-    system builder, then driven by :meth:`tick`: one generator step per
-    clock edge, except on the edges of a wait, which only count.
+    The core is *bound* to an interface (IMU or direct wrapper) when the
+    system is assembled, then driven by :meth:`tick`: one generator step
+    per clock edge, except on the edges of a wait, which only count.
     """
 
     #: Human-readable core name (subclasses override).

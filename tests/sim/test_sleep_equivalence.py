@@ -81,7 +81,7 @@ def _run(sleeping: bool, seed: int, other_mhz: float) -> tuple[list, int, int]:
             handler.wake()
 
     other.attach(other_edge)
-    driver = random.Random(seed + 2)
+    plan = random.Random(seed + 2)
     for _window in range(12):
         stop = [False]
 
@@ -94,10 +94,10 @@ def _run(sleeping: bool, seed: int, other_mhz: float) -> tuple[list, int, int]:
         start = engine.now
         shots = [
             engine.schedule_at(
-                start + driver.randrange(1, 40) * PERIOD_PS,
-                lambda kind=driver.choice(("stop", "wake", "both")): shot(kind),
+                start + plan.randrange(1, 40) * PERIOD_PS,
+                lambda kind=plan.choice(("stop", "wake", "both")): shot(kind),
             )
-            for _ in range(driver.randrange(1, 4))
+            for _ in range(plan.randrange(1, 4))
         ]
         shots.append(engine.schedule_at(start + 45 * PERIOD_PS, lambda: shot("stop")))
         domain.start()
@@ -108,7 +108,7 @@ def _run(sleeping: bool, seed: int, other_mhz: float) -> tuple[list, int, int]:
         for handle in shots:
             engine.cancel(handle)
         log.append(("stop", engine.now, domain.cycles, handler.edges))
-        engine.advance(driver.choice((0, 5_000, PERIOD_PS, 123_456)))
+        engine.advance(plan.choice((0, 5_000, PERIOD_PS, 123_456)))
     return log, domain.cycles, domain.executed
 
 
