@@ -225,6 +225,36 @@ EVENT_ORDER = [
     ),
 ]
 
+#: TLB-state corners: second-chance, the one policy that writes through
+#: TLB entries (it clears their reference bits), on sequential, random
+#: and contended cells; and a TLB smaller than the frame count, whose
+#: refills take the displacement and shadow-dirty paths, alone and
+#: with two tenants sharing the TLB.
+TLB_STATE = [
+    CellConfig(
+        app="adpcm", input_bytes=4 * 1024, dpram_bytes=4 * 1024,
+        policy="second-chance",
+    ),
+    CellConfig(
+        app="synthetic", input_bytes=8 * 1024, dpram_bytes=4 * 1024,
+        page_bytes=512, policy="second-chance",
+        syn_locality_pct=50, syn_read_pct=50,
+    ),
+    CellConfig(
+        app="synthetic", input_bytes=8 * 1024, dpram_bytes=4 * 1024,
+        page_bytes=512, policy="lru", tlb_capacity=4, syn_read_pct=30,
+    ),
+    CellConfig(
+        app="synthetic", input_bytes=4 * 1024, dpram_bytes=4 * 1024,
+        tenants=2, policy="second-chance",
+    ),
+    CellConfig(
+        app="synthetic", input_bytes=4 * 1024, dpram_bytes=4 * 1024,
+        page_bytes=512, tenants=2, tenant_mix="synthetic+adpcm",
+        policy="lru", tlb_capacity=4,
+    ),
+]
+
 
 def golden_configs() -> list[CellConfig]:
     """The golden corpus, in dump order (new lists go at the end)."""
@@ -234,6 +264,7 @@ def golden_configs() -> list[CellConfig]:
         + random_synthetic_configs(4)
         + smoke_configs()
         + EVENT_ORDER
+        + TLB_STATE
     )
 
 
