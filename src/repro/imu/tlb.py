@@ -3,147 +3,54 @@
 "The key part of the IMU is actually the TLB that performs address
 translation for coprocessor accesses" (§3.2).  An entry maps a virtual
 page — the pair *(object id, virtual page number within the object)* —
-to a physical page of the dual-port RAM, and carries validity and
-dirtiness information exactly like a processor TLB.
+to a physical page of the dual-port RAM, and carries dirtiness
+information exactly like a processor TLB.
 
 On the EPXA1 prototype the TLB was built from the PLD's content
-addressable memories.  Here the CAM state lives in flat parallel
-columns (stdlib ``array`` rows per slot: obj, vpage, ppage, valid,
-dirty, last_used, referenced) indexed by two hash maps — the match tag
-``(obj, vpage) -> slot`` and the reverse ``ppage -> slot`` — which
-preserves the architectural property that matters (fully associative,
-single-match lookup) while making every query O(1) and the bulk
-queries (flush set, victim scan) single passes over the columns.
+addressable memories; here the CAM is a dict keyed by (obj, vpage),
+which preserves the architectural property that matters: fully
+associative, single-match lookup.  A second dict indexes the entries by
+physical page, for the replacement policies that read the usage assist
+of a candidate frame.
 
-:class:`TlbEntry` objects handed out by the query methods are live
-*views* of their slot: mutations through them (``entry.dirty = True``)
-hit the columns directly, and hardware-side updates (the usage assist
-on a hit) are visible through previously returned views.  When a
-translation is invalidated — or displaced by a reinstall — its view is
-detached with the final values frozen in, so held references keep
-reading the removed translation and can never alias a reused slot.
+An entry is valid exactly while it is in the CAM.  A removed entry is
+simply dropped: a caller still holding it keeps reading its last
+values, and writing to it no longer reaches the TLB.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 from repro.errors import HardwareError
 
 
 class TlbEntry:
-    """One translation: (obj, vpage) -> ppage, with valid/dirty bits.
+    """One translation: (obj, vpage) -> ppage, with a dirty bit.
 
     ``last_used`` and ``referenced`` are the usage assist for
     recency-based replacement (the hardware updates them on every hit;
     the VIM reads and clears them through the register interface).
-
-    A live entry is a view over its TLB slot; a detached one (its
-    translation was removed) is a plain value snapshot.
     """
 
-    __slots__ = (
-        "obj", "vpage", "_tlb", "_slot",
-        "_ppage", "_valid", "_dirty", "_last_used", "_referenced",
-    )
+    __slots__ = ("obj", "vpage", "ppage", "dirty", "last_used", "referenced")
 
-    def __init__(self, tlb: "Tlb | None", slot: int, obj: int, vpage: int) -> None:
+    def __init__(self, obj: int, vpage: int, ppage: int, dirty: bool = False) -> None:
         self.obj = obj
         self.vpage = vpage
-        self._tlb = tlb
-        self._slot = slot
+        self.ppage = ppage
+        self.dirty = dirty
+        self.last_used = 0
+        self.referenced = False
 
     def key(self) -> tuple[int, int]:
         """The CAM match tag of this entry."""
         return (self.obj, self.vpage)
 
-    def _detach(self) -> None:
-        """Freeze the current slot values and sever the slot binding."""
-        tlb = self._tlb
-        if tlb is None:
-            return
-        slot = self._slot
-        self._ppage = tlb._col_ppage[slot]
-        self._valid = bool(tlb._col_valid[slot])
-        self._dirty = bool(tlb._col_dirty[slot])
-        self._last_used = tlb._col_last_used[slot]
-        self._referenced = bool(tlb._col_referenced[slot])
-        self._tlb = None
-
-    @property
-    def ppage(self) -> int:
-        tlb = self._tlb
-        return tlb._col_ppage[self._slot] if tlb is not None else self._ppage
-
-    @ppage.setter
-    def ppage(self, value: int) -> None:
-        tlb = self._tlb
-        if tlb is not None:
-            tlb._col_ppage[self._slot] = value
-        else:
-            self._ppage = value
-
-    @property
-    def valid(self) -> bool:
-        tlb = self._tlb
-        return bool(tlb._col_valid[self._slot]) if tlb is not None else self._valid
-
-    @valid.setter
-    def valid(self, value: bool) -> None:
-        tlb = self._tlb
-        if tlb is not None:
-            tlb._col_valid[self._slot] = 1 if value else 0
-        else:
-            self._valid = bool(value)
-
-    @property
-    def dirty(self) -> bool:
-        tlb = self._tlb
-        return bool(tlb._col_dirty[self._slot]) if tlb is not None else self._dirty
-
-    @dirty.setter
-    def dirty(self, value: bool) -> None:
-        tlb = self._tlb
-        if tlb is not None:
-            tlb._col_dirty[self._slot] = 1 if value else 0
-        else:
-            self._dirty = bool(value)
-
-    @property
-    def last_used(self) -> int:
-        tlb = self._tlb
-        return tlb._col_last_used[self._slot] if tlb is not None else self._last_used
-
-    @last_used.setter
-    def last_used(self, value: int) -> None:
-        tlb = self._tlb
-        if tlb is not None:
-            tlb._col_last_used[self._slot] = value
-        else:
-            self._last_used = value
-
-    @property
-    def referenced(self) -> bool:
-        tlb = self._tlb
-        return (
-            bool(tlb._col_referenced[self._slot])
-            if tlb is not None
-            else self._referenced
-        )
-
-    @referenced.setter
-    def referenced(self, value: bool) -> None:
-        tlb = self._tlb
-        if tlb is not None:
-            tlb._col_referenced[self._slot] = 1 if value else 0
-        else:
-            self._referenced = bool(value)
-
     def __repr__(self) -> str:
         return (
             f"TlbEntry(obj={self.obj}, vpage={self.vpage}, "
-            f"ppage={self.ppage}, valid={self.valid}, dirty={self.dirty}, "
+            f"ppage={self.ppage}, dirty={self.dirty}, "
             f"last_used={self.last_used}, referenced={self.referenced})"
         )
 
@@ -179,61 +86,33 @@ class Tlb:
             raise HardwareError(f"TLB capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.stats = TlbStats()
-        # Parallel columns, one row per CAM slot.
-        self._col_obj = array("q", bytes(8 * capacity))
-        self._col_vpage = array("q", bytes(8 * capacity))
-        self._col_ppage = array("q", bytes(8 * capacity))
-        self._col_valid = array("b", bytes(capacity))
-        self._col_dirty = array("b", bytes(capacity))
-        self._col_last_used = array("q", bytes(8 * capacity))
-        self._col_referenced = array("b", bytes(capacity))
-        # Match tag -> slot.  Insertion-ordered like the old dict CAM:
-        # entries()/dirty_entries() iterate in install order, which the
-        # VIM's flush and victim-displacement behaviour depends on.
-        self._slot_of: dict[tuple[int, int], int] = {}
-        # Reverse index: physical page -> slot, so invalidate_ppage and
-        # entry_for_ppage are O(1) instead of scans.  Coherent under
-        # the VIM invariant that at most one translation maps a frame.
-        self._ppage_slot: dict[int, int] = {}
-        # Cached live views, one per occupied slot.
-        self._views: list[TlbEntry | None] = [None] * capacity
-        self._free = list(range(capacity - 1, -1, -1))
+        # Insertion-ordered: entries() and dirty_entries() list the CAM
+        # in install order, which the VIM's flush and displacement
+        # order follow.
+        self._cam: dict[tuple[int, int], TlbEntry] = {}
+        # Physical page -> entry, coherent under the VIM invariant that
+        # at most one translation maps a frame.
+        self._by_ppage: dict[int, TlbEntry] = {}
 
     def __len__(self) -> int:
-        return len(self._slot_of)
+        return len(self._cam)
 
-    def _view(self, slot: int) -> TlbEntry:
-        view = self._views[slot]
-        if view is None:
-            view = TlbEntry(
-                self, slot, self._col_obj[slot], self._col_vpage[slot]
-            )
-            self._views[slot] = view
-        return view
-
-    def _release_slot(self, slot: int) -> TlbEntry:
-        """Detach the slot's view (creating one if needed) and free it."""
-        view = self._view(slot)
-        view._detach()
-        self._views[slot] = None
-        ppage = self._col_ppage[slot]
-        if self._ppage_slot.get(ppage) == slot:
-            del self._ppage_slot[ppage]
-        self._free.append(slot)
-        return view
+    def _unindex(self, entry: TlbEntry) -> None:
+        if self._by_ppage.get(entry.ppage) is entry:
+            del self._by_ppage[entry.ppage]
 
     def lookup(self, obj: int, vpage: int) -> TlbEntry | None:
         """CAM match; returns the entry on hit, ``None`` on miss."""
         stats = self.stats
         stats.lookups += 1
-        slot = self._slot_of.get((obj, vpage))
-        if slot is not None and self._col_valid[slot]:
-            stats.hits += 1
-            self._col_last_used[slot] = stats.lookups
-            self._col_referenced[slot] = 1
-            return self._view(slot)
-        stats.misses += 1
-        return None
+        entry = self._cam.get((obj, vpage))
+        if entry is None:
+            stats.misses += 1
+            return None
+        stats.hits += 1
+        entry.last_used = stats.lookups
+        entry.referenced = True
+        return entry
 
     def probe(self, obj: int, vpage: int) -> TlbEntry | None:
         """Like :meth:`lookup` but without touching the statistics.
@@ -241,10 +120,7 @@ class Tlb:
         Used by the OS model, which walks the TLB through the register
         interface rather than through the translation datapath.
         """
-        slot = self._slot_of.get((obj, vpage))
-        if slot is not None and self._col_valid[slot]:
-            return self._view(slot)
-        return None
+        return self._cam.get((obj, vpage))
 
     def insert(self, obj: int, vpage: int, ppage: int) -> TlbEntry:
         """Install a translation (done by the VIM after a page load).
@@ -255,127 +131,47 @@ class Tlb:
         would silently lose the write-back at eviction or end of
         operation.  A reinstall pointing at a different frame means the
         page was freshly loaded there, so the new entry starts clean.
+        A reinstall keeps its key's place in install order.
         """
         key = (obj, vpage)
-        slot = self._slot_of.get(key)
-        dirty = 0
-        if slot is None:
-            if len(self._slot_of) >= self.capacity:
+        old = self._cam.get(key)
+        if old is None:
+            if len(self._cam) >= self.capacity:
                 raise HardwareError(
                     f"TLB full ({self.capacity} entries); VIM must invalidate first"
                 )
-            slot = self._free.pop()
-            # A new key appends; a reinstall below reuses its slot, so
-            # the key keeps its original position in insertion order —
-            # exactly the old ``cam[key] = entry`` dict behaviour.
-            self._slot_of[key] = slot
+            dirty = False
         else:
-            if self._col_valid[slot] and self._col_ppage[slot] == ppage:
-                dirty = self._col_dirty[slot]
-            # The previous entry object dies here (the old CAM replaced
-            # it wholesale): detach its view so held references keep
-            # the pre-reinstall values, then rebind the slot.
-            view = self._views[slot]
-            if view is not None:
-                view._detach()
-                self._views[slot] = None
-            old_ppage = self._col_ppage[slot]
-            if self._ppage_slot.get(old_ppage) == slot:
-                del self._ppage_slot[old_ppage]
-        self._col_obj[slot] = obj
-        self._col_vpage[slot] = vpage
-        self._col_ppage[slot] = ppage
-        self._col_valid[slot] = 1
-        self._col_dirty[slot] = dirty
-        self._col_last_used[slot] = 0
-        self._col_referenced[slot] = 0
-        self._ppage_slot[ppage] = slot
+            self._unindex(old)
+            dirty = old.dirty and old.ppage == ppage
+        entry = TlbEntry(obj, vpage, ppage, dirty)
+        self._cam[key] = entry
+        self._by_ppage[ppage] = entry
         self.stats.insertions += 1
-        return self._view(slot)
+        return entry
 
     def invalidate(self, obj: int, vpage: int) -> TlbEntry | None:
         """Remove a translation; returns the removed entry if present."""
-        slot = self._slot_of.pop((obj, vpage), None)
-        if slot is None:
-            return None
-        self.stats.invalidations += 1
-        return self._release_slot(slot)
-
-    def invalidate_ppage(self, ppage: int) -> TlbEntry | None:
-        """Remove whichever translation maps to physical page *ppage*."""
-        slot = self._ppage_slot.get(ppage)
-        if slot is None:
-            return None
-        del self._slot_of[(self._col_obj[slot], self._col_vpage[slot])]
-        self.stats.invalidations += 1
-        return self._release_slot(slot)
+        entry = self._cam.pop((obj, vpage), None)
+        if entry is not None:
+            self.stats.invalidations += 1
+            self._unindex(entry)
+        return entry
 
     def invalidate_all(self) -> None:
         """Flush the whole TLB (done between coprocessor executions)."""
-        self.stats.invalidations += len(self._slot_of)
-        for slot in self._slot_of.values():
-            view = self._views[slot]
-            if view is not None:
-                view._detach()
-                self._views[slot] = None
-        self._slot_of.clear()
-        self._ppage_slot.clear()
-        self._free = list(range(self.capacity - 1, -1, -1))
+        self.stats.invalidations += len(self._cam)
+        self._cam.clear()
+        self._by_ppage.clear()
 
     def entries(self) -> list[TlbEntry]:
-        """Snapshot of the valid entries (OS-side inspection)."""
-        valid = self._col_valid
-        return [
-            self._view(slot)
-            for slot in self._slot_of.values()
-            if valid[slot]
-        ]
+        """Snapshot of the entries in install order (OS-side inspection)."""
+        return list(self._cam.values())
 
-    def dirty_entries(self, match=None) -> list[TlbEntry]:
-        """Valid entries with the dirty bit set (end-of-op flush set).
-
-        *match*, if given, is a predicate over the entry's object id;
-        filtering happens over the columns so no view is materialised
-        for entries outside the flush set.
-        """
-        valid = self._col_valid
-        dirty = self._col_dirty
-        objs = self._col_obj
-        return [
-            self._view(slot)
-            for slot in self._slot_of.values()
-            if valid[slot] and dirty[slot] and (match is None or match(objs[slot]))
-        ]
+    def dirty_entries(self) -> list[TlbEntry]:
+        """Entries with the dirty bit set (end-of-op flush set)."""
+        return [e for e in self._cam.values() if e.dirty]
 
     def entry_for_ppage(self, ppage: int) -> TlbEntry | None:
         """The entry currently mapping physical page *ppage*, if any."""
-        slot = self._ppage_slot.get(ppage)
-        if slot is not None and self._col_valid[slot]:
-            return self._view(slot)
-        return None
-
-    def coldest_entry(self, skip_obj=None) -> TlbEntry | None:
-        """The valid entry with the smallest ``(last_used, ppage)``.
-
-        This is the VIM's TLB-displacement victim query, run as one
-        pass over the columns.  *skip_obj* excludes entries by object
-        id (the parameter page must never be displaced).  Ties and
-        ordering match ``min()`` over insertion order: the first
-        minimal entry wins.
-        """
-        best_slot = None
-        best_rank = None
-        valid = self._col_valid
-        last_used = self._col_last_used
-        ppages = self._col_ppage
-        objs = self._col_obj
-        for slot in self._slot_of.values():
-            if not valid[slot]:
-                continue
-            if skip_obj is not None and skip_obj(objs[slot]):
-                continue
-            rank = (last_used[slot], ppages[slot])
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best_slot = slot
-        return self._view(best_slot) if best_slot is not None else None
+        return self._by_ppage.get(ppage)

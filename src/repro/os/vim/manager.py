@@ -339,17 +339,11 @@ class Vim:
         copy it issues stalls behind the draining burst.
         """
         costs = self.kernel.costs
-        # The flush set is computed by the TLB in one bulk pass over its
-        # columns; only matching entries are materialised.
-        if self.shared:
-            active = self.active_asid
-
-            def flushable(obj: int) -> bool:
-                return obj_local(obj) != PARAM_OBJECT and obj_asid(obj) == active
-        else:
-            def flushable(obj: int) -> bool:
-                return obj_local(obj) != PARAM_OBJECT
-        for entry in self.imu.tlb.dirty_entries(match=flushable):
+        for entry in self.imu.tlb.dirty_entries():
+            if obj_local(entry.obj) == PARAM_OBJECT:
+                continue
+            if self.shared and obj_asid(entry.obj) != self.active_asid:
+                continue
             mapped = self.objects.get(entry.obj)
             if mapped is None:
                 raise VimError(f"dirty page for unmapped object {entry.obj}")
@@ -498,13 +492,10 @@ class Vim:
         tlb = self.imu.tlb
         if len(tlb) < tlb.capacity or tlb.probe(obj_id, vpage) is not None:
             return
-        # One bulk column pass inside the TLB; same victim as the old
-        # min() over entries() (first minimal (last_used, ppage) wins).
-        displaced = tlb.coldest_entry(
-            skip_obj=lambda obj: obj_local(obj) == PARAM_OBJECT
-        )
-        if displaced is None:
+        victims = [e for e in tlb.entries() if obj_local(e.obj) != PARAM_OBJECT]
+        if not victims:
             raise VimError("TLB full of parameter entries; cannot displace")
+        displaced = min(victims, key=lambda e: (e.last_used, e.ppage))
         if displaced.dirty:
             self._shadow_dirty.add((displaced.obj, displaced.vpage))
         tlb.invalidate(displaced.obj, displaced.vpage)

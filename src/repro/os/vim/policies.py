@@ -9,8 +9,8 @@ they are benchmarked against each other in
 Recency-based policies need hardware support: the VIM only sees
 *faults*, so LRU and second-chance read the per-entry usage information
 the TLB maintains on every hit (`last_used`, `referenced` — the classic
-reference-bit assist, a natural extension of the TLB's existing
-validity and dirtiness bits).
+reference-bit assist, a natural extension of the TLB's existing dirty
+bit).
 """
 
 from __future__ import annotations

@@ -111,13 +111,6 @@ class TestInvalidate:
     def test_invalidate_missing_returns_none(self):
         assert Tlb(8).invalidate(0, 0) is None
 
-    def test_invalidate_by_ppage(self):
-        tlb = Tlb(8)
-        tlb.insert(0, 0, 6)
-        removed = tlb.invalidate_ppage(6)
-        assert removed is not None and removed.ppage == 6
-        assert tlb.invalidate_ppage(6) is None
-
     def test_invalidate_all(self):
         tlb = Tlb(8)
         tlb.insert(0, 0, 0)
