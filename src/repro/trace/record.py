@@ -36,6 +36,7 @@ import base64
 import gzip
 import hashlib
 import json
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -275,7 +276,7 @@ def trace_digest_of(path: str | Path) -> str:
     try:
         with gzip.open(path, "rb") as stream:
             return _read_header(stream, path)["digest"]
-    except (OSError, EOFError) as exc:
+    except (OSError, EOFError, zlib.error) as exc:
         raise TraceError(f"{path}: cannot read trace header: {exc}") from exc
 
 
@@ -293,7 +294,7 @@ def load_trace(path: str | Path) -> TraceFile:
         with gzip.open(path, "rb") as stream:
             header = _read_header(stream, path)
             body = stream.read()
-    except (OSError, EOFError) as exc:
+    except (OSError, EOFError, zlib.error) as exc:
         raise TraceError(f"{path}: cannot read trace: {exc}") from exc
     digest = hashlib.sha256(body).hexdigest()
     if digest != header["digest"]:

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.exp.record import record_cell
 from repro.exp.cell import run_cell
 from repro.exp.spec import CellConfig
@@ -40,6 +41,13 @@ def _tiny_trace(tmp_path, name="t.gz", **overrides):
     fields.update(overrides)
     path = tmp_path / name
     return path, write_trace(path, **fields)
+
+
+def _corrupt_deflate(path):
+    """Give the first deflate block the reserved block type (BTYPE 3)."""
+    data = bytearray(path.read_bytes())
+    data[10] |= 0b110  # the gzip header is 10 bytes: no file name
+    path.write_bytes(data)
 
 
 class TestTraceFormat:
@@ -79,6 +87,25 @@ class TestTraceFormat:
             out.write(b'{"format": "something-else"}\nrest')
         with pytest.raises(TraceError, match="format marker"):
             trace_digest_of(path)
+
+    @pytest.mark.parametrize("read", [trace_digest_of, load_trace],
+                             ids=["digest", "load"])
+    def test_corrupt_deflate_stream_rejected(self, tmp_path, read):
+        path, _ = _tiny_trace(tmp_path)
+        _corrupt_deflate(path)
+        with pytest.raises(TraceError, match="cannot read trace"):
+            read(path)
+
+    def test_sweep_over_a_corrupt_trace_exits_2(self, tmp_path, capsys):
+        path, _ = _tiny_trace(tmp_path)
+        _corrupt_deflate(path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--app", "trace", "--trace", str(path),
+                  "--cache", str(tmp_path / "s.sqlite")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot read trace")
+        assert err.count("\n") == 1
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(TraceError, match="does not exist"):
