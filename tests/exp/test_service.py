@@ -191,7 +191,7 @@ class TestShutdown:
         with pytest.raises(ReproError, match="shutting down"):
             _submit(service, [_config(3)])
 
-    def test_drain_honours_in_flight_completions(self, service):
+    def test_drain_honours_in_flight_completions(self, service, tmp_path):
         """Graceful shutdown: a running cell still lands its result."""
         _submit(service, [_config(1)])
         lease = service.lease("w")
@@ -203,8 +203,49 @@ class TestShutdown:
         )
         assert reply["ok"] is True
         assert service.status(1)["state"] == "done"
+        service.close()
         # The row is durable: a fresh service over the same store
         # serves the cell as a hit.
+        fresh = SweepService(tmp_path / "store", lease_timeout=10.0)
+        try:
+            resubmitted = _submit(fresh, [_config(1)])
+            assert (resubmitted["hits"], resubmitted["pending"]) == (1, 0)
+            assert fresh.status(resubmitted["job"])["state"] == "done"
+        finally:
+            fresh.close()
+
+    def test_restart_resumes_from_the_store(self, service, tmp_path):
+        """A restarted coordinator needs nothing but the store."""
+        configs = [_config(1), _config(2), _config(3)]
+        _submit(service, configs)
+        _, done = _complete_next(service)
+        in_flight = service.lease("w")
+        service.drain()
+        service.close()
+
+        restarted = SweepService(tmp_path / "store", lease_timeout=10.0)
+        try:
+            job = _submit(restarted, configs)
+            assert (job["hits"], job["pending"]) == (1, 2)
+            # The old lease died with the old board: its late
+            # completion is flagged stale and stores nothing.
+            late = CellConfig.from_dict(in_flight["config"])
+            reply = restarted.complete(
+                in_flight["lease"], _fake_result(late).to_dict()
+            )
+            assert reply == {"ok": False, "stale": True}
+            with open_store(tmp_path / "store") as store:
+                assert store.get(done) is not None
+                assert store.get(late) is None
+            assert restarted.status(job["job"])["queued"] == 2
+            _complete_next(restarted)
+            _complete_next(restarted)
+            assert restarted.lease("w") is None
+            assert restarted.status(job["job"])["state"] == "done"
+            rows = restarted.results(job["job"])
+            assert rows == [_fake_result(c).to_dict() for c in configs]
+        finally:
+            restarted.close()
 
 
 class TestEndToEnd:
