@@ -8,22 +8,11 @@ rarely but copy coarsely and leave fewer frames to allocate.  The
 expected shape is a U with the paper's 2 KB at or near the bottom.
 """
 
-from conftest import emit
-
 from repro.exp import ablation_page_size
-from repro.exp.report import render_table
 
 
-def test_abl6_page_size(benchmark):
-    rows = benchmark.pedantic(ablation_page_size, rounds=1, iterations=1)
-    emit(
-        "ABL6: page-size sweep on adpcm-8KB (16 KB DP-RAM)",
-        render_table(
-            ["page size", "total ms", "faults", "SW(DP) ms", "SW(IMU) ms"],
-            [[r.label, r.total_ms, r.page_faults, r.sw_dp_ms, r.sw_imu_ms]
-             for r in rows],
-        ),
-    )
+def test_abl6_page_size():
+    rows = ablation_page_size()
     by_label = {r.label: r for r in rows}
     # Fault count falls monotonically with page size.
     faults = [r.page_faults for r in rows]
@@ -33,4 +22,3 @@ def test_abl6_page_size(benchmark):
     assert best.label == "2048B"
     # Tiny pages pay measurably more OS time.
     assert by_label["512B"].sw_imu_ms > by_label["2048B"].sw_imu_ms
-    benchmark.extra_info["faults"] = {r.label: r.page_faults for r in rows}

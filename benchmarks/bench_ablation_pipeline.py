@@ -7,34 +7,15 @@ IMU and quantifies how much of the translation overhead pipelining
 recovers.
 """
 
-from conftest import emit
-
 from repro.exp import ablation_pipelined
-from repro.exp.report import render_table
 from repro.core.drivers import adpcm_workload, idea_workload
 
 
-def _run_both():
-    return {
+def test_abl1_pipelined_imu():
+    results = {
         "idea-8KB": ablation_pipelined(idea_workload(8 * 1024)),
         "adpcm-4KB": ablation_pipelined(adpcm_workload(4 * 1024)),
     }
-
-
-def test_abl1_pipelined_imu(benchmark):
-    results = benchmark.pedantic(_run_both, rounds=1, iterations=1)
-    table_rows = []
-    for name, (multi, pipe) in results.items():
-        gain = (multi.hw_ms - pipe.hw_ms) / multi.hw_ms
-        table_rows.append([name, multi.hw_ms, pipe.hw_ms, f"{gain * 100:.1f}%"])
-    emit(
-        "ABL1: pipelined IMU vs 4-cycle IMU (hardware time)",
-        render_table(["workload", "multi-cycle hw ms", "pipelined hw ms",
-                      "hw time recovered"], table_rows),
-    )
     for name, (multi, pipe) in results.items():
         assert pipe.total_ms < multi.total_ms, name
         assert pipe.hw_ms < multi.hw_ms, name
-    benchmark.extra_info["hw_ms"] = {
-        name: (multi.hw_ms, pipe.hw_ms) for name, (multi, pipe) in results.items()
-    }

@@ -6,30 +6,15 @@ random)."  The sweep compares all four implemented policies on the
 fault-heavy 8 KB adpcm run and on the 32 KB IDEA run.
 """
 
-from conftest import emit
-
 from repro.exp import ablation_policies
-from repro.exp.report import render_table
 from repro.core.drivers import adpcm_workload, idea_workload
 
 
-def _sweep():
-    return {
+def test_abl2_replacement_policies():
+    results = {
         "adpcm-8KB": ablation_policies(adpcm_workload(8 * 1024)),
         "idea-32KB": ablation_policies(idea_workload(32 * 1024)),
     }
-
-
-def test_abl2_replacement_policies(benchmark):
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    for name, rows in results.items():
-        emit(
-            f"ABL2: replacement policies on {name}",
-            render_table(
-                ["policy", "total ms", "faults", "SW(DP) ms"],
-                [[r.label, r.total_ms, r.page_faults, r.sw_dp_ms] for r in rows],
-            ),
-        )
     for name, rows in results.items():
         labels = [r.label for r in rows]
         assert labels == ["fifo", "lru", "random", "second-chance"], name
@@ -38,7 +23,3 @@ def test_abl2_replacement_policies(benchmark):
         best = min(r.total_ms for r in rows)
         for row in rows:
             assert row.total_ms < 1.15 * best, (name, row)
-    benchmark.extra_info["faults"] = {
-        name: {r.label: r.page_faults for r in rows}
-        for name, rows in results.items()
-    }

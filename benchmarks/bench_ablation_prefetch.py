@@ -12,27 +12,12 @@ future-work ingredient ("overlapping of processor and coprocessor
 execution"): the same prefetches now also save time.
 """
 
-from conftest import emit
-
 from repro.exp import ablation_prefetch
-from repro.exp.report import render_table
 from repro.core.drivers import adpcm_workload
 
 
-def test_abl4_prefetching(benchmark):
-    rows = benchmark.pedantic(
-        ablation_prefetch,
-        kwargs={"workload": adpcm_workload(8 * 1024)},
-        rounds=1,
-        iterations=1,
-    )
-    emit(
-        "ABL4: sequential prefetching on adpcm-8KB",
-        render_table(
-            ["prefetch", "total ms", "faults", "prefetches"],
-            [[r.label, r.total_ms, r.page_faults, r.prefetches] for r in rows],
-        ),
-    )
+def test_abl4_prefetching():
+    rows = ablation_prefetch(workload=adpcm_workload(8 * 1024))
     none, conservative, aggressive, overlapped = rows
     assert aggressive.page_faults < none.page_faults
     assert aggressive.prefetches > 0
@@ -44,4 +29,3 @@ def test_abl4_prefetching(benchmark):
     # With overlap the avoided faults become actual time savings.
     assert overlapped.page_faults == aggressive.page_faults
     assert overlapped.total_ms < none.total_ms
-    benchmark.extra_info["faults"] = {r.label: r.page_faults for r in rows}

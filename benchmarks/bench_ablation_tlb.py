@@ -6,30 +6,13 @@ faults for pages that are still resident — quantifying how much of the
 paper's design rests on the full-size CAM.
 """
 
-from conftest import emit
-
 from repro.exp import ablation_tlb_capacity
-from repro.exp.report import render_table
 from repro.core.drivers import adpcm_workload
 
 
-def test_abl5_tlb_capacity(benchmark):
-    rows = benchmark.pedantic(
-        ablation_tlb_capacity,
-        kwargs={
-            "workload": adpcm_workload(4 * 1024),
-            "capacities": (2, 4, 8),
-        },
-        rounds=1,
-        iterations=1,
-    )
-    emit(
-        "ABL5: TLB capacity sweep on adpcm-4KB (8 DP-RAM pages)",
-        render_table(
-            ["config", "total ms", "faults", "TLB refills"],
-            [[r.label, r.total_ms, r.page_faults, r.tlb_refills]
-             for r in rows],
-        ),
+def test_abl5_tlb_capacity():
+    rows = ablation_tlb_capacity(
+        workload=adpcm_workload(4 * 1024), capacities=(2, 4, 8)
     )
     two, four, eight = rows
     # Fewer TLB entries -> monotonically more translation churn and
@@ -39,4 +22,3 @@ def test_abl5_tlb_capacity(benchmark):
     assert two.tlb_refills > eight.tlb_refills
     assert two.page_faults == eight.page_faults
     assert two.total_ms > eight.total_ms
-    benchmark.extra_info["refills"] = {r.label: r.tlb_refills for r in rows}

@@ -9,39 +9,15 @@ copy path entirely (``dma`` — descriptor programming plus asynchronous
 bus time instead of per-word copy cycles).
 """
 
-from conftest import emit
-
 from repro.exp import ablation_transfers
-from repro.exp.report import render_table
 from repro.core.drivers import adpcm_workload, idea_workload
 
 
-def _sweep():
-    return {
+def test_abl3_transfer_modes():
+    results = {
         "adpcm-8KB": ablation_transfers(adpcm_workload(8 * 1024)),
         "idea-16KB": ablation_transfers(idea_workload(16 * 1024)),
     }
-
-
-def test_abl3_transfer_modes(benchmark):
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    for name, (double, single, dma) in results.items():
-        saved = double.sw_dp_ms - dma.sw_dp_ms
-        emit(
-            f"ABL3: transfer modes on {name}",
-            render_table(
-                ["mode", "total ms", "SW(DP) ms", "DMA xfers"],
-                [
-                    [double.label, double.total_ms, double.sw_dp_ms,
-                     double.dma_transfers],
-                    [single.label, single.total_ms, single.sw_dp_ms,
-                     single.dma_transfers],
-                    [dma.label, dma.total_ms, dma.sw_dp_ms,
-                     dma.dma_transfers],
-                ],
-            )
-            + f"\nDP-management time saved by DMA: {saved:.3f} ms",
-        )
     for name, (double, single, dma) in results.items():
         # Halving the copies halves SW(DP), leaves hardware untouched.
         assert abs(double.sw_dp_ms - 2 * single.sw_dp_ms) / double.sw_dp_ms < 0.01
@@ -56,7 +32,3 @@ def test_abl3_transfer_modes(benchmark):
         assert double.dma_transfers == single.dma_transfers == 0
         # Different copy engines, same page movements.
         assert dma.page_faults == double.page_faults
-    benchmark.extra_info["sw_dp_ms"] = {
-        name: (double.sw_dp_ms, single.sw_dp_ms, dma.sw_dp_ms)
-        for name, (double, single, dma) in results.items()
-    }

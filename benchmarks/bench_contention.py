@@ -9,39 +9,12 @@ scales the tenant count at a fixed per-tenant job, so the extra faults
 and the steal traffic are attributable to contention alone.
 """
 
-from conftest import emit
-
-from repro.exp.report import render_table
 from repro.exp import contention
 
 
-def _sweep():
-    return contention(
+def test_cont_tenant_scaling():
+    rows = contention(
         app="adpcm", input_kb=4, tenant_counts=(1, 2, 3), repeats=2
-    )
-
-
-def test_cont_tenant_scaling(benchmark):
-    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    emit(
-        "CONT: tenants contending for one DP-RAM (adpcm 4KB, 2 execs each)",
-        render_table(
-            ["cell", "makespan ms", "faults", "evictions", "steals"],
-            [[r.label, r.vim_ms, r.page_faults, r.evictions, r.steals]
-             for r in rows],
-        ),
-    )
-    emit(
-        "CONT: per-tenant split",
-        render_table(
-            ["tenant", "ms", "faults", "steals", "pages lost"],
-            [[f"{r.config.tenants}x/{name}", ms, faults, steals, lost]
-             for r in rows
-             for name, ms, faults, steals, lost in zip(
-                 r.tenant_labels, r.tenant_ms, r.tenant_faults,
-                 r.tenant_steals, r.tenant_pages_lost,
-             )],
-        ),
     )
     solo, *contended = rows
     # The solo baseline cannot steal from anyone.
@@ -60,9 +33,3 @@ def test_cont_tenant_scaling(benchmark):
         assert len(row.tenant_labels) == row.config.tenants
         assert sum(row.tenant_steals) == row.steals
         assert sum(row.tenant_faults) == row.page_faults
-    benchmark.extra_info["faults"] = {
-        r.label: list(r.tenant_faults) for r in rows
-    }
-    benchmark.extra_info["steals"] = {
-        r.label: list(r.tenant_steals) for r in rows
-    }

@@ -3,28 +3,20 @@
 The paper: "four cycles are needed from the moment when the
 coprocessor generates an access to the moment when the data is read or
 written", with the waveform of clk / cp_addr / cp_access / cp_tlbhit /
-cp_din.  This bench regenerates the waveform and checks the edge count,
-for both the prototype IMU and the announced pipelined variant.
+cp_din.  This test regenerates the waveform and checks the edge count,
+for both the prototype IMU and the announced pipelined variant
+(``python -m repro fig7`` prints the diagram).
 """
-
-from conftest import emit
 
 from repro.exp import figure7
 
 
-def test_fig7_read_access_timing(benchmark):
-    result = benchmark.pedantic(figure7, rounds=1, iterations=1)
-    emit("Figure 7: translated read access (4-cycle IMU)", result.diagram)
-    emit("data ready", f"edge {result.data_ready_edge} (paper: 4)")
+def test_fig7_read_access_timing():
+    result = figure7()
     assert result.data_ready_edge == 4
     assert result.value_read == 0x2A
-    benchmark.extra_info["data_ready_edge"] = result.data_ready_edge
 
 
-def test_fig7_pipelined_imu_timing(benchmark):
-    result = benchmark.pedantic(
-        figure7, kwargs={"pipelined": True}, rounds=1, iterations=1
-    )
-    emit("Figure 7 (pipelined IMU variant)", result.diagram)
+def test_fig7_pipelined_imu_timing():
+    result = figure7(pipelined=True)
     assert result.data_ready_edge == 2
-    benchmark.extra_info["data_ready_edge"] = result.data_ready_edge

@@ -3,34 +3,14 @@
 Paper series at 2/4/8 KB inputs: pure software vs the VIM-based
 coprocessor (stacked into HW, SW(DP), SW(IMU)); speedups annotated
 1.5x / 1.5x / 1.6x; no page faults at 2 KB, faults from 4 KB onwards.
+``python -m repro fig8`` prints the table.
 """
 
-from conftest import emit
-
 from repro.exp import figure8
-from repro.exp.report import render_table, stacked_bar_chart
 
 
-def test_fig8_adpcm_sw_vs_vim(benchmark):
-    rows = benchmark.pedantic(figure8, rounds=1, iterations=1)
-    table = render_table(
-        ["input", "SW ms", "VIM ms", "HW ms", "SW(DP) ms", "SW(IMU) ms",
-         "speedup", "faults"],
-        [
-            [r.label, r.sw_ms, r.vim_ms, r.hw_ms, r.sw_dp_ms, r.sw_imu_ms,
-             r.vim_speedup, r.page_faults]
-            for r in rows
-        ],
-    )
-    emit("Figure 8: adpcmdecode (SW vs VIM-based)", table)
-    chart = stacked_bar_chart(
-        [
-            (r.label, {"hw": r.hw_ms, "sw_dp": r.sw_dp_ms, "sw_imu": r.sw_imu_ms})
-            for r in rows
-        ]
-    )
-    emit("Figure 8: VIM-based time decomposition", chart)
-
+def test_fig8_adpcm_sw_vs_vim():
+    rows = figure8()
     two, four, eight = rows
     # Paper: all data fits at 2 KB -> no faults; faults from 4 KB on.
     assert two.page_faults == 0
@@ -44,5 +24,3 @@ def test_fig8_adpcm_sw_vs_vim(benchmark):
     assert eight.sw_ms < 20.0
     # "The speedup is only moderately affected" by misses.
     assert abs(eight.vim_speedup - two.vim_speedup) < 0.3
-    benchmark.extra_info["speedups"] = [round(r.vim_speedup, 2) for r in rows]
-    benchmark.extra_info["faults"] = [r.page_faults for r in rows]

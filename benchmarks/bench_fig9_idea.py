@@ -4,36 +4,17 @@ Paper series at 4/8/16/32 KB: pure software (26/53/105/211 ms), the
 normal (typical) coprocessor — which "exceeds available memory" beyond
 8 KB — and the VIM-based coprocessor.  Speedups: ~18x for the normal
 coprocessor while it fits, ~11-12x for the VIM version at every size.
+``python -m repro fig9`` prints the table.
 """
 
-from conftest import emit
-
 from repro.exp import figure9
-from repro.exp.report import render_table
 
 #: Paper-reported software times (ms) per input size (kB).
 PAPER_SW_MS = {4: 26.0, 8: 53.0, 16: 105.0, 32: 211.0}
 
 
-def test_fig9_idea_three_versions(benchmark):
-    rows = benchmark.pedantic(figure9, rounds=1, iterations=1)
-    table = render_table(
-        ["input", "SW ms", "typical ms", "typical x", "VIM ms", "VIM x", "faults"],
-        [
-            [
-                r.label,
-                r.sw_ms,
-                r.typical_ms if r.typical_fits else "exceeds memory",
-                r.typical_speedup if r.typical_fits else "-",
-                r.vim_ms,
-                r.vim_speedup,
-                r.page_faults,
-            ]
-            for r in rows
-        ],
-    )
-    emit("Figure 9: IDEA (SW vs normal coprocessor vs VIM)", table)
-
+def test_fig9_idea_three_versions():
+    rows = figure9()
     by_kb = {r.input_kb: r for r in rows}
     # Software times match the paper closely (same cost model scale).
     for kb, paper_ms in PAPER_SW_MS.items():
@@ -48,7 +29,3 @@ def test_fig9_idea_three_versions(benchmark):
         assert 9.0 < row.vim_speedup < 14.0, row
     # The VIM version keeps working where the typical one cannot.
     assert by_kb[32].vim_speedup > 9.0
-    benchmark.extra_info["vim_speedups"] = [round(r.vim_speedup, 2) for r in rows]
-    benchmark.extra_info["typical_speedups"] = [
-        round(r.typical_speedup, 2) if r.typical_fits else None for r in rows
-    ]

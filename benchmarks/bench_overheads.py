@@ -6,33 +6,19 @@ TXT1: "the software execution time for IMU management ... is up to
 TXT2: "The hardware execution time includes address translation, whose
 overhead is unfortunately not always negligible (in the IDEA case
 around 20%)."
+
+``python -m repro overheads`` prints both.
 """
 
-from conftest import emit
-
 from repro.exp import imu_overhead_rows, translation_overhead
-from repro.exp.report import render_table
 
 
-def test_txt1_imu_management_overhead(benchmark):
-    rows = benchmark.pedantic(imu_overhead_rows, rounds=1, iterations=1)
-    table = render_table(
-        ["point", "SW(IMU) fraction of total"],
-        [[label, f"{fraction * 100:.2f}%"] for label, fraction in rows],
-    )
-    emit("TXT1: IMU-management overhead (paper: up to 2.5%)", table)
+def test_txt1_imu_management_overhead():
+    rows = imu_overhead_rows()
     worst = max(fraction for _, fraction in rows)
     assert worst <= 0.025
-    benchmark.extra_info["worst_fraction_pct"] = round(worst * 100, 3)
 
 
-def test_txt2_translation_overhead(benchmark):
-    result = benchmark.pedantic(translation_overhead, rounds=1, iterations=1)
-    emit(
-        "TXT2: IDEA translation overhead (paper: ~20% of HW time)",
-        f"{result.label}: hw={result.hw_ms:.3f}ms "
-        f"translation-free hw={result.ideal_hw_ms:.3f}ms "
-        f"overhead={result.overhead_fraction * 100:.1f}%",
-    )
+def test_txt2_translation_overhead():
+    result = translation_overhead()
     assert 0.10 < result.overhead_fraction < 0.30
-    benchmark.extra_info["overhead_pct"] = round(result.overhead_fraction * 100, 1)

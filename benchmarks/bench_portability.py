@@ -6,32 +6,18 @@ recompiling the module.  The user application would immediately benefit
 without need to recompile."  Both applications run, completely
 unchanged, on all three SoC presets; larger interface memories absorb
 the working set and the fault count drops to zero.
+``python -m repro portability`` prints the table.
 """
 
-from conftest import emit
-
 from repro.exp import portability
-from repro.exp.report import render_table
 from repro.core.drivers import adpcm_workload, idea_workload
 
 
-def _sweep():
-    return {
+def test_port_same_binaries_across_devices():
+    results = {
         "adpcm-8KB": portability(adpcm_workload(8 * 1024)),
         "idea-32KB": portability(idea_workload(32 * 1024)),
     }
-
-
-def test_port_same_binaries_across_devices(benchmark):
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    for name, rows in results.items():
-        emit(
-            f"PORT: {name} across the Excalibur family",
-            render_table(
-                ["SoC", "DP-RAM", "total ms", "faults"],
-                [[r.soc, f"{r.dpram_kb}KB", r.total_ms, r.page_faults] for r in rows],
-            ),
-        )
     for name, rows in results.items():
         assert [r.soc for r in rows] == ["EPXA1", "EPXA4", "EPXA10"], name
         # The EPXA1 faults on these sizes; the EPXA10 never does.
@@ -39,6 +25,3 @@ def test_port_same_binaries_across_devices(benchmark):
         assert rows[-1].page_faults == 0, name
         # More interface memory never hurts.
         assert rows[-1].total_ms <= rows[0].total_ms, name
-    benchmark.extra_info["faults"] = {
-        name: [r.page_faults for r in rows] for name, rows in results.items()
-    }

@@ -11,10 +11,7 @@ cross-seed mean/CV columns whose noise is small enough for the
 
 from dataclasses import replace
 
-from conftest import emit
-
 from repro.exp.cell import run_cell
-from repro.exp.report import render_table
 from repro.exp.spec import CellConfig, SweepSpec
 from repro.exp.sweep import run_sweep
 
@@ -33,18 +30,8 @@ _SPEC = SweepSpec(
 )
 
 
-def test_syn_locality_moves_the_fault_rate(benchmark):
-    rows = benchmark.pedantic(
-        lambda: run_sweep(_SPEC), rounds=1, iterations=1
-    )
-    emit(
-        "SYN: locality axis (8KB synthetic, 4KB DP-RAM)",
-        render_table(
-            ["cell", "vim ms", "faults", "writebacks"],
-            [[r.label, r.vim_ms, r.page_faults, r.writebacks]
-             for r in rows],
-        ),
-    )
+def test_syn_locality_moves_the_fault_rate():
+    rows = run_sweep(_SPEC)
     by_locality = {r.config.syn_locality_pct: r for r in rows}
     # A fully-hot pattern (working set = 1 KB, fits DP-RAM) faults far
     # less than a uniform walk over the whole 8 KB object.
@@ -54,19 +41,8 @@ def test_syn_locality_moves_the_fault_rate(benchmark):
     assert faults == sorted(faults, reverse=True)
 
 
-def test_syn_replication_noise_is_bandable(benchmark):
-    row = benchmark.pedantic(
-        lambda: run_cell(replace(_BASE, replicates=5)),
-        rounds=1, iterations=1,
-    )
-    emit(
-        "SYN: 5-replicate summary (seed-to-seed noise)",
-        render_table(
-            ["metric", "mean", "CV"],
-            [["vim_ms", row.vim_ms_mean, row.vim_ms_cv],
-             ["page_faults", row.page_faults_mean, row.page_faults_cv]],
-        ),
-    )
+def test_syn_replication_noise_is_bandable():
+    row = run_cell(replace(_BASE, replicates=5))
     # Replicate 0 is the cell's own seed: primary columns are exact.
     assert row.vim_ms_mean > 0
     assert abs(row.vim_ms_mean - row.vim_ms) / row.vim_ms < 0.25

@@ -234,8 +234,7 @@ def scalar_delta(
     """Classify one (base, current) pair — the shared tolerance core.
 
     Everything that compares two numbers under the repository's
-    tolerance policy funnels through here: the cache differ, and
-    ``tools/bench_diff.py`` for benchmark JSON.
+    tolerance policy funnels through here.
     """
     delta = current - base
     changed = not within_tolerance(base, current, rtol, atol)
@@ -648,12 +647,11 @@ def diff_stores(
 # ----------------------------------------------------------------------
 
 
-def format_delta_cell(delta: MetricDelta, marker: str = " !") -> str:
+def format_delta_cell(delta: MetricDelta) -> str:
     """One regression-table cell: ``0`` when equal, else the movement.
 
-    ``base→current (+Δ, +r%)``, with *marker* appended when the delta
-    regressed.  Shared with ``tools/bench_diff.py`` so the two
-    regression tables read identically.
+    ``base→current (+Δ, +r%)``, with `` !`` appended when the delta
+    regressed.
     """
     if delta.absolute == 0:
         return "0"
@@ -661,8 +659,8 @@ def format_delta_cell(delta: MetricDelta, marker: str = " !") -> str:
         f"{format_cell(delta.base)}→{format_cell(delta.current)}"
         f"{format_delta(delta.current, delta.base)}"
     )
-    if delta.regressed and marker:
-        text += marker
+    if delta.regressed:
+        text += " !"
     return text
 
 

@@ -2,7 +2,8 @@
 
 Workload sizes here are deliberately small (hundreds of bytes to a few
 KB) so the full suite runs in seconds; the paper-scale sizes live in
-``benchmarks/``.
+the paper-claim tests under ``benchmarks/``, which ``python -m pytest
+benchmarks`` runs outside the tier-1 suite.
 """
 
 from __future__ import annotations

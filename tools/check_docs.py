@@ -93,10 +93,7 @@ _FLAG_TOKEN_RE = re.compile(r"--[a-z][a-z0-9-]*")
 #: subcommand defines them: third-party tools' options and the docs'
 #: own ``--flag`` placeholder spelling.  Extend this when documenting
 #: another tool's option in prose.
-FOREIGN_FLAGS = frozenset({
-    "--benchmark-only", "--benchmark-json", "--flag",
-    "--fail-on-wall",  # tools/bench_diff.py
-})
+FOREIGN_FLAGS = frozenset({"--flag"})
 
 
 def _rel(path: Path) -> str:
