@@ -29,6 +29,7 @@ lock is never held across simulation or I/O).
 
 from __future__ import annotations
 
+import secrets
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -125,6 +126,10 @@ class LeaseBoard:
         self._by_lease: dict[str, Task] = {}  # current lease id -> task
         self._lease_history: dict[str, str] = {}  # every lease id -> key
         self._granted = 0  # lease id counter
+        # Lease ids carry a per-board token: the counter restarts
+        # with every coordinator, and a worker still holding a
+        # lease from a previous one must not match a new lease.
+        self._token = secrets.token_hex(4)
 
     # -- intake --------------------------------------------------------
 
@@ -163,7 +168,7 @@ class LeaseBoard:
                 continue
             task.attempts += 1
             self._granted += 1
-            lease_id = f"L{self._granted}-{key[:8]}"
+            lease_id = f"L{self._granted}-{self._token}-{key[:8]}"
             task.status = "leased"
             task.lease_id = lease_id
             task.worker = worker

@@ -34,7 +34,7 @@ def _config(seed: int) -> CellConfig:
 
 
 def _fake_result(config: CellConfig) -> CellResult:
-    """A valid row without simulating (the bench_store fabrication)."""
+    """A valid row without simulating."""
     seed = config.seed
     return CellResult(
         config=config,
@@ -218,8 +218,8 @@ class TestShutdown:
         """A restarted coordinator needs nothing but the store."""
         configs = [_config(1), _config(2), _config(3)]
         _submit(service, configs)
-        _, done = _complete_next(service)
         in_flight = service.lease("w")
+        _, done = _complete_next(service)
         service.drain()
         service.close()
 
@@ -238,7 +238,20 @@ class TestShutdown:
                 assert store.get(done) is not None
                 assert store.get(late) is None
             assert restarted.status(job["job"])["queued"] == 2
-            _complete_next(restarted)
+            # The new board's first lease goes to the same cell, as the
+            # old board's did; the old lease still matches nothing.
+            reissued = restarted.lease("w2")
+            assert reissued["key"] == in_flight["key"]
+            assert not restarted.heartbeat(in_flight["lease"])
+            reply = restarted.complete(
+                in_flight["lease"], _fake_result(late).to_dict()
+            )
+            assert reply == {"ok": False, "stale": True}
+            assert restarted.status(job["job"])["leased"] == 1
+            reply = restarted.complete(
+                reissued["lease"], _fake_result(late).to_dict()
+            )
+            assert reply == {"ok": True, "stale": False}
             _complete_next(restarted)
             assert restarted.lease("w") is None
             assert restarted.status(job["job"])["state"] == "done"
