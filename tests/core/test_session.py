@@ -8,6 +8,7 @@ from repro.coproc.base import Coprocessor
 from repro.coproc.bitstream import Bitstream
 from repro.coproc.kernels import adpcm as adpcm_core
 from repro.coproc.kernels import vector_add as vadd_core
+from repro.coproc.ports import PARAM_OBJECT
 from repro.core.session import CoprocessorSession
 from repro.core.system import System
 from repro.errors import FpgaError, SimulationError, VimError
@@ -165,6 +166,17 @@ class _ReadOnce(Coprocessor):
         yield from self.read(0, 0)
 
 
+class _WritesItsParams(Coprocessor):
+    """Overwrites its parameter page and never releases it."""
+
+    name = "writes-params"
+
+    def behavior(self):
+        count = yield from self.read_param(0)
+        yield from self.write(PARAM_OBJECT, 4, count + 1)
+        yield from self.read(0, 0)
+
+
 def _bitstream(core_factory):
     return Bitstream(
         name=core_factory.name,
@@ -221,3 +233,13 @@ class TestLivelockGuard:
         budget_ps = 12_000 * vadd_core.bitstream().iface_frequency.period_ps
         assert measurement.hw_ps < budget_ps
         assert measurement.total_ps - measurement.hw_ps > budget_ps
+
+
+class TestEndOfOperationFlush:
+    def test_a_written_parameter_page_is_not_written_back(self):
+        # The parameter page belongs to no mapped object: the flush
+        # skips it even when the core wrote it and kept it.
+        with CoprocessorSession(System(), _bitstream(_WritesItsParams)) as session:
+            session.map_input(0, "in", bytes(64))
+            result = session.execute([7])
+        assert result.measurement.counters.writebacks == 0

@@ -8,7 +8,7 @@ behaviour is covered in tests/core/test_runner.py.
 import pytest
 
 from repro.accounting import Bucket
-from repro.coproc.ports import PARAM_OBJECT
+from repro.coproc.ports import PARAM_OBJECT, tag_obj
 from repro.core.measurement import Measurement
 from repro.errors import VimError
 from repro.hw.bus import AhbBus
@@ -44,8 +44,10 @@ class VimRig:
         self.process = self.kernel.spawn("app")
         self.kernel.scheduler.pick_next()
 
-    def map_buffer(self, obj_id, size, direction=Direction.IN, fill=None):
-        buffer = self.kernel.user_memory.alloc(f"obj{obj_id}", size, self.process.pid)
+    def map_buffer(self, obj_id, size, direction=Direction.IN, fill=None,
+                   process=None):
+        owner = process or self.process
+        buffer = self.kernel.user_memory.alloc(f"obj{obj_id}", size, owner.pid)
         if fill is not None:
             buffer.fill_from(fill)
         mapped = MappedObject(obj_id, buffer, size, direction)
@@ -57,6 +59,13 @@ class VimRig:
         self.imu.ar.capture(obj_id, addr, write=False)
         self.imu.sr.set(StatusRegister.FAULT)
         self.imu.state = ImuState.FAULT
+        self.kernel.interrupts.raise_line(INT_PLD_LINE)
+        self.vim.handle_interrupt(INT_PLD_LINE)
+
+    def fake_done(self, process):
+        """End *process*'s execution the way the IMU's DONE does."""
+        process.sleep()
+        self.imu.sr.set(StatusRegister.DONE)
         self.kernel.interrupts.raise_line(INT_PLD_LINE)
         self.vim.handle_interrupt(INT_PLD_LINE)
 
@@ -226,6 +235,32 @@ class TestDoneService:
         rig.kernel.interrupts.raise_line(INT_PLD_LINE)
         rig.vim.handle_interrupt(INT_PLD_LINE)
         assert rig.meas.counters.bytes_from_dpram == before
+
+    def test_shared_done_leaves_a_neighbours_dirty_page(self):
+        # Shared mode: a neighbour's dirty page is the neighbour's to
+        # flush at its own end of operation, not this tenant's.
+        rig = VimRig(shared=True)
+        neighbour = rig.kernel.spawn("neighbour")
+        theirs_id = tag_obj(neighbour.pid, 0)
+        mine_id = tag_obj(rig.process.pid, 0)
+        theirs = rig.map_buffer(theirs_id, 2048, Direction.OUT, process=neighbour)
+        mine = rig.map_buffer(mine_id, 2048, Direction.OUT)
+        rig.vim.setup_execution([1], neighbour)
+        rig.fake_done(neighbour)
+        rig.vim.setup_execution([1], rig.process)
+        for obj_id, byte in ((theirs_id, b"\x17"), (mine_id, b"\x42")):
+            entry = rig.imu.tlb.probe(obj_id, 0)
+            rig.dpram.cpu_write_page(entry.ppage, byte * 2048)
+            entry.dirty = True
+        counters = rig.meas.counters
+        before = (counters.writebacks, counters.bytes_from_dpram)
+        rig.fake_done(rig.process)
+        assert mine.buffer.snapshot() == b"\x42" * 2048
+        assert theirs.buffer.snapshot() == bytes(2048)
+        assert rig.imu.tlb.probe(theirs_id, 0).dirty
+        assert (counters.writebacks, counters.bytes_from_dpram) == (
+            before[0] + 1, before[1] + 2048
+        )
 
     def test_interrupt_without_cause_rejected(self):
         rig = VimRig()
