@@ -256,6 +256,16 @@ TLB_STATE = [
 ]
 
 
+#: The portability claim of §4 on the larger presets: the paper-size
+#: adpcm and IDEA cells on the EPXA4 and EPXA10, whose bigger DP-RAM
+#: absorbs more of the working set.
+SOC_PRESETS = [
+    CellConfig(app=app, input_bytes=kb * 1024, soc=soc)
+    for soc in ("EPXA4", "EPXA10")
+    for app, kb in (("adpcm", 8), ("idea", 32))
+]
+
+
 def golden_configs() -> list[CellConfig]:
     """The golden corpus, in dump order (new lists go at the end)."""
     return (
@@ -265,6 +275,7 @@ def golden_configs() -> list[CellConfig]:
         + smoke_configs()
         + EVENT_ORDER
         + TLB_STATE
+        + SOC_PRESETS
     )
 
 
