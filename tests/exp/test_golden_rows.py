@@ -8,11 +8,13 @@ racing clock edges, overlapped prefetch, the pipelined IMU,
 contention), two seeded-random samples of the axis space, the CI smoke
 design space, a list of event-order corners (dual-domain faults,
 translation latencies other than four cycles, the typical IDEA
-version, faulting mixed-domain contention), TLB-state corners, and the
-paper-size adpcm and IDEA cells on the EPXA4 and EPXA10 presets.  Each
-row's config is re-run through ``run_cell`` and the fresh row must
-equal the committed one — same timing, same counters, same fault
-ordering, same cache hash.
+version, faulting mixed-domain contention), TLB-state corners, the
+paper-size adpcm and IDEA cells on the EPXA4 and EPXA10 presets, and
+the ``random`` policy with evictions, solo and contended (it picks by
+index, so these rows pin the eviction-candidate order).  Each row's
+config is re-run through ``run_cell`` and the fresh row must equal the
+committed one — same timing, same counters, same fault ordering, same
+cache hash.
 
 This is the oracle for refactors of the simulation spine: a change
 that moves any row changes what the simulator computes.  Regenerate

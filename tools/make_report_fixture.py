@@ -266,6 +266,23 @@ SOC_PRESETS = [
 ]
 
 
+#: The ``random`` policy with evictions, solo and contended.  It picks
+#: its victim by index into the VIM's candidate list, so these rows pin
+#: that list's order (ascending frame number), which no other policy
+#: observes.
+RANDOM_EVICTION = [
+    CellConfig(
+        app="synthetic", input_bytes=8 * 1024, dpram_bytes=4 * 1024,
+        page_bytes=512, policy="random",
+        syn_locality_pct=50, syn_read_pct=50,
+    ),
+    CellConfig(
+        app="idea", input_bytes=4 * 1024, dpram_bytes=4 * 1024,
+        tenants=2, tenant_mix="adpcm+idea", policy="random",
+    ),
+]
+
+
 def golden_configs() -> list[CellConfig]:
     """The golden corpus, in dump order (new lists go at the end)."""
     return (
@@ -276,6 +293,7 @@ def golden_configs() -> list[CellConfig]:
         + EVENT_ORDER
         + TLB_STATE
         + SOC_PRESETS
+        + RANDOM_EVICTION
     )
 
 
