@@ -24,7 +24,15 @@ from enum import Enum
 
 
 class Bucket(Enum):
-    """Accounting buckets for modelled CPU time."""
+    """Accounting buckets for modelled CPU time.
+
+    Members are singletons compared by identity, so they hash by
+    identity too: ``object.__hash__`` runs in C, where ``Enum``'s own
+    ``__hash__`` is a Python call, and every modelled charge hashes a
+    bucket twice.
+    """
+
+    __hash__ = object.__hash__
 
     #: Dual-port RAM management: user-space <-> DP-RAM copies.
     SW_DP = "sw_dp"

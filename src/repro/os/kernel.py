@@ -77,7 +77,7 @@ class Kernel:
         """
         if cycles < 0:
             raise OsError(f"negative cycle count {cycles}")
-        ps = self.cpu_frequency.cycles_to_ps(cycles)
+        ps = cycles * self.cpu_frequency.period_ps
         self.engine.advance(ps)
         self.cycles_spent += cycles
         if self._measurement is not None:

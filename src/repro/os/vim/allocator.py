@@ -38,25 +38,33 @@ class FrameAllocator:
         """Currently unowned frames, lowest number first."""
         return [f for f, owner in enumerate(self._owner) if owner is None]
 
-    def data_frames(self) -> list[int]:
-        """Frames holding data pages (eviction candidates)."""
+    def data_pages(self) -> list[tuple[int, tuple[int, int]]]:
+        """``(frame, (obj_id, vpage))`` of every data frame, lowest first.
+
+        One pass over the owner list, so a caller that needs both the
+        frames and their pages makes no ``owner_of`` call per frame.
+        ``assign_param`` stores the one ``PARAM_OWNER`` object, so an
+        identity test is enough to skip the parameter frame.
+        """
         return [
-            f
-            for f, owner in enumerate(self._owner)
-            if owner is not None and owner != PARAM_OWNER
+            (frame, owner)
+            for frame, owner in enumerate(self._owner)
+            if owner is not None and owner is not PARAM_OWNER
         ]
+
+    def data_frames(self) -> list[int]:
+        """Frames holding data pages, lowest first."""
+        return [frame for frame, _owner in self.data_pages()]
 
     def param_frame(self) -> int | None:
         """The frame holding the parameter page, if any."""
-        for frame, owner in enumerate(self._owner):
-            if owner == PARAM_OWNER:
-                return frame
-        return None
+        owners = self._owner
+        return owners.index(PARAM_OWNER) if PARAM_OWNER in owners else None
 
     def allocate_free(self) -> int | None:
         """Take the lowest free frame, or None when all are owned."""
-        free = self.free_frames()
-        return free[0] if free else None
+        owners = self._owner
+        return owners.index(None) if None in owners else None
 
     def assign(self, frame: int, obj_id: int, vpage: int) -> None:
         """Record that *frame* now hosts (obj_id, vpage)."""

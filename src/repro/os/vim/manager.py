@@ -145,9 +145,8 @@ class Vim:
         already flushed its outputs at end of operation, so anything
         still marked dirty belongs to an execution that was abandoned.
         """
-        for frame in self.allocator.data_frames():
-            owner = self.allocator.owner_of(frame)
-            if owner is None or obj_asid(owner[0]) != asid:
+        for frame, owner in self.allocator.data_pages():
+            if obj_asid(owner[0]) != asid:
                 continue
             self.imu.tlb.invalidate(*owner)
             self._shadow_dirty.discard(owner)
@@ -406,14 +405,20 @@ class Vim:
         return None
 
     def _eviction_candidates(self) -> list[int]:
-        """Data frames the policy may evict (pinned objects excluded)."""
-        candidates = []
-        for frame in self.allocator.data_frames():
-            owner = self.allocator.owner_of(frame)
-            if owner is not None and self.objects[owner[0]].pinned:
-                continue
-            candidates.append(frame)
-        return candidates
+        """Data frames the policy may evict, in ascending frame order.
+
+        The parameter frame and every frame of a pinned object are left
+        out.  The order is part of the contract: ``random`` picks its
+        victim by index into this list.
+        """
+        pinned = {
+            obj_id for obj_id, mapped in self.objects.items() if mapped.pinned
+        }
+        return [
+            frame
+            for frame, (obj_id, _vpage) in self.allocator.data_pages()
+            if obj_id not in pinned
+        ]
 
     def _bring_in(self, mapped: MappedObject, vpage: int) -> None:
         """Make (mapped, vpage) resident, evicting if necessary."""

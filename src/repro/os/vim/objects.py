@@ -52,7 +52,12 @@ class Hint(Flag):
 
 @dataclass
 class MappedObject:
-    """One dataset declared to the VIM for coprocessor use."""
+    """One dataset declared to the VIM for coprocessor use.
+
+    ``direction`` and ``hints`` are fixed at construction: the fault
+    path reads the booleans ``__post_init__`` derives from them instead
+    of testing the flags on every fault.
+    """
 
     obj_id: int
     buffer: UserBuffer
@@ -81,6 +86,9 @@ class MappedObject:
                 f"object {self.obj_id}: size {self.size} exceeds buffer "
                 f"size {self.buffer.size}"
             )
+        self._loads_in = bool(self.direction & Direction.IN)
+        self._pinned = bool(self.hints & Hint.PINNED)
+        self._streaming = bool(self.hints & Hint.STREAM)
 
     def num_pages(self, page_size: int) -> int:
         """Number of virtual pages the object spans."""
@@ -101,7 +109,7 @@ class MappedObject:
 
     def needs_load(self, vpage: int) -> bool:
         """Must this page be copied in from user space on a fault?"""
-        return bool(self.direction & Direction.IN) or vpage in self.written_back
+        return self._loads_in or vpage in self.written_back
 
     @property
     def asid(self) -> int:
@@ -116,12 +124,12 @@ class MappedObject:
     @property
     def pinned(self) -> bool:
         """True when the object's pages must never be evicted."""
-        return bool(self.hints & Hint.PINNED)
+        return self._pinned
 
     @property
     def streaming(self) -> bool:
         """True when the VIM should prefetch this object sequentially."""
-        return bool(self.hints & Hint.STREAM)
+        return self._streaming
 
     def reset_for_execution(self) -> None:
         """Per-execution state reset (write-back tracking)."""

@@ -9,6 +9,7 @@ clock domains whose periods are not commensurable in nanoseconds, e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import SimulationError
 
@@ -64,9 +65,13 @@ class Frequency:
         if self.hz <= 0:
             raise SimulationError(f"frequency must be positive, got {self.hz}")
 
-    @property
+    @cached_property
     def period_ps(self) -> int:
-        """Clock period in picoseconds (at least 1)."""
+        """Clock period in picoseconds (at least 1).
+
+        Computed on first use and kept: ``hz`` is frozen, and the CPU
+        clock's period is read on every modelled charge.
+        """
         return max(1, round(PS_PER_S / self.hz))
 
     @property
