@@ -52,10 +52,6 @@ class FrameAllocator:
             if owner is not None and owner is not PARAM_OWNER
         ]
 
-    def data_frames(self) -> list[int]:
-        """Frames holding data pages, lowest first."""
-        return [frame for frame, _owner in self.data_pages()]
-
     def param_frame(self) -> int | None:
         """The frame holding the parameter page, if any."""
         owners = self._owner

@@ -81,7 +81,7 @@ class TestParamFrame:
         alloc.assign_param(0)
         assert alloc.param_frame() == 0
         assert alloc.owner_of(0) is None  # param is not a data page
-        assert alloc.data_frames() == []
+        assert alloc.data_pages() == []
 
     def test_single_param_frame(self):
         alloc = FrameAllocator(4)
@@ -99,4 +99,4 @@ class TestParamFrame:
         alloc = FrameAllocator(4)
         alloc.assign_param(0)
         alloc.assign(1, 5, 0)
-        assert alloc.data_frames() == [1]
+        assert alloc.data_pages() == [(1, (5, 0))]
