@@ -19,18 +19,21 @@ from repro.imu.registers import StatusRegister
 from repro.os.costs import CpuCostModel
 from repro.os.kernel import Kernel
 from repro.os.vim.manager import TransferMode, Vim
-from repro.os.vim.objects import Direction, MappedObject
+from repro.os.vim.objects import Direction, Hint, MappedObject
 from repro.sim.engine import Engine
 from repro.sim.time import mhz
 
 
 class VimRig:
-    def __init__(self, transfer_mode=TransferMode.DOUBLE, **vim_kwargs):
+    def __init__(self, transfer_mode=TransferMode.DOUBLE, tlb_capacity=None,
+                 **vim_kwargs):
         self.kernel = Kernel(
             Engine(), mhz(133.0), CpuCostModel(), InterruptController()
         )
         self.dpram = DualPortRam()
-        self.imu = Imu(self.dpram, self.kernel.interrupts)
+        self.imu = Imu(
+            self.dpram, self.kernel.interrupts, tlb_capacity=tlb_capacity
+        )
         self.vim = Vim(
             self.kernel,
             self.dpram,
@@ -45,12 +48,12 @@ class VimRig:
         self.kernel.scheduler.pick_next()
 
     def map_buffer(self, obj_id, size, direction=Direction.IN, fill=None,
-                   process=None):
+                   process=None, hints=Hint.NONE):
         owner = process or self.process
         buffer = self.kernel.user_memory.alloc(f"obj{obj_id}", size, owner.pid)
         if fill is not None:
             buffer.fill_from(fill)
-        mapped = MappedObject(obj_id, buffer, size, direction)
+        mapped = MappedObject(obj_id, buffer, size, direction, hints)
         self.vim.map_object(mapped)
         return mapped
 
@@ -191,6 +194,73 @@ class TestFaultService:
         assert rig.imu.tlb.probe(0, 15).ppage == param_frame
 
 
+class TestEvictionCandidates:
+    """The frames a policy may evict; ``random`` picks one by index."""
+
+    def test_ascending_frame_order_without_the_param_frame(self):
+        rig = VimRig()
+        rig.map_buffer(0, 4 * 2048)
+        alloc = rig.vim.allocator
+        # Loaded out of frame order, with the parameters in between.
+        for vpage, frame in enumerate((6, 1, 4, 3)):
+            alloc.assign(frame, 0, vpage)
+        alloc.assign_param(5)
+        assert rig.vim._eviction_candidates() == [1, 3, 4, 6]
+
+    def test_pinned_objects_frames_excluded(self):
+        rig = VimRig()
+        rig.map_buffer(0, 2 * 2048)
+        rig.map_buffer(1, 2 * 2048, hints=Hint.PINNED)
+        alloc = rig.vim.allocator
+        for frame, (obj_id, vpage) in enumerate(((1, 0), (0, 0), (1, 1), (0, 1))):
+            alloc.assign(frame, obj_id, vpage)
+        assert rig.vim._eviction_candidates() == [1, 3]
+
+    def test_shared_mode_offers_a_neighbours_frames(self):
+        rig = VimRig(shared=True)
+        neighbour = rig.kernel.spawn("neighbour")
+        theirs_id = tag_obj(neighbour.pid, 0)
+        mine_id = tag_obj(rig.process.pid, 0)
+        rig.map_buffer(theirs_id, 2 * 2048, fill=bytes(4096), process=neighbour)
+        rig.map_buffer(mine_id, 32 * 1024, fill=bytes(32 * 1024))
+        rig.vim.setup_execution([1], neighbour)
+        rig.fake_done(neighbour)
+        rig.vim.setup_execution([1], rig.process)  # fills the DP-RAM
+        alloc = rig.vim.allocator
+        assert alloc.allocate_free() is None
+        theirs = {alloc.frame_of(theirs_id, vpage) for vpage in range(2)}
+        candidates = rig.vim._eviction_candidates()
+        assert theirs <= set(candidates)
+        assert candidates == [frame for frame, _owner in alloc.data_pages()]
+        assert alloc.param_frame() not in candidates
+
+
+class TestReleaseTenant:
+    def test_frees_exactly_that_tenants_frames_entries_and_objects(self):
+        rig = VimRig(shared=True)
+        neighbour = rig.kernel.spawn("neighbour")
+        theirs_id = tag_obj(neighbour.pid, 0)
+        mine_id = tag_obj(rig.process.pid, 0)
+        rig.map_buffer(theirs_id, 2 * 2048, fill=bytes(4096), process=neighbour)
+        rig.map_buffer(mine_id, 2 * 2048, fill=bytes(4096))
+        rig.vim.setup_execution([1], neighbour)
+        rig.fake_done(neighbour)
+        rig.vim.setup_execution([1], rig.process)
+        alloc = rig.vim.allocator
+        pages = alloc.data_pages()
+        entries = {(e.obj, e.vpage) for e in rig.imu.tlb.entries()}
+        assert {owner[0] for _frame, owner in pages} == {theirs_id, mine_id}
+        rig.vim.release_tenant(neighbour.pid)
+        assert alloc.data_pages() == [
+            (frame, owner) for frame, owner in pages if owner[0] == mine_id
+        ]
+        assert {(e.obj, e.vpage) for e in rig.imu.tlb.entries()} == {
+            key for key in entries if key[0] != theirs_id
+        }
+        assert set(rig.vim.objects) == {mine_id}
+        assert alloc.param_frame() is not None
+
+
 class TestTransferModes:
     def _dp_time(self, mode):
         rig = VimRig(transfer_mode=mode, eager_mapping=False)
@@ -261,6 +331,39 @@ class TestDoneService:
         assert (counters.writebacks, counters.bytes_from_dpram) == (
             before[0] + 1, before[1] + 2048
         )
+
+    def test_shared_done_leaves_a_neighbours_displaced_dirty_page(self):
+        # The same filter for a page whose dirty TLB entry was displaced
+        # (TLB smaller than the frame count): the shadow-dirty page is
+        # the neighbour's to flush, at the neighbour's end of operation.
+        rig = VimRig(shared=True, tlb_capacity=2)
+        neighbour = rig.kernel.spawn("neighbour")
+        theirs_id = tag_obj(neighbour.pid, 0)
+        mine_id = tag_obj(rig.process.pid, 0)
+        theirs = rig.map_buffer(theirs_id, 2048, Direction.OUT, process=neighbour)
+        mine = rig.map_buffer(mine_id, 2048, Direction.OUT)
+        rig.vim.setup_execution([1], neighbour)
+        rig.fake_done(neighbour)
+        entry = rig.imu.tlb.probe(theirs_id, 0)
+        rig.dpram.cpu_write_page(entry.ppage, b"\x17" * 2048)
+        entry.dirty = True
+        # Two TLB entries: this tenant's parameters and its page
+        # displace the neighbour's dirty translation.
+        rig.vim.setup_execution([1], rig.process)
+        assert rig.imu.tlb.probe(theirs_id, 0) is None
+        entry = rig.imu.tlb.probe(mine_id, 0)
+        rig.dpram.cpu_write_page(entry.ppage, b"\x42" * 2048)
+        entry.dirty = True
+        counters = rig.meas.counters
+        before = counters.writebacks
+        rig.fake_done(rig.process)
+        assert mine.buffer.snapshot() == b"\x42" * 2048
+        assert theirs.buffer.snapshot() == bytes(2048)
+        assert counters.writebacks == before + 1
+        rig.vim.setup_execution([1], neighbour)
+        rig.fake_done(neighbour)
+        assert theirs.buffer.snapshot() == b"\x17" * 2048
+        assert counters.writebacks == before + 2
 
     def test_interrupt_without_cause_rejected(self):
         rig = VimRig()
