@@ -22,6 +22,9 @@ git and a refresh shows up as a reviewable diff.  Two kinds of dump:
   the corpus the oracle for refactors of the simulation spine.  A
   change that moves a golden row changes what the simulator computes;
   regenerating the file is then a deliberate, reviewed decision.
+  The last row replays ``golden_trace.gz``, a trace the script records
+  from :data:`TRACE_SOURCE` first; that row stores its ``trace_path``
+  relative to the fixture directory.
 
 Every row carries its real config hash, which embeds
 :data:`~repro.exp.spec.CACHE_VERSION`.  Consequently, **whenever
@@ -45,6 +48,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.cli import build_parser, spec_from_args  # noqa: E402
 from repro.exp.cell import run_cell  # noqa: E402
 from repro.exp.diff import diff_stores, render_diff  # noqa: E402
+from repro.exp.record import record_cell  # noqa: E402
 from repro.exp.report import render_report  # noqa: E402
 from repro.exp.results import CellResult  # noqa: E402
 from repro.exp.spec import CellConfig  # noqa: E402
@@ -53,6 +57,7 @@ FIXTURE_DIR = REPO_ROOT / "tests" / "exp" / "fixtures"
 ROWS_DUMP = FIXTURE_DIR / "report_rows.json"
 BASELINE_DUMP = FIXTURE_DIR / "baseline_rows.json"
 GOLDEN_DUMP = FIXTURE_DIR / "golden_rows.json"
+GOLDEN_TRACE = FIXTURE_DIR / "golden_trace.gz"
 
 #: The fixture grid: 2 apps x 2 policies at 4 KB.
 GRID = [
@@ -283,6 +288,12 @@ RANDOM_EVICTION = [
 ]
 
 
+#: The cell recorded to ``golden_trace.gz``, and its replay on 512 B
+#: pages in a 2 KB DP-RAM, where it faults and evicts.
+TRACE_SOURCE = CellConfig(app="synthetic", input_bytes=4 * 1024, seed=1)
+TRACE_REPLAY = {"page_bytes": 512, "dpram_bytes": 2048}
+
+
 def golden_configs() -> list[CellConfig]:
     """The golden corpus, in dump order (new lists go at the end)."""
     return (
@@ -295,6 +306,15 @@ def golden_configs() -> list[CellConfig]:
         + SOC_PRESETS
         + RANDOM_EVICTION
     )
+
+
+def trace_replay_row() -> CellResult:
+    """Record :data:`TRACE_SOURCE` and replay it: the trace app's row."""
+    record_cell(TRACE_SOURCE, GOLDEN_TRACE, force=True)
+    config = CellConfig(app="trace", trace_path=str(GOLDEN_TRACE), **TRACE_REPLAY)
+    row = run_cell(config)
+    relative = dataclasses.replace(config, trace_path=GOLDEN_TRACE.name)
+    return dataclasses.replace(row, config=relative)
 
 
 def synthetic_result(config: CellConfig, index: int) -> CellResult:
@@ -384,6 +404,7 @@ def main() -> int:
     diff_text = render_diff(diff_stores(BASELINE_DUMP, ROWS_DUMP), fmt="md")
     (FIXTURE_DIR / "diff.md").write_text(diff_text + "\n", encoding="utf-8")
     golden_rows = [run_cell(config) for config in golden_configs()]
+    golden_rows.append(trace_replay_row())
     write_dump(GOLDEN_DUMP, golden_rows)
     print(
         f"wrote {len(rows)}+{len(baseline_rows)} dumped rows, "
