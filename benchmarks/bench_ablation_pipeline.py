@@ -8,13 +8,17 @@ recovers.
 """
 
 from repro.exp import ablation_pipelined
-from repro.core.drivers import adpcm_workload, idea_workload
+from repro.exp.spec import CellConfig
 
 
 def test_abl1_pipelined_imu():
     results = {
-        "idea-8KB": ablation_pipelined(idea_workload(8 * 1024)),
-        "adpcm-4KB": ablation_pipelined(adpcm_workload(4 * 1024)),
+        "idea-8KB": ablation_pipelined(
+            CellConfig(app="idea", input_bytes=8 * 1024)
+        ),
+        "adpcm-4KB": ablation_pipelined(
+            CellConfig(app="adpcm", input_bytes=4 * 1024)
+        ),
     }
     for name, (multi, pipe) in results.items():
         assert pipe.total_ms < multi.total_ms, name

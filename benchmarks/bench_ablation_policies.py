@@ -7,13 +7,17 @@ fault-heavy 8 KB adpcm run and on the 32 KB IDEA run.
 """
 
 from repro.exp import ablation_policies
-from repro.core.drivers import adpcm_workload, idea_workload
+from repro.exp.spec import CellConfig
 
 
 def test_abl2_replacement_policies():
     results = {
-        "adpcm-8KB": ablation_policies(adpcm_workload(8 * 1024)),
-        "idea-32KB": ablation_policies(idea_workload(32 * 1024)),
+        "adpcm-8KB": ablation_policies(
+            CellConfig(app="adpcm", input_bytes=8 * 1024)
+        ),
+        "idea-32KB": ablation_policies(
+            CellConfig(app="idea", input_bytes=32 * 1024)
+        ),
     }
     for name, rows in results.items():
         labels = [r.label for r in rows]

@@ -13,11 +13,11 @@ execution"): the same prefetches now also save time.
 """
 
 from repro.exp import ablation_prefetch
-from repro.core.drivers import adpcm_workload
+from repro.exp.spec import CellConfig
 
 
 def test_abl4_prefetching():
-    rows = ablation_prefetch(workload=adpcm_workload(8 * 1024))
+    rows = ablation_prefetch(cell=CellConfig(app="adpcm", input_bytes=8 * 1024))
     none, conservative, aggressive, overlapped = rows
     assert aggressive.page_faults < none.page_faults
     assert aggressive.prefetches > 0

@@ -7,12 +7,12 @@ paper's design rests on the full-size CAM.
 """
 
 from repro.exp import ablation_tlb_capacity
-from repro.core.drivers import adpcm_workload
+from repro.exp.spec import CellConfig
 
 
 def test_abl5_tlb_capacity():
     rows = ablation_tlb_capacity(
-        workload=adpcm_workload(4 * 1024), capacities=(2, 4, 8)
+        cell=CellConfig(app="adpcm", input_bytes=4 * 1024), capacities=(2, 4, 8)
     )
     two, four, eight = rows
     # Fewer TLB entries -> monotonically more translation churn and

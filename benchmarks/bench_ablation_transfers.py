@@ -10,13 +10,17 @@ bus time instead of per-word copy cycles).
 """
 
 from repro.exp import ablation_transfers
-from repro.core.drivers import adpcm_workload, idea_workload
+from repro.exp.spec import CellConfig
 
 
 def test_abl3_transfer_modes():
     results = {
-        "adpcm-8KB": ablation_transfers(adpcm_workload(8 * 1024)),
-        "idea-16KB": ablation_transfers(idea_workload(16 * 1024)),
+        "adpcm-8KB": ablation_transfers(
+            CellConfig(app="adpcm", input_bytes=8 * 1024)
+        ),
+        "idea-16KB": ablation_transfers(
+            CellConfig(app="idea", input_bytes=16 * 1024)
+        ),
     }
     for name, (double, single, dma) in results.items():
         # Halving the copies halves SW(DP), leaves hardware untouched.

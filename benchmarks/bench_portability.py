@@ -10,13 +10,13 @@ the working set and the fault count drops to zero.
 """
 
 from repro.exp import portability
-from repro.core.drivers import adpcm_workload, idea_workload
+from repro.exp.spec import CellConfig
 
 
 def test_port_same_binaries_across_devices():
     results = {
-        "adpcm-8KB": portability(adpcm_workload(8 * 1024)),
-        "idea-32KB": portability(idea_workload(32 * 1024)),
+        "adpcm-8KB": portability(CellConfig(app="adpcm", input_bytes=8 * 1024)),
+        "idea-32KB": portability(CellConfig(app="idea", input_bytes=32 * 1024)),
     }
     for name, rows in results.items():
         assert [r.soc for r in rows] == ["EPXA1", "EPXA4", "EPXA10"], name

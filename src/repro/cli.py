@@ -55,12 +55,12 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from repro.core.drivers import adpcm_workload, idea_workload, vector_add_workload
 from repro.core.runner import run_software, run_typical, run_vim
 from repro.core.soc import PRESETS
 from repro.core.system import System
 from repro.errors import CapacityError, ReproError
 from repro import exp
+from repro.exp.cell import build_workload
 from repro.exp.diff import (
     BANDS,
     DEFAULT_METRICS,
@@ -512,18 +512,10 @@ def _shard_arg(text: str) -> tuple[int, int]:
     return int(match.group(1)), int(match.group(2))
 
 
-_WORKLOADS = {
-    "adpcm": lambda kb: adpcm_workload(kb * 1024),
-    "idea": lambda kb: idea_workload(kb * 1024),
-    "vadd": lambda kb: vector_add_workload(kb * 1024 // 4),
-}
-
-
 def _print_run(args: argparse.Namespace) -> None:
-    builder = _WORKLOADS.get(args.app)
-    if builder is None:
-        raise ReproError(f"unknown app {args.app!r}; choices: {sorted(_WORKLOADS)}")
-    workload = builder(args.kb)
+    workload = build_workload(
+        CellConfig(app=args.app, input_bytes=args.kb * 1024)
+    )
     sw = run_software(System(), workload)
     vim = run_vim(System(), workload)
     vim.verify()
@@ -774,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     port.set_defaults(func=_print_portability)
 
     run = sub.add_parser("run", help="run one workload, all versions")
-    run.add_argument("app", choices=sorted(_WORKLOADS))
+    run.add_argument("app", choices=("adpcm", "idea", "vadd"))
     run.add_argument("--kb", type=int, default=8)
     run.set_defaults(func=_print_run)
 

@@ -9,8 +9,6 @@ for functional verification and the ARM cost of the pure-SW version.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.apps import adpcm as adpcm_app
 from repro.apps import idea as idea_app
 from repro.apps import synthetic as synthetic_app
@@ -52,7 +50,6 @@ def adpcm_workload(input_bytes: int, seed: int = 1) -> WorkloadSpec:
         params=(input_bytes,),
         sw_cycles=adpcm_app.sw_cycles(input_bytes),
         reference=reference,
-        cell_key=("adpcm", input_bytes, seed),
     )
 
 
@@ -102,7 +99,6 @@ def idea_workload(
         params=(num_blocks, *subkeys),
         sw_cycles=idea_app.sw_cycles(input_bytes),
         reference=reference,
-        cell_key=("idea-dec" if decrypt else "idea", input_bytes, seed),
     )
 
 
@@ -137,7 +133,6 @@ def adpcm_encode_workload(num_samples: int, seed: int = 1) -> WorkloadSpec:
         params=(num_samples,),
         sw_cycles=num_samples * (adpcm_app.SW_CYCLES_PER_SAMPLE + 40),
         reference=reference,
-        cell_key=("adpcm-enc", num_samples * 2, seed),
     )
 
 
@@ -168,7 +163,6 @@ def vector_add_workload(num_elements: int, seed: int = 1) -> WorkloadSpec:
         params=(num_elements,),
         sw_cycles=vectors_app.sw_cycles(num_elements),
         reference=reference,
-        cell_key=("vadd", num_elements * 4, seed),
     )
 
 
@@ -189,12 +183,6 @@ def synthetic_workload(
     initial data with the sequence's writes applied — which the
     software reference computes without any simulation, keeping
     verification bit-exact like the real kernels.
-
-    The ``cell_key`` rebuild handle only exists for the default
-    pattern parameters (the ``(app, input_bytes, seed)`` triple cannot
-    carry more); sweep cells always rebuild from their full
-    :class:`~repro.exp.spec.CellConfig` instead, so every parameter
-    combination stays cacheable and multiprocessing-safe there.
     """
     if input_bytes <= 0:
         raise ReproError(f"input size must be positive, got {input_bytes}")
@@ -211,7 +199,6 @@ def synthetic_workload(
     def reference() -> dict[int, bytes]:
         return {synthetic_core.OBJ_DATA: synthetic_app.run_reference(data, ops)}
 
-    default_pattern = (stride, locality_pct, read_pct, phases) == (1, 80, 70, 1)
     return WorkloadSpec(
         name=(
             f"synthetic-{input_bytes // 1024}KB"
@@ -230,5 +217,4 @@ def synthetic_workload(
         params=(len(ops),),
         sw_cycles=synthetic_app.sw_cycles(len(ops)),
         reference=reference,
-        cell_key=("synthetic", input_bytes, seed) if default_pattern else None,
     )

@@ -24,7 +24,6 @@ from typing import Callable
 from repro.coproc.bitstream import Bitstream
 from repro.errors import CapacityError, VimError
 from repro.imu.direct import DirectInterface
-from repro.imu.imu import Imu
 from repro.core.measurement import Measurement
 from repro.core.system import System
 from repro.os.costs import Bucket
@@ -63,10 +62,6 @@ class WorkloadSpec:
     params: tuple[int, ...]
     sw_cycles: int
     reference: Callable[[], dict[int, bytes]]
-    #: (app, input_bytes, seed) handle that rebuilds this workload in a
-    #: sweep worker process (set by the repro.core.drivers builders;
-    #: None for hand-made specs, which then run in-process only).
-    cell_key: tuple[str, int, int] | None = None
 
     @property
     def total_bytes(self) -> int:

@@ -17,104 +17,36 @@ not a grid cell), each driver is a list of :class:`~repro.exp.spec.
 CellConfig` variants handed to :func:`~repro.exp.sweep.run_sweep` —
 so every one of them inherits ``--jobs`` parallelism and result
 caching for free, and adding a scenario means adding an axis value,
-not a driver.
+not a driver.  The drivers that study one workload take it as a base
+``cell`` and vary its axes; every other field of that cell holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.coproc.base import Behavior, Coprocessor
-from repro.core.drivers import adpcm_workload, idea_workload
-from repro.core.runner import WorkloadSpec
 from repro.core.soc import PRESETS
 from repro.core.system import System
-from repro.errors import ReproError
-from repro.exp.cell import run_cell
 from repro.exp.results import CellResult
 from repro.exp.spec import CellConfig
 from repro.exp.sweep import run_sweep
 from repro.imu.imu import Imu
 from repro.os.vim.manager import TransferMode
 from repro.os.vim.policies import policy_names
-from repro.os.vim.prefetch import Prefetcher, SequentialPrefetcher
 from repro.sim.clock import ClockDomain
 from repro.sim.time import mhz
 from repro.trace.timeline import WaveformProbe, render_cycles
 
-# ----------------------------------------------------------------------
-# Workload/kwargs -> cell translation
-# ----------------------------------------------------------------------
-
-
-def _base_fields(workload: WorkloadSpec) -> tuple[dict, WorkloadSpec | None]:
-    """Cell fields identifying *workload*, plus an in-process override.
-
-    Workloads made by :mod:`repro.core.drivers` carry a ``cell_key``
-    and rebuild cleanly inside sweep workers; hand-made specs fall back
-    to passing the object itself to :func:`run_cell` (serial, uncached).
-    """
-    if workload.cell_key is not None:
-        app, input_bytes, seed = workload.cell_key
-        return {"app": app, "input_bytes": input_bytes, "seed": seed}, None
-    return {"app": "adpcm", "input_bytes": max(1, workload.total_bytes)}, workload
-
-
-def _prefetch_fields(prefetcher: Prefetcher | None) -> dict:
-    if prefetcher is None:
-        return {"prefetch": "none"}
-    if isinstance(prefetcher, SequentialPrefetcher):
-        if prefetcher.overlapped:
-            if not prefetcher.aggressive:
-                # The "overlapped" axis value rebuilds with
-                # aggressive=True; encoding this combination would
-                # silently change the simulated configuration.
-                raise ReproError(
-                    "overlapped-but-not-aggressive prefetch has no "
-                    "sweep-axis encoding"
-                )
-            mode = "overlapped"
-        elif prefetcher.aggressive:
-            mode = "aggressive"
-        else:
-            mode = "sequential"
-        return {"prefetch": mode, "prefetch_depth": prefetcher.depth}
-    raise ReproError(
-        f"prefetcher {type(prefetcher).__name__} has no sweep-axis encoding"
-    )
-
-
-def _vim_fields(**vim_kwargs) -> dict:
-    """Translate legacy ``run_vim`` keyword arguments to cell fields."""
-    fields: dict = {}
-    for name in ("policy", "pipelined_imu", "access_cycles", "tlb_capacity"):
-        if name in vim_kwargs:
-            fields[name] = vim_kwargs.pop(name)
-    if "transfer_mode" in vim_kwargs:
-        mode = vim_kwargs.pop("transfer_mode")
-        fields["transfer"] = (
-            mode.name.lower() if isinstance(mode, TransferMode) else str(mode)
-        )
-    if "prefetcher" in vim_kwargs:
-        fields.update(_prefetch_fields(vim_kwargs.pop("prefetcher")))
-    if vim_kwargs:
-        raise ReproError(
-            f"keyword(s) {sorted(vim_kwargs)} have no sweep-axis encoding"
-        )
-    return fields
-
 
 def _cells_for(
-    workload: WorkloadSpec,
+    cell: CellConfig,
     variants: list[dict],
     jobs: int = 1,
     cache_dir=None,
 ) -> list[CellResult]:
-    """Run one cell per variant dict, all against *workload*."""
-    base, override = _base_fields(workload)
-    configs = [CellConfig(**{**base, **variant}) for variant in variants]
-    if override is not None:
-        return [run_cell(config, workload=override) for config in configs]
+    """Run one cell per variant dict: *cell* with the variant's axes."""
+    configs = [replace(cell, **variant) for variant in variants]
     return list(run_sweep(configs, jobs=jobs, cache_dir=cache_dir).rows)
 
 
@@ -251,26 +183,18 @@ def _app_row(label: str, input_kb: int, cell: CellResult) -> AppRow:
 
 def _app_figure(
     app: str,
-    label_prefix: str,
     sizes_kb: tuple[int, ...],
     with_typical: bool,
     jobs: int,
     cache_dir,
-    **vim_kwargs,
 ) -> list[AppRow]:
-    fields = _vim_fields(**vim_kwargs)
     configs = [
-        CellConfig(
-            app=app,
-            input_bytes=kb * 1024,
-            with_typical=with_typical,
-            **fields,
-        )
+        CellConfig(app=app, input_bytes=kb * 1024, with_typical=with_typical)
         for kb in sizes_kb
     ]
     sweep = run_sweep(configs, jobs=jobs, cache_dir=cache_dir)
     return [
-        _app_row(f"{label_prefix}-{kb}KB", kb, cell)
+        _app_row(f"{app}-{kb}KB", kb, cell)
         for kb, cell in zip(sizes_kb, sweep.rows)
     ]
 
@@ -279,24 +203,18 @@ def figure8(
     sizes_kb: tuple[int, ...] = (2, 4, 8),
     jobs: int = 1,
     cache_dir=None,
-    **vim_kwargs,
 ) -> list[AppRow]:
     """adpcmdecode at the paper's input sizes (SW and VIM versions)."""
-    return _app_figure(
-        "adpcm", "adpcm", tuple(sizes_kb), False, jobs, cache_dir, **vim_kwargs
-    )
+    return _app_figure("adpcm", tuple(sizes_kb), False, jobs, cache_dir)
 
 
 def figure9(
     sizes_kb: tuple[int, ...] = (4, 8, 16, 32),
     jobs: int = 1,
     cache_dir=None,
-    **vim_kwargs,
 ) -> list[AppRow]:
     """IDEA at the paper's input sizes (SW, typical, and VIM versions)."""
-    return _app_figure(
-        "idea", "idea", tuple(sizes_kb), True, jobs, cache_dir, **vim_kwargs
-    )
+    return _app_figure("idea", tuple(sizes_kb), True, jobs, cache_dir)
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +259,7 @@ class TranslationOverheadResult:
 
 
 def translation_overhead(
-    workload: WorkloadSpec | None = None,
+    cell: CellConfig | None = None,
     jobs: int = 1,
     cache_dir=None,
 ) -> TranslationOverheadResult:
@@ -351,15 +269,15 @@ def translation_overhead(
     single-cycle translation — same datapath, same clock-domain
     synchronisers, no TLB translation latency.
     """
-    workload = workload or idea_workload(8 * 1024)
+    cell = cell or CellConfig(app="idea", input_bytes=8 * 1024)
     normal, ideal = _cells_for(
-        workload,
+        cell,
         [{"access_cycles": 4}, {"access_cycles": 2}],
         jobs=jobs,
         cache_dir=cache_dir,
     )
     return TranslationOverheadResult(
-        label=workload.name,
+        label=normal.workload,
         hw_ms=normal.hw_ms,
         ideal_hw_ms=ideal.hw_ms,
     )
@@ -400,13 +318,13 @@ def _ablation_row(label: str, cell: CellResult) -> AblationRow:
 
 
 def _ablation(
-    workload: WorkloadSpec,
+    cell: CellConfig,
     labelled_variants: list[tuple[str, dict]],
     jobs: int = 1,
     cache_dir=None,
 ) -> list[AblationRow]:
     cells = _cells_for(
-        workload,
+        cell,
         [variant for _, variant in labelled_variants],
         jobs=jobs,
         cache_dir=cache_dir,
@@ -418,12 +336,12 @@ def _ablation(
 
 
 def ablation_pipelined(
-    workload: WorkloadSpec | None = None, jobs: int = 1, cache_dir=None
+    cell: CellConfig | None = None, jobs: int = 1, cache_dir=None
 ) -> list[AblationRow]:
     """Multi-cycle vs pipelined IMU (the paper's announced improvement)."""
-    workload = workload or idea_workload(8 * 1024)
+    cell = cell or CellConfig(app="idea", input_bytes=8 * 1024)
     return _ablation(
-        workload,
+        cell,
         [
             ("multi-cycle", {"pipelined_imu": False}),
             ("pipelined", {"pipelined_imu": True}),
@@ -434,12 +352,12 @@ def ablation_pipelined(
 
 
 def ablation_policies(
-    workload: WorkloadSpec | None = None, jobs: int = 1, cache_dir=None
+    cell: CellConfig | None = None, jobs: int = 1, cache_dir=None
 ) -> list[AblationRow]:
     """The replacement policies §3.3 enumerates, on one faulting run."""
-    workload = workload or adpcm_workload(8 * 1024)
+    cell = cell or CellConfig(app="adpcm", input_bytes=8 * 1024)
     return _ablation(
-        workload,
+        cell,
         [(name, {"policy": name}) for name in policy_names()],
         jobs=jobs,
         cache_dir=cache_dir,
@@ -447,13 +365,13 @@ def ablation_policies(
 
 
 def ablation_transfers(
-    workload: WorkloadSpec | None = None, jobs: int = 1, cache_dir=None
+    cell: CellConfig | None = None, jobs: int = 1, cache_dir=None
 ) -> list[AblationRow]:
     """Double-transfer (measured) vs single-transfer (announced) vs
     DMA-descriptor (the modelled end point of §4.1's roadmap) VIM."""
-    workload = workload or adpcm_workload(8 * 1024)
+    cell = cell or CellConfig(app="adpcm", input_bytes=8 * 1024)
     return _ablation(
-        workload,
+        cell,
         [
             (mode.name.lower(), {"transfer": mode.name.lower()})
             for mode in (TransferMode.DOUBLE, TransferMode.SINGLE, TransferMode.DMA)
@@ -464,7 +382,7 @@ def ablation_transfers(
 
 
 def ablation_prefetch(
-    workload: WorkloadSpec | None = None, jobs: int = 1, cache_dir=None
+    cell: CellConfig | None = None, jobs: int = 1, cache_dir=None
 ) -> list[AblationRow]:
     """No prefetch vs conservative / aggressive / overlapped prefetch.
 
@@ -473,9 +391,9 @@ def ablation_prefetch(
     ("the latter allowing overlapping of processor and coprocessor
     execution"), so avoided faults turn into saved time.
     """
-    workload = workload or adpcm_workload(8 * 1024)
+    cell = cell or CellConfig(app="adpcm", input_bytes=8 * 1024)
     return _ablation(
-        workload,
+        cell,
         [
             ("none", {"prefetch": "none"}),
             ("sequential", {"prefetch": "sequential"}),
@@ -501,9 +419,8 @@ def ablation_page_size(
     allocate.  Not measured in the paper (the prototype fixes 2 KB);
     this quantifies how load-bearing that choice is.
     """
-    workload = adpcm_workload(input_bytes)
     return _ablation(
-        workload,
+        CellConfig(app="adpcm", input_bytes=input_bytes),
         [
             (f"{page}B", {"page_bytes": page, "dpram_bytes": 16 * 1024})
             for page in page_sizes
@@ -514,15 +431,15 @@ def ablation_page_size(
 
 
 def ablation_tlb_capacity(
-    workload: WorkloadSpec | None = None,
+    cell: CellConfig | None = None,
     capacities: tuple[int, ...] = (2, 4, 8),
     jobs: int = 1,
     cache_dir=None,
 ) -> list[AblationRow]:
     """Shrinking the TLB below one-entry-per-frame (extra faults)."""
-    workload = workload or adpcm_workload(4 * 1024)
+    cell = cell or CellConfig(app="adpcm", input_bytes=4 * 1024)
     return _ablation(
-        workload,
+        cell,
         [
             (f"tlb-{capacity}", {"tlb_capacity": capacity})
             for capacity in capacities
@@ -545,7 +462,6 @@ def contention(
     tenant_mix: str = "same",
     jobs: int = 1,
     cache_dir=None,
-    **vim_kwargs,
 ) -> list[CellResult]:
     """Scale the tenant count on one DP-RAM: the contention sweep.
 
@@ -556,7 +472,6 @@ def contention(
     their ``tenant_*`` tuples carry the per-tenant fault/evict/steal
     split the solo drivers cannot express.
     """
-    fields = _vim_fields(**vim_kwargs)
     configs = [
         CellConfig(
             app=app,
@@ -566,7 +481,6 @@ def contention(
             # so the solo baseline shares one cache hash across mixes.
             tenant_mix=tenant_mix,
             tenant_repeats=repeats,
-            **fields,
         )
         for count in tenant_counts
     ]
@@ -589,7 +503,7 @@ class PortabilityRow:
 
 
 def portability(
-    workload: WorkloadSpec | None = None, jobs: int = 1, cache_dir=None
+    cell: CellConfig | None = None, jobs: int = 1, cache_dir=None
 ) -> list[PortabilityRow]:
     """Run the identical workload on every SoC preset.
 
@@ -598,10 +512,10 @@ def portability(
     Bigger dual-port memories absorb the working set and the fault
     count drops to zero.
     """
-    workload = workload or adpcm_workload(8 * 1024)
+    cell = cell or CellConfig(app="adpcm", input_bytes=8 * 1024)
     socs = ("EPXA1", "EPXA4", "EPXA10")
     cells = _cells_for(
-        workload,
+        cell,
         [{"soc": name} for name in socs],
         jobs=jobs,
         cache_dir=cache_dir,

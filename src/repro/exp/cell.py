@@ -20,6 +20,7 @@ from repro.core.drivers import (
     synthetic_workload,
     vector_add_workload,
 )
+from repro.core.measurement import Measurement
 from repro.core.runner import WorkloadSpec, run_software, run_typical, run_vim
 from repro.core.soc import PRESETS, SocConfig
 from repro.core.system import System
@@ -121,11 +122,6 @@ def tenant_slots(config: CellConfig) -> list[tuple[str, int]]:
     return [slots[i % len(slots)] for i in range(config.tenants)]
 
 
-def tenant_apps(config: CellConfig) -> list[str]:
-    """The app each tenant slot runs, per the cell's ``tenant_mix``."""
-    return [app for app, _ in tenant_slots(config)]
-
-
 def build_tenant_workloads(config: CellConfig) -> list[Workload]:
     """One :class:`~repro.os.workload.Workload` per tenant of *config*.
 
@@ -169,13 +165,76 @@ def build_prefetcher(config: CellConfig) -> Prefetcher | None:
     raise ReproError(f"unknown prefetch {config.prefetch!r}")
 
 
-def run_cell(config: CellConfig, workload: WorkloadSpec | None = None) -> CellResult:
+def vim_options(config: CellConfig) -> dict:
+    """The VIM keyword arguments of *config* (``run_vim``/``run_tenants``)."""
+    return {
+        "policy": config.policy,
+        "transfer_mode": _TRANSFER_MODES[config.transfer],
+        "pipelined_imu": config.pipelined_imu,
+        "access_cycles": config.access_cycles,
+        "prefetcher": build_prefetcher(config),
+        "tlb_capacity": config.tlb_capacity,
+    }
+
+
+#: Counter columns of a row, each the sum of the same-named
+#: :class:`~repro.core.measurement.Counters` field over the cell's
+#: measurements.
+_COUNTER_COLUMNS = (
+    "page_faults",
+    "compulsory_loads",
+    "evictions",
+    "writebacks",
+    "prefetches",
+    "bytes_to_dpram",
+    "bytes_from_dpram",
+    "steals",
+    "tlb_refills",
+    "dma_transfers",
+)
+
+
+def _cell_row(
+    config: CellConfig,
+    workload: str,
+    measurements: list[Measurement],
+    **columns,
+) -> CellResult:
+    """The row of *config*, summed over its VIM *measurements*.
+
+    One measurement per tenant, or a list of one for a solo cell: the
+    time split and every counter column are their sums.  *columns*
+    carries the rest (the SW and VIM times, the speedup, the typical
+    and per-tenant columns).
+    """
+    counters = [meas.counters for meas in measurements]
+    lookups = sum(c.tlb_lookups for c in counters)
+    return CellResult(
+        config=config,
+        key=config.key(),
+        label=config.label(),
+        workload=workload,
+        hw_ms=to_ms(sum(meas.hw_ps for meas in measurements)),
+        sw_dp_ms=to_ms(sum(meas.sw_dp_ps for meas in measurements)),
+        sw_imu_ms=to_ms(sum(meas.sw_imu_ps for meas in measurements)),
+        sw_other_ms=to_ms(sum(meas.sw_other_ps for meas in measurements)),
+        tlb_hit_rate=(
+            sum(c.tlb_hits for c in counters) / lookups if lookups else 0.0
+        ),
+        **{
+            name: sum(getattr(c, name) for c in counters)
+            for name in _COUNTER_COLUMNS
+        },
+        **columns,
+    )
+
+
+def run_cell(config: CellConfig) -> CellResult:
     """Run one cell: software reference, VIM version, optional typical.
 
     Every version is verified bit-exact against the software reference
     before any number is reported — mis-measurement never outlives the
-    cell that produced it.  Passing *workload* overrides the built one
-    (used by the legacy drivers that accept a hand-made spec).
+    cell that produced it.
 
     Parameters
     ----------
@@ -183,8 +242,6 @@ def run_cell(config: CellConfig, workload: WorkloadSpec | None = None) -> CellRe
         The grid point to simulate.  With ``config.tenants > 1`` the
         cell runs the multi-tenant contention path (see
         :func:`_run_contended`) instead of the single-shot one.
-    workload : WorkloadSpec, optional
-        Hand-made workload override; single-tenant cells only.
 
     Returns
     -------
@@ -192,38 +249,17 @@ def run_cell(config: CellConfig, workload: WorkloadSpec | None = None) -> CellRe
         The typed, JSON-stable result row.
     """
     if config.replicates > 1:
-        if workload is not None:
-            raise ReproError(
-                "a workload override cannot be combined with a "
-                "replicated cell (replicates > 1): replicates rebuild "
-                "their own workloads from derived seeds"
-            )
         return _run_replicated(config)
     if config.tenants > 1 or config.tenant_repeats > 1:
         # tenants == 1 with repeats > 1 is the *uncontended baseline*
         # of a contention sweep: the same session-per-process executor,
         # just with nobody to steal pages from.
-        if workload is not None:
-            raise ReproError(
-                "a workload override cannot be combined with the "
-                "multi-tenant cell path (tenants/tenant_repeats > 1)"
-            )
         return _run_contended(config)
-    workload = workload if workload is not None else build_workload(config)
+    workload = build_workload(config)
     soc = build_soc(config)
     sw = run_software(System(soc), workload)
-    vim = run_vim(
-        System(soc),
-        workload,
-        policy=config.policy,
-        transfer_mode=_TRANSFER_MODES[config.transfer],
-        pipelined_imu=config.pipelined_imu,
-        access_cycles=config.access_cycles,
-        prefetcher=build_prefetcher(config),
-        tlb_capacity=config.tlb_capacity,
-    )
+    vim = run_vim(System(soc), workload, **vim_options(config))
     vim.verify()
-    meas = vim.measurement
     typical_ms = None
     typical_speedup = None
     typical_fits = True
@@ -235,34 +271,16 @@ def run_cell(config: CellConfig, workload: WorkloadSpec | None = None) -> CellRe
             typical_speedup = typical.measurement.speedup_over(sw.measurement)
         except CapacityError:
             typical_fits = False
-    counters = meas.counters
-    return CellResult(
-        config=config,
-        key=config.key(),
-        label=config.label(),
-        workload=workload.name,
+    return _cell_row(
+        config,
+        workload.name,
+        [vim.measurement],
         sw_ms=sw.total_ms,
         vim_ms=vim.total_ms,
-        hw_ms=to_ms(meas.hw_ps),
-        sw_dp_ms=to_ms(meas.sw_dp_ps),
-        sw_imu_ms=to_ms(meas.sw_imu_ps),
-        sw_other_ms=to_ms(meas.sw_other_ps),
-        vim_speedup=meas.speedup_over(sw.measurement),
-        page_faults=counters.page_faults,
-        compulsory_loads=counters.compulsory_loads,
-        evictions=counters.evictions,
-        writebacks=counters.writebacks,
-        prefetches=counters.prefetches,
-        bytes_to_dpram=counters.bytes_to_dpram,
-        bytes_from_dpram=counters.bytes_from_dpram,
-        tlb_hit_rate=(
-            counters.tlb_hits / counters.tlb_lookups if counters.tlb_lookups else 0.0
-        ),
+        vim_speedup=vim.measurement.speedup_over(sw.measurement),
         typical_ms=typical_ms,
         typical_speedup=typical_speedup,
         typical_fits=typical_fits,
-        tlb_refills=counters.tlb_refills,
-        dma_transfers=counters.dma_transfers,
     )
 
 
@@ -330,74 +348,21 @@ def _run_contended(config: CellConfig) -> CellResult:
         sw = run_software(System(soc), workload.spec)
         sw_ms += sw.total_ms * workload.repeats
     result = run_tenants(
-        System(soc),
-        workloads,
-        policy=config.policy,
-        transfer_mode=_TRANSFER_MODES[config.transfer],
-        pipelined_imu=config.pipelined_imu,
-        access_cycles=config.access_cycles,
-        prefetcher=build_prefetcher(config),
-        tlb_capacity=config.tlb_capacity,
-        sched=config.sched,
+        System(soc), workloads, sched=config.sched, **vim_options(config)
     )
     vim_ms = result.makespan_ms
-    totals = {
-        "hw_ps": 0, "sw_dp_ps": 0, "sw_imu_ps": 0, "sw_other_ps": 0,
-        "page_faults": 0, "tlb_refills": 0, "compulsory_loads": 0,
-        "evictions": 0, "steals": 0, "writebacks": 0, "prefetches": 0,
-        "dma_transfers": 0, "bytes_to_dpram": 0, "bytes_from_dpram": 0,
-        "tlb_lookups": 0, "tlb_hits": 0,
-    }
-    for tenant in result.tenants:
-        meas = tenant.measurement
-        counters = meas.counters
-        totals["hw_ps"] += meas.hw_ps
-        totals["sw_dp_ps"] += meas.sw_dp_ps
-        totals["sw_imu_ps"] += meas.sw_imu_ps
-        totals["sw_other_ps"] += meas.sw_other_ps
-        totals["page_faults"] += counters.page_faults
-        totals["tlb_refills"] += counters.tlb_refills
-        totals["compulsory_loads"] += counters.compulsory_loads
-        totals["evictions"] += counters.evictions
-        totals["steals"] += counters.steals
-        totals["writebacks"] += counters.writebacks
-        totals["prefetches"] += counters.prefetches
-        totals["dma_transfers"] += counters.dma_transfers
-        totals["bytes_to_dpram"] += counters.bytes_to_dpram
-        totals["bytes_from_dpram"] += counters.bytes_from_dpram
-        totals["tlb_lookups"] += counters.tlb_lookups
-        totals["tlb_hits"] += counters.tlb_hits
-    return CellResult(
-        config=config,
-        key=config.key(),
-        label=config.label(),
-        workload="+".join(t.workload for t in result.tenants),
+    tenants = result.tenants
+    return _cell_row(
+        config,
+        "+".join(t.workload for t in tenants),
+        [t.measurement for t in tenants],
         sw_ms=sw_ms,
         vim_ms=vim_ms,
-        hw_ms=to_ms(totals["hw_ps"]),
-        sw_dp_ms=to_ms(totals["sw_dp_ps"]),
-        sw_imu_ms=to_ms(totals["sw_imu_ps"]),
-        sw_other_ms=to_ms(totals["sw_other_ps"]),
         vim_speedup=sw_ms / vim_ms if vim_ms else 0.0,
-        page_faults=totals["page_faults"],
-        compulsory_loads=totals["compulsory_loads"],
-        evictions=totals["evictions"],
-        writebacks=totals["writebacks"],
-        prefetches=totals["prefetches"],
-        bytes_to_dpram=totals["bytes_to_dpram"],
-        bytes_from_dpram=totals["bytes_from_dpram"],
-        tlb_hit_rate=(
-            totals["tlb_hits"] / totals["tlb_lookups"]
-            if totals["tlb_lookups"]
-            else 0.0
-        ),
-        steals=totals["steals"],
-        tlb_refills=totals["tlb_refills"],
-        dma_transfers=totals["dma_transfers"],
-        tenant_labels=tuple(t.name for t in result.tenants),
-        tenant_ms=tuple(t.stats.total_ms for t in result.tenants),
-        tenant_faults=tuple(t.stats.page_faults for t in result.tenants),
-        tenant_evictions=tuple(t.stats.evictions for t in result.tenants),
-        tenant_steals=tuple(t.stats.steals for t in result.tenants),
-        tenant_pages_lost=tuple(t.stats.pages_lost for t in result.tenants),
+        tenant_labels=tuple(t.name for t in tenants),
+        tenant_ms=tuple(t.stats.total_ms for t in tenants),
+        tenant_faults=tuple(t.stats.page_faults for t in tenants),
+        tenant_evictions=tuple(t.stats.evictions for t in tenants),
+        tenant_steals=tuple(t.stats.steals for t in tenants),
+        tenant_pages_lost=tuple(t.stats.pages_lost for t in tenants),
     )

@@ -24,11 +24,10 @@ from repro.core.system import System
 from repro.core.tenancy import run_tenants
 from repro.errors import ReproError
 from repro.exp.cell import (
-    _TRANSFER_MODES,
-    build_prefetcher,
     build_soc,
     build_tenant_workloads,
     build_workload,
+    vim_options,
 )
 from repro.exp.spec import CellConfig
 from repro.os.vim.objects import Direction
@@ -101,14 +100,9 @@ def record_cell(
         result = run_tenants(
             System(soc),
             workloads,
-            policy=config.policy,
-            transfer_mode=_TRANSFER_MODES[config.transfer],
-            pipelined_imu=config.pipelined_imu,
-            access_cycles=config.access_cycles,
-            prefetcher=build_prefetcher(config),
-            tlb_capacity=config.tlb_capacity,
             sched=config.sched,
             recorder=recorder,
+            **vim_options(config),
         )
         # Shared-interface accesses are tagged with the tenant process's
         # pid; the trace stores workload-order tenant indices instead,
@@ -120,15 +114,7 @@ def record_cell(
         workload = build_workload(config)
         workloads = [Workload(spec=workload)]
         run = run_vim(
-            System(soc),
-            workload,
-            policy=config.policy,
-            transfer_mode=_TRANSFER_MODES[config.transfer],
-            pipelined_imu=config.pipelined_imu,
-            access_cycles=config.access_cycles,
-            prefetcher=build_prefetcher(config),
-            tlb_capacity=config.tlb_capacity,
-            recorder=recorder,
+            System(soc), workload, recorder=recorder, **vim_options(config)
         )
         run.verify()
         asid_to_tenant = {0: 0}

@@ -12,8 +12,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
+from typing import ClassVar
 
 from repro.errors import ReproError
 from repro.os.scheduler import SCHEDS
@@ -509,10 +511,11 @@ class SweepSpec:
     """A declarative run grid: the cartesian product of axis values.
 
     Each field is one *axis*: a tuple of values for the matching
-    :class:`CellConfig` field.  Axis order in :meth:`expand` is fixed
-    (``apps`` outermost, ``syn_phases`` innermost), so the same
-    spec always yields the same cell sequence — the property that makes
-    ``--jobs N`` output byte-identical to serial execution.
+    :class:`CellConfig` field, paired with it in :attr:`AXES`.  Axis
+    order in :meth:`expand` is that table's order (``apps`` outermost,
+    ``syn_phases`` innermost), so the same spec always yields the same
+    cell sequence — the property that makes ``--jobs N`` output
+    byte-identical to serial execution.
 
     Parameters
     ----------
@@ -579,6 +582,36 @@ class SweepSpec:
     with_typical: bool = False
     replicates: int = 1
 
+    #: ``(SweepSpec field, CellConfig field)`` per axis, in expansion
+    #: order: the first varies slowest.  A new axis is one more row.
+    AXES: ClassVar[tuple[tuple[str, str], ...]] = (
+        ("apps", "app"),
+        ("input_bytes", "input_bytes"),
+        ("seeds", "seed"),
+        ("socs", "soc"),
+        ("page_bytes", "page_bytes"),
+        ("dpram_bytes", "dpram_bytes"),
+        ("policies", "policy"),
+        ("transfers", "transfer"),
+        ("prefetches", "prefetch"),
+        ("prefetch_depths", "prefetch_depth"),
+        ("tlb_capacities", "tlb_capacity"),
+        ("pipelined", "pipelined_imu"),
+        ("access_cycles", "access_cycles"),
+        ("tenants", "tenants"),
+        ("tenant_mixes", "tenant_mix"),
+        ("tenant_repeats", "tenant_repeats"),
+        ("scheds", "sched"),
+        ("trace_paths", "trace_path"),
+        ("syn_strides", "syn_stride"),
+        ("syn_locality_pcts", "syn_locality_pct"),
+        ("syn_read_pcts", "syn_read_pct"),
+        ("syn_phases", "syn_phases"),
+    )
+
+    def _axis_values(self) -> list[tuple]:
+        return [getattr(self, axis) for axis, _ in self.AXES]
+
     def expand(self) -> list[CellConfig]:
         """Expand the grid to concrete cells.
 
@@ -588,68 +621,20 @@ class SweepSpec:
             Every point of the axis product, in deterministic
             axis-product order (last axis varies fastest).
         """
-        cells = []
-        for (
-            app, nbytes, seed, soc, page, dpram, policy, transfer,
-            prefetch, depth, tlb, pipe, cycles, ntenants, mix, repeats,
-            sched, trace_path, stride, locality, read_pct, phases,
-        ) in itertools.product(
-            self.apps, self.input_bytes, self.seeds, self.socs,
-            self.page_bytes, self.dpram_bytes, self.policies,
-            self.transfers, self.prefetches, self.prefetch_depths,
-            self.tlb_capacities, self.pipelined, self.access_cycles,
-            self.tenants, self.tenant_mixes, self.tenant_repeats,
-            self.scheds, self.trace_paths,
-            self.syn_strides, self.syn_locality_pcts,
-            self.syn_read_pcts, self.syn_phases,
-        ):
-            cells.append(
-                CellConfig(
-                    app=app,
-                    input_bytes=nbytes,
-                    seed=seed,
-                    soc=soc,
-                    page_bytes=page,
-                    dpram_bytes=dpram,
-                    policy=policy,
-                    transfer=transfer,
-                    prefetch=prefetch,
-                    prefetch_depth=depth,
-                    tlb_capacity=tlb,
-                    pipelined_imu=pipe,
-                    access_cycles=cycles,
-                    with_typical=self.with_typical,
-                    tenants=ntenants,
-                    tenant_mix=mix,
-                    tenant_repeats=repeats,
-                    sched=sched,
-                    trace_path=trace_path,
-                    syn_stride=stride,
-                    syn_locality_pct=locality,
-                    syn_read_pct=read_pct,
-                    syn_phases=phases,
-                    replicates=self.replicates,
-                )
+        names = [name for _, name in self.AXES]
+        return [
+            CellConfig(
+                **dict(zip(names, values)),
+                with_typical=self.with_typical,
+                replicates=self.replicates,
             )
-        return cells
+            for values in itertools.product(*self._axis_values())
+        ]
 
     @property
     def size(self) -> int:
         """Number of cells the spec expands to (no expansion needed)."""
-        axes = (
-            self.apps, self.input_bytes, self.seeds, self.socs,
-            self.page_bytes, self.dpram_bytes, self.policies,
-            self.transfers, self.prefetches, self.prefetch_depths,
-            self.tlb_capacities, self.pipelined, self.access_cycles,
-            self.tenants, self.tenant_mixes, self.tenant_repeats,
-            self.scheds, self.trace_paths,
-            self.syn_strides, self.syn_locality_pcts,
-            self.syn_read_pcts, self.syn_phases,
-        )
-        size = 1
-        for axis in axes:
-            size *= len(axis)
-        return size
+        return math.prod(len(values) for values in self._axis_values())
 
     def shard(self, index: int, total: int) -> list[CellConfig]:
         """The *index*-th of *total* deterministic grid partitions.

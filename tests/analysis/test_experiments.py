@@ -18,7 +18,7 @@ from repro.exp import (
     portability,
     translation_overhead,
 )
-from repro.core.drivers import adpcm_workload, idea_workload
+from repro.exp.spec import CellConfig
 
 
 class TestFigure7:
@@ -65,7 +65,7 @@ class TestFigure9Shape:
 
 class TestOverheads:
     def test_translation_overhead_near_paper(self):
-        result = translation_overhead(idea_workload(2 * 1024))
+        result = translation_overhead(CellConfig(app="idea", input_bytes=2 * 1024))
         assert 0.10 < result.overhead_fraction < 0.30  # paper: ~20 %
 
     def test_imu_fraction_small(self):
@@ -75,16 +75,16 @@ class TestOverheads:
 
 class TestAblations:
     def test_pipelined_improves(self):
-        rows = ablation_pipelined(idea_workload(1024))
+        rows = ablation_pipelined(CellConfig(app="idea", input_bytes=1024))
         multi, pipe = rows
         assert pipe.total_ms < multi.total_ms
 
     def test_policies_cover_registry(self):
-        rows = ablation_policies(adpcm_workload(3 * 1024))
+        rows = ablation_policies(CellConfig(app="adpcm", input_bytes=3 * 1024))
         assert [r.label for r in rows] == ["fifo", "lru", "random", "second-chance"]
 
     def test_single_transfer_improves(self):
-        rows = ablation_transfers(adpcm_workload(3 * 1024))
+        rows = ablation_transfers(CellConfig(app="adpcm", input_bytes=3 * 1024))
         double, single, dma = rows
         assert single.sw_dp_ms < double.sw_dp_ms
         assert single.hw_ms == pytest.approx(double.hw_ms)
@@ -96,14 +96,16 @@ class TestAblations:
         assert dma.page_faults == double.page_faults
 
     def test_aggressive_prefetch_cuts_faults(self):
-        rows = ablation_prefetch(adpcm_workload(4 * 1024))
+        rows = ablation_prefetch(CellConfig(app="adpcm", input_bytes=4 * 1024))
         none, _, aggressive, overlapped = rows
         assert aggressive.page_faults < none.page_faults
         assert aggressive.prefetches > 0
         assert overlapped.total_ms <= aggressive.total_ms
 
     def test_smaller_tlb_more_refills(self):
-        rows = ablation_tlb_capacity(adpcm_workload(2 * 1024), capacities=(2, 8))
+        rows = ablation_tlb_capacity(
+            CellConfig(app="adpcm", input_bytes=2 * 1024), capacities=(2, 8)
+        )
         small, full = rows
         # Translation churn shows up as TLB refills; the data-moving
         # fault count is a property of the frame pool, not the TLB.
@@ -113,11 +115,11 @@ class TestAblations:
 
 class TestPortability:
     def test_same_workload_everywhere(self):
-        rows = portability(adpcm_workload(4 * 1024))
+        rows = portability(CellConfig(app="adpcm", input_bytes=4 * 1024))
         assert [r.soc for r in rows] == ["EPXA1", "EPXA4", "EPXA10"]
         assert rows[0].page_faults > 0
         assert rows[-1].page_faults == 0  # 128 KB DP-RAM absorbs it
 
     def test_bigger_memory_never_slower(self):
-        rows = portability(adpcm_workload(4 * 1024))
+        rows = portability(CellConfig(app="adpcm", input_bytes=4 * 1024))
         assert rows[-1].total_ms <= rows[0].total_ms

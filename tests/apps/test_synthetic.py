@@ -121,12 +121,6 @@ class TestWorkload:
             spec.obj_id: synthetic.run_reference(spec.data, ops)
         }
 
-    def test_cell_key_only_for_default_pattern(self):
-        assert synthetic_workload(NBYTES, seed=5).cell_key == (
-            "synthetic", NBYTES, 5,
-        )
-        assert synthetic_workload(NBYTES, seed=5, stride=2).cell_key is None
-
     def test_sw_cycles_scale_with_ops(self):
         workload = synthetic_workload(NBYTES)
         assert workload.sw_cycles == synthetic.sw_cycles(NWORDS)

@@ -11,6 +11,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ReproError
 from repro.exp import build_tenant_workloads, contention, run_cell, run_sweep
+from repro.exp.cell import build_workload
 from repro.exp.results import CellResult
 from repro.exp.spec import CellConfig, SweepSpec
 from repro.exp.store import open_store
@@ -72,7 +73,13 @@ class TestSpecExpansion:
         assert names[0].startswith("adpcm")
         assert names[1].startswith("idea")
         assert names[2].startswith("adpcm")
-        assert [w.spec.cell_key[2] for w in workloads] == [5, 6, 7]
+        solo = [
+            build_workload(CellConfig(app=app, input_bytes=2 * 1024, seed=seed))
+            for app, seed in (("adpcm", 5), ("idea", 6), ("adpcm", 7))
+        ]
+        assert [w.spec.objects[0].data for w in workloads] == [
+            spec.objects[0].data for spec in solo
+        ]
         assert all(w.repeats == 2 for w in workloads)
 
 
@@ -110,12 +117,6 @@ class TestContendedCell:
         serial = run_sweep(configs, jobs=1)
         parallel = run_sweep(configs, jobs=2)
         assert serial.rows == parallel.rows
-
-    def test_workload_override_rejected(self):
-        from repro.core.drivers import adpcm_workload
-
-        with pytest.raises(ReproError):
-            run_cell(_contended_config(), workload=adpcm_workload(1024))
 
 
 class TestContentionDriver:

@@ -110,13 +110,6 @@ class TestReplicatedCellPath:
         assert row.key == config.key()
         assert row.label == config.label()
 
-    def test_workload_override_is_refused(self):
-        from repro.exp.cell import build_workload
-
-        workload = build_workload(CELL)
-        with pytest.raises(ReproError, match="workload override"):
-            run_cell(replace(CELL, replicates=2), workload)
-
 
 class TestReplicaHash:
     def test_seed_blind(self):

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.drivers import vector_add_workload
-from repro.exp import ablation_policies, figure8, run_cell, run_sweep
+from repro.exp import figure8, run_cell, run_sweep
 from repro.exp.spec import CellConfig, SweepSpec
 from repro.exp.store import open_store
 
@@ -85,46 +84,6 @@ class TestCaching:
         assert rows == again
         with open_store(store) as handle:
             assert len(handle) == 1
-
-
-class TestPrefetcherEncoding:
-    def test_driver_prefetcher_kwarg_round_trips(self):
-        from repro.os.vim.prefetch import SequentialPrefetcher
-
-        rows = figure8(
-            sizes_kb=(2,),
-            prefetcher=SequentialPrefetcher(aggressive=True, overlapped=True),
-        )
-        assert len(rows) == 1
-
-    def test_unencodable_prefetcher_rejected(self):
-        # overlapped-but-not-aggressive would rebuild as aggressive in
-        # the worker; better a loud error than a silently different sim.
-        from repro.errors import ReproError
-        from repro.os.vim.prefetch import SequentialPrefetcher
-
-        with pytest.raises(ReproError):
-            figure8(
-                sizes_kb=(2,),
-                prefetcher=SequentialPrefetcher(overlapped=True),
-            )
-
-
-class TestWorkloadFallback:
-    def test_keyless_workload_runs_in_process(self):
-        # A hand-made spec (no cell_key) cannot cross a process
-        # boundary; the drivers must still run it, serially.
-        workload = dataclasses.replace(
-            vector_add_workload(128, seed=2), cell_key=None
-        )
-        rows = ablation_policies(workload)
-        assert [r.label for r in rows] == ["fifo", "lru", "random", "second-chance"]
-        assert all(r.total_ms > 0 for r in rows)
-
-    def test_keyed_workload_matches_fallback(self):
-        keyed = vector_add_workload(128, seed=2)
-        keyless = dataclasses.replace(keyed, cell_key=None)
-        assert ablation_policies(keyed) == ablation_policies(keyless)
 
 
 class TestDeterminism:
