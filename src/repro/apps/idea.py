@@ -10,8 +10,6 @@ end-to-end in tests.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ReproError
 
 #: Number of full rounds (plus the final output transformation).
@@ -175,18 +173,6 @@ def decrypt(data: bytes, key: bytes) -> bytes:
         crypt_block(data[i : i + BLOCK_BYTES], subkeys)
         for i in range(0, len(data), BLOCK_BYTES)
     )
-
-
-def crypt_array(data: bytes, subkeys: list[int]) -> np.ndarray:
-    """Encrypt *data* returning a uint8 array (helper for drivers)."""
-    out = np.frombuffer(
-        b"".join(
-            crypt_block(data[i : i + BLOCK_BYTES], subkeys)
-            for i in range(0, len(data), BLOCK_BYTES)
-        ),
-        dtype=np.uint8,
-    )
-    return out.copy()
 
 
 def sw_cycles(input_bytes: int) -> int:

@@ -14,7 +14,7 @@ the adpcm core and its IMU share a single 40 MHz clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.coproc.base import Coprocessor

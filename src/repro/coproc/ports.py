@@ -29,7 +29,7 @@ clock-domain ratios (the IDEA core at 6 MHz talks to an IMU at 24 MHz).
 
 from __future__ import annotations
 
-from repro.sim.signal import Signal, SignalBundle
+from repro.sim.signal import SignalBundle
 
 #: Object id reserved for the parameter-passing page (§3.2: "the
 #: coprocessor looks for parameters in a memory page designated to

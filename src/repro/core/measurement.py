@@ -111,46 +111,3 @@ class Measurement:
         if self.total_ps == 0:
             raise ReproError(f"run {self.name!r} has zero duration")
         return other.total_ps / self.total_ps
-
-    def as_dict(self) -> dict:
-        """JSON-friendly dump (milliseconds + counters).
-
-        The shape is stable and used by external tooling that collects
-        benchmark results, so changes here are API changes.
-        """
-        return {
-            "name": self.name,
-            "total_ms": self.total_ms,
-            "hw_ms": to_ms(self.hw_ps),
-            "sw_dp_ms": to_ms(self.sw_dp_ps),
-            "sw_imu_ms": to_ms(self.sw_imu_ps),
-            "sw_other_ms": to_ms(self.sw_other_ps),
-            "sw_app_ms": to_ms(self.sw_app_ps),
-            "counters": {
-                "page_faults": self.counters.page_faults,
-                "tlb_refills": self.counters.tlb_refills,
-                "compulsory_loads": self.counters.compulsory_loads,
-                "evictions": self.counters.evictions,
-                "steals": self.counters.steals,
-                "writebacks": self.counters.writebacks,
-                "prefetches": self.counters.prefetches,
-                "interrupts": self.counters.interrupts,
-                "dma_transfers": self.counters.dma_transfers,
-                "bytes_to_dpram": self.counters.bytes_to_dpram,
-                "bytes_from_dpram": self.counters.bytes_from_dpram,
-                "tlb_lookups": self.counters.tlb_lookups,
-                "tlb_hits": self.counters.tlb_hits,
-            },
-        }
-
-    def summary(self) -> str:
-        """One-line human-readable breakdown."""
-        parts = [f"{self.name}: total={self.total_ms:.3f}ms"]
-        if self.hw_ps:
-            parts.append(f"hw={to_ms(self.hw_ps):.3f}ms")
-        for bucket in Bucket:
-            if self.buckets[bucket]:
-                parts.append(f"{bucket.value}={to_ms(self.buckets[bucket]):.3f}ms")
-        if self.counters.page_faults:
-            parts.append(f"faults={self.counters.page_faults}")
-        return " ".join(parts)

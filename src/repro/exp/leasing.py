@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import secrets
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 #: Task lifecycle states (``counts()`` reports one bucket per state).

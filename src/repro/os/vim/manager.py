@@ -44,7 +44,7 @@ from repro.os.costs import Bucket
 from repro.os.kernel import Kernel
 from repro.os.process import Process
 from repro.os.vim.allocator import FrameAllocator
-from repro.os.vim.objects import Direction, MappedObject
+from repro.os.vim.objects import MappedObject
 from repro.os.vim.policies import ReplacementPolicy, VictimContext, make_policy
 from repro.os.vim.prefetch import Prefetcher, SequentialPrefetcher
 from repro.os.vim.transfer import TransferMode, make_transfer_engine
@@ -129,10 +129,6 @@ class Vim:
         if mapped.local_id == PARAM_OBJECT:
             raise VimError(f"object id {PARAM_OBJECT} is reserved for parameters")
         self.objects[mapped.obj_id] = mapped
-
-    def unmap_all(self) -> None:
-        """Forget every mapped object (process teardown)."""
-        self.objects.clear()
 
     def tenant_objects(self, asid: int) -> list[MappedObject]:
         """The mapped objects owned by *asid* (all of them when 0)."""

@@ -60,43 +60,3 @@ class TestSpeedup:
     def test_zero_duration_rejected(self):
         with pytest.raises(ReproError):
             Measurement().speedup_over(Measurement())
-
-
-class TestAsDict:
-    def test_json_serialisable(self):
-        import json
-
-        meas = Measurement(name="run")
-        meas.add_hw(1_000_000)
-        meas.charge(Bucket.SW_DP, 500_000)
-        meas.counters.page_faults = 2
-        dump = meas.as_dict()
-        text = json.dumps(dump)
-        assert '"page_faults": 2' in text
-
-    def test_components_consistent(self):
-        meas = Measurement()
-        meas.add_hw(2_000_000_000)
-        meas.charge(Bucket.SW_IMU, 1_000_000_000)
-        dump = meas.as_dict()
-        assert dump["total_ms"] == pytest.approx(
-            dump["hw_ms"]
-            + dump["sw_dp_ms"]
-            + dump["sw_imu_ms"]
-            + dump["sw_other_ms"]
-            + dump["sw_app_ms"]
-        )
-
-
-class TestSummary:
-    def test_summary_mentions_nonzero_components(self):
-        meas = Measurement(name="run")
-        meas.add_hw(1_000_000)
-        meas.charge(Bucket.SW_DP, 2_000_000)
-        meas.counters.page_faults = 3
-        text = meas.summary()
-        assert "run" in text
-        assert "hw=" in text
-        assert "sw_dp=" in text
-        assert "faults=3" in text
-        assert "sw_imu" not in text  # zero components omitted
