@@ -25,11 +25,10 @@ the file only on purpose, and review its diff.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-
-from dataclasses import replace
 
 from repro.exp.cell import run_cell
 from repro.exp.record import record_cell

@@ -288,10 +288,8 @@ RANDOM_EVICTION = [
 ]
 
 
-#: The cell recorded to ``golden_trace.gz``, and its replay on 512 B
-#: pages in a 2 KB DP-RAM, where it faults and evicts.
+#: The cell recorded to ``golden_trace.gz``.
 TRACE_SOURCE = CellConfig(app="synthetic", input_bytes=4 * 1024, seed=1)
-TRACE_REPLAY = {"page_bytes": 512, "dpram_bytes": 2048}
 
 
 def golden_configs() -> list[CellConfig]:
@@ -309,9 +307,15 @@ def golden_configs() -> list[CellConfig]:
 
 
 def trace_replay_row() -> CellResult:
-    """Record :data:`TRACE_SOURCE` and replay it: the trace app's row."""
+    """Record :data:`TRACE_SOURCE` and replay it: the trace app's row.
+
+    The replay runs on 512 B pages in a 2 KB DP-RAM, where it faults
+    and evicts.
+    """
     record_cell(TRACE_SOURCE, GOLDEN_TRACE, force=True)
-    config = CellConfig(app="trace", trace_path=str(GOLDEN_TRACE), **TRACE_REPLAY)
+    config = CellConfig(
+        app="trace", trace_path=str(GOLDEN_TRACE), page_bytes=512, dpram_bytes=2048
+    )
     row = run_cell(config)
     relative = dataclasses.replace(config, trace_path=GOLDEN_TRACE.name)
     return dataclasses.replace(row, config=relative)
