@@ -9,7 +9,7 @@ JSON), which is what makes parallel and serial sweeps byte-comparable.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from repro.errors import ReproError
 from repro.exp.spec import CellConfig
@@ -169,9 +169,11 @@ class CellResult:
         -------
         dict
             All fields, with the config nested as its own dict and the
-            per-tenant tuples as lists (the JSON encoding).
+            per-tenant tuples as lists (the JSON encoding).  Every
+            other field is a scalar, so the dict shares no mutable
+            value with the row.
         """
-        data = asdict(self)
+        data = {name: getattr(self, name) for name in _RESULT_FIELDS}
         data["config"] = self.config.to_dict()
         for name in _TUPLE_FIELDS:
             data[name] = list(data[name])
@@ -195,8 +197,7 @@ class CellResult:
             An exact reconstruction — floats round-trip through
             ``repr`` in JSON, so ``from_dict(to_dict(r)) == r``.
         """
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
+        unknown = set(data) - _RESULT_FIELD_SET
         if unknown:
             raise ReproError(f"unknown cell result fields: {sorted(unknown)}")
         payload = dict(data)
@@ -205,6 +206,13 @@ class CellResult:
             if name in payload:
                 payload[name] = tuple(payload[name])
         return cls(**payload)
+
+
+#: :class:`CellResult` field names in dataclass order (the
+#: :meth:`~CellResult.to_dict` layout), and the same names as a set for
+#: :meth:`~CellResult.from_dict`'s unknown-field check.
+_RESULT_FIELDS = tuple(f.name for f in fields(CellResult))
+_RESULT_FIELD_SET = frozenset(_RESULT_FIELDS)
 
 
 def replicate_summary(values: list[float]) -> tuple[float, float]:

@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import ClassVar
 
@@ -366,13 +366,16 @@ class CellConfig:
             object.__setattr__(self, "trace_digest", None)
 
     def to_dict(self) -> dict:
-        """JSON-friendly dump (field order fixed by the dataclass)."""
-        return asdict(self)
+        """JSON-friendly dump (field order fixed by the dataclass).
+
+        One level deep: every field is a str, int, bool or None, so the
+        dict shares no mutable value with the config.
+        """
+        return {name: getattr(self, name) for name in _CONFIG_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CellConfig":
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
+        unknown = set(data) - _CONFIG_FIELD_SET
         if unknown:
             raise ReproError(f"unknown cell config fields: {sorted(unknown)}")
         if data.get("engine") == "fast":
@@ -417,6 +420,13 @@ class CellConfig:
             if getattr(self, name) != getattr(default, name):
                 parts.append(text)
         return "/".join(parts)
+
+
+#: :class:`CellConfig` field names in dataclass order (the
+#: :meth:`~CellConfig.to_dict` layout), and the same names as a set for
+#: :meth:`~CellConfig.from_dict`'s unknown-field check.
+_CONFIG_FIELDS = tuple(f.name for f in fields(CellConfig))
+_CONFIG_FIELD_SET = frozenset(_CONFIG_FIELDS)
 
 
 def _size_label(nbytes: int) -> str:

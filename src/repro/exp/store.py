@@ -253,14 +253,15 @@ class SqliteStore:
         A corrupt payload, a stale ``CACHE_VERSION`` or a stored config
         that differs from *config* is a miss, never a wrong row.
         """
+        key = config.key()
         row = self._one(
             "SELECT payload FROM results WHERE key = ? "
             "ORDER BY version DESC LIMIT 1",
-            (config.key(),),
+            (key,),
         )
         if row is None:
             return None
-        result = self._parse(config.key(), row[0])
+        result = self._parse(key, row[0])
         if result is None:
             return None
         if result.config != config:

@@ -102,11 +102,11 @@ def run_sweep(
         open_store(cache_dir, create=True) if cache_dir is not None else None
     )
 
+    keys = [config.key() for config in configs]
     by_key: dict[str, CellResult] = {}
     cached = 0
     pending: list[CellConfig] = []
-    for config in configs:
-        key = config.key()
+    for config, key in zip(configs, keys):
         if key in by_key:
             continue
         if cache is not None:
@@ -131,5 +131,5 @@ def run_sweep(
 
     if cache is not None:
         cache.close()
-    rows = tuple(by_key[config.key()] for config in configs)
+    rows = tuple(by_key[key] for key in keys)
     return SweepResult(rows=rows, executed=len(pending), cached=cached)
