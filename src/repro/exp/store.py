@@ -43,6 +43,10 @@ _SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 #: The on-disk magic every SQLite database file starts with.
 _SQLITE_MAGIC = b"SQLite format 3\x00"
 
+#: Milliseconds a statement waits for another connection's write lock
+#: before it fails with "database is locked".
+BUSY_TIMEOUT_MS = 30000
+
 
 @dataclass(frozen=True)
 class StoreCounts:
@@ -93,7 +97,9 @@ class SqliteStore:
 
     WAL journaling is enabled at creation so concurrent shard writers
     (and a reader rendering a report mid-sweep) do not block each
-    other.
+    other.  Opening a store that has its schema writes nothing, so a
+    reader never waits for another connection's write lock; a writer
+    waits up to :data:`BUSY_TIMEOUT_MS` for one.
     """
 
     #: Result columns flattened into SQL columns (analytics can GROUP
@@ -105,10 +111,6 @@ class SqliteStore:
     )
 
     _SCHEMA = """
-    CREATE TABLE IF NOT EXISTS store_meta (
-        key TEXT PRIMARY KEY,
-        value TEXT NOT NULL
-    );
     CREATE TABLE IF NOT EXISTS runs (
         run_id INTEGER PRIMARY KEY AUTOINCREMENT,
         created_utc TEXT NOT NULL,
@@ -160,13 +162,9 @@ class SqliteStore:
                 check_same_thread=not threadsafe,
             )
             self._db.execute("PRAGMA journal_mode=WAL")
-            self._db.execute("PRAGMA busy_timeout=30000")
+            self._db.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
             self._db.execute("PRAGMA synchronous=NORMAL")
             self._db.executescript(self._SCHEMA)
-            self._db.execute(
-                "INSERT OR IGNORE INTO store_meta (key, value) VALUES "
-                "('schema', '1')"
-            )
         except sqlite3.Error as error:
             self.close()
             raise ReproError(f"cannot open SQLite store {self.path}: {error}")

@@ -1,8 +1,12 @@
 """Tests for the CLI (driven in-process via cli.main)."""
 
+import sqlite3
+import time
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exp import store as store_module
 from repro.exp.cache import iter_dump_rows
 from repro.exp.spec import SweepSpec
 from repro.exp.store import open_store
@@ -580,3 +584,48 @@ class TestDamagedStore:
             main(["report", "--cache", str(path)])
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestLockedStore:
+    """Another connection holds the store's write lock.
+
+    A reader is not blocked by it; a writer fails with exit 2 once the
+    busy timeout runs out, before printing any row.  The timeout is
+    lowered so that either failure shows in a fraction of a second.
+    """
+
+    @pytest.fixture
+    def locked(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "BUSY_TIMEOUT_MS", 100)
+        path = write_store(tmp_path / "store.sqlite", (
+            fake_result(config) for config in SweepSpec(
+                apps=("synthetic",), input_bytes=(1024,),
+                seeds=tuple(range(20)),
+            ).expand()
+        ))
+        holder = sqlite3.connect(path, isolation_level=None)
+        holder.execute("BEGIN IMMEDIATE")
+        yield path
+        holder.execute("ROLLBACK")
+        holder.close()
+
+    def test_report_reads_through_a_write_lock(self, locked, capsys):
+        assert main(["report", "--cache", str(locked)]) == 0
+        out = capsys.readouterr().out
+        rows = [line for line in out.splitlines()
+                if line.startswith("| synthetic-1KB ")]
+        assert len(rows) == 20
+
+    def test_sweep_fails_fast(self, locked, capsys):
+        # vadd 1 KB is not in the store, so the sweep simulates it and
+        # then needs the write lock to store its row.
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--app", "vadd", "--kb", "1",
+                  "--cache", str(locked)])
+        elapsed = time.perf_counter() - start
+        assert excinfo.value.code == 2
+        assert elapsed < 1.0
+        captured = capsys.readouterr()
+        assert "database is locked" in captured.err
+        assert captured.out == ""
