@@ -10,11 +10,11 @@ Everything it writes lives under ``tests/exp/fixtures/`` in the
 git and a refresh shows up as a reviewable diff.  Two kinds of dump:
 
 * **Report fixtures** (``report_rows.json``, ``baseline_rows.json`` and
-  the rendered goldens).  The report and diff golden tests
-  (``tests/exp/test_report.py``, ``tests/exp/test_diff.py``) render
-  tables from these rows.  The rows are synthetic — deterministic
-  hand-written numbers, no simulation — so the goldens never depend on
-  simulation timing.
+  the rendered goldens).  The report, diff and history golden tests
+  (``tests/exp/test_report.py``, ``tests/exp/test_diff.py``,
+  ``tests/exp/test_cli_goldens.py``) render tables from these rows.
+  The rows are synthetic — deterministic hand-written numbers, no
+  simulation — so the goldens never depend on simulation timing.
 * **Golden rows** (``golden_rows.json``): real simulated rows for a
   fixed corpus of configurations (:func:`golden_configs`).
   ``tests/exp/test_golden_rows.py`` re-runs every config and requires
@@ -36,22 +36,29 @@ fix is one command: re-run this script and commit the refreshed
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import random
+import sqlite3
 import sys
+import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.cli import build_parser, spec_from_args  # noqa: E402
+from repro.cli import build_parser, main as repro_main, spec_from_args  # noqa: E402
+from repro.exp.cache import iter_dump_rows  # noqa: E402
 from repro.exp.cell import run_cell  # noqa: E402
 from repro.exp.diff import diff_stores, render_diff  # noqa: E402
+from repro.exp.merge import merge_into  # noqa: E402
 from repro.exp.record import record_cell  # noqa: E402
 from repro.exp.report import render_report  # noqa: E402
 from repro.exp.results import CellResult  # noqa: E402
 from repro.exp.spec import CellConfig  # noqa: E402
+from repro.exp.store import open_store  # noqa: E402
 
 FIXTURE_DIR = REPO_ROOT / "tests" / "exp" / "fixtures"
 ROWS_DUMP = FIXTURE_DIR / "report_rows.json"
@@ -73,6 +80,32 @@ GOLDENS = {
     "report.ascii": {"fmt": "ascii", "group_by": ()},
     "report_by_policy.md": {"fmt": "md", "group_by": ("policy",)},
     "report_by_policy.csv": {"fmt": "csv", "group_by": ("policy",)},
+}
+
+#: Goldens of the command line: ``repro ARGV``'s stdout, run in a
+#: directory holding the stores :func:`write_fixture_stores` builds.
+CLI_GOLDENS = {
+    "diff.ascii": "diff baseline.sqlite report.sqlite --format ascii",
+    "diff_by_policy.md":
+        "diff baseline.sqlite report.sqlite --group-by policy --format md",
+    "diff_by_policy.ascii":
+        "diff baseline.sqlite report.sqlite --group-by policy",
+    "diff_by_app_policy.md":
+        "diff baseline.sqlite report.sqlite --group-by app policy "
+        "--format md",
+    "diff_by_app_policy.ascii":
+        "diff baseline.sqlite report.sqlite --group-by app policy",
+    "diff_cv.md": "diff baseline.sqlite report.sqlite --bands cv --format md",
+    "diff_metrics.md":
+        "diff baseline.sqlite report.sqlite --metric typical_ms prefetches "
+        "tlb_hit_rate vim_speedup_mean vim_ms_cv --format md",
+    "report_by_policy.ascii":
+        "report --cache report.sqlite --group-by policy --format ascii",
+    "report_by_policy_vs_baseline.md":
+        "report --cache report.sqlite --baseline baseline.sqlite "
+        "--group-by policy",
+    "history.md": "history vim_ms history.sqlite --format md",
+    "history.ascii": "history vim_ms history.sqlite",
 }
 
 
@@ -360,17 +393,22 @@ def baseline_result(row: CellResult, index: int) -> CellResult | None:
     identical, row 1's baseline is *faster* (so the current row reads
     as a regression), row 2's baseline has *more* faults (so the
     current row reads as an improvement), and row 3 is absent from the
-    baseline entirely (an added cell / ``(new)`` annotation).
+    baseline entirely (an added cell / ``(new)`` annotation).  The
+    moved columns' ``_mean`` summaries are re-derived from the moved
+    values, so a ``--bands cv`` diff sees the same movements.
     """
     if index == 3:
         return None
     if index == 1:
         vim = row.vim_ms * 0.9
         return dataclasses.replace(
-            row, vim_ms=vim, vim_speedup=row.sw_ms / vim
+            row, vim_ms=vim, vim_speedup=row.sw_ms / vim,
+            vim_ms_mean=None, vim_speedup_mean=None,
         )
     if index == 2:
-        return dataclasses.replace(row, page_faults=row.page_faults + 2)
+        return dataclasses.replace(
+            row, page_faults=row.page_faults + 2, page_faults_mean=None
+        )
     return row
 
 
@@ -380,6 +418,37 @@ def write_dump(path: Path, rows: list[CellResult]) -> None:
         json.dump([row.to_dict() for row in rows], handle,
                   sort_keys=True, indent=1)
         handle.write("\n")
+
+
+def write_fixture_stores(directory: Path) -> None:
+    """Build the stores the :data:`CLI_GOLDENS` read, from the dumps.
+
+    ``report.sqlite`` and ``baseline.sqlite`` hold the two dumps.
+    ``history.sqlite`` holds the baseline rows as run 1 and the current
+    rows as run 2, with each run's ``created_utc`` fixed by SQL.
+    """
+    merge_into(directory / "report.sqlite", [ROWS_DUMP])
+    merge_into(directory / "baseline.sqlite", [BASELINE_DUMP])
+    history = directory / "history.sqlite"
+    for dump in (BASELINE_DUMP, ROWS_DUMP):
+        with open_store(history, create=True) as store:
+            for _origin, row in iter_dump_rows(dump):
+                store.put(row)
+    db = sqlite3.connect(history)
+    with db:
+        db.execute(
+            "UPDATE runs SET created_utc = "
+            "printf('2004-02-%02dT12:00:00Z', run_id)"
+        )
+    db.close()
+
+
+def cli_output(argv: str) -> str:
+    """What ``repro ARGV`` prints to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        repro_main(argv.split())
+    return out.getvalue()
 
 
 def main() -> int:
@@ -407,13 +476,20 @@ def main() -> int:
     )
     diff_text = render_diff(diff_stores(BASELINE_DUMP, ROWS_DUMP), fmt="md")
     (FIXTURE_DIR / "diff.md").write_text(diff_text + "\n", encoding="utf-8")
+    with tempfile.TemporaryDirectory() as work:
+        write_fixture_stores(Path(work))
+        with contextlib.chdir(work):
+            for name, argv in CLI_GOLDENS.items():
+                (FIXTURE_DIR / name).write_text(
+                    cli_output(argv), encoding="utf-8"
+                )
     golden_rows = [run_cell(config) for config in golden_configs()]
     golden_rows.append(trace_replay_row())
     write_dump(GOLDEN_DUMP, golden_rows)
     print(
         f"wrote {len(rows)}+{len(baseline_rows)} dumped rows, "
         f"{len(golden_rows)} simulated golden rows and "
-        f"{len(GOLDENS) + 2} golden file(s) under "
+        f"{len(GOLDENS) + len(CLI_GOLDENS) + 2} golden file(s) under "
         f"{FIXTURE_DIR.relative_to(REPO_ROOT)}"
     )
     return 0
