@@ -61,25 +61,20 @@ from repro.core.system import System
 from repro.errors import CapacityError, ReproError
 from repro import exp
 from repro.exp.cell import build_workload
-from repro.exp.diff import (
-    BANDS,
-    DEFAULT_METRICS,
-    METRICS,
-    diff_stores,
-    render_diff,
-)
+from repro.exp.diff import BANDS, DEFAULT_METRICS, diff_stores, render_diff
 from repro.exp.history import load_history, render_history
 from repro.exp.merge import merge_into
 from repro.exp.report import (
     FORMATS,
-    format_table,
     group_axes,
     load_cache_rows,
     render_report,
+    render_table,
     stacked_bar_chart,
     write_report,
 )
 from repro.exp.record import record_cell
+from repro.exp.results import COLUMNS
 from repro.exp.service import serve_forever, submit_sweep
 from repro.exp.store import open_store
 from repro.exp.worker import run_worker
@@ -112,7 +107,7 @@ def _print_fig7(args: argparse.Namespace) -> None:
 
 def _print_fig8(args: argparse.Namespace) -> None:
     rows = exp.figure8(tuple(args.kb))
-    print(format_table(
+    print(render_table(
         ["input", "SW ms", "VIM ms", "HW ms", "SW(DP) ms", "SW(IMU) ms",
          "speedup", "faults"],
         [[r.label, r.sw_ms, r.vim_ms, r.hw_ms, r.sw_dp_ms, r.sw_imu_ms,
@@ -127,7 +122,7 @@ def _print_fig8(args: argparse.Namespace) -> None:
 
 def _print_fig9(args: argparse.Namespace) -> None:
     rows = exp.figure9(tuple(args.kb))
-    print(format_table(
+    print(render_table(
         ["input", "SW ms", "typical ms", "typical x", "VIM ms", "VIM x",
          "faults"],
         [[r.label, r.sw_ms,
@@ -139,7 +134,7 @@ def _print_fig9(args: argparse.Namespace) -> None:
 
 def _print_overheads(args: argparse.Namespace) -> None:
     rows = exp.imu_overhead_rows()
-    print(format_table(
+    print(render_table(
         ["point", "SW(IMU)/total"],
         [[label, f"{fraction * 100:.2f}%"] for label, fraction in rows],
     ))
@@ -158,7 +153,7 @@ def _print_ablations(args: argparse.Namespace) -> None:
             )
         rows = driver()
         print(f"\nablation: {name}")
-        print(format_table(
+        print(render_table(
             ["config", "total ms", "hw ms", "SW(DP) ms", "faults", "prefetches"],
             [[r.label, r.total_ms, r.hw_ms, r.sw_dp_ms, r.page_faults,
               r.prefetches] for r in rows],
@@ -167,7 +162,7 @@ def _print_ablations(args: argparse.Namespace) -> None:
 
 def _print_portability(args: argparse.Namespace) -> None:
     rows = exp.portability()
-    print(format_table(
+    print(render_table(
         ["SoC", "DP-RAM KB", "total ms", "faults"],
         [[r.soc, r.dpram_kb, r.total_ms, r.page_faults] for r in rows],
     ))
@@ -388,10 +383,10 @@ def _print_sweep_rows(cell_rows, executed: int, cached: int) -> None:
         for row, r in zip(rows, cell_rows):
             row += [r.vim_ms_mean, r.vim_ms_cv,
                     r.page_faults_mean, r.page_faults_cv]
-    print(format_table(headers, rows))
+    print(render_table(headers, rows))
     if multi_tenant:
         print()
-        print(format_table(
+        print(render_table(
             ["tenant", "total ms", "faults", "evictions", "steals", "lost"],
             [[f"{r.label}/{name}", ms, faults, evictions, steals, lost]
              for r in cell_rows
@@ -488,7 +483,6 @@ def _print_diff(args: argparse.Namespace) -> int:
     gate — and 0 otherwise (including the no-comparable-cells case a
     ``CACHE_VERSION`` bump produces: incomparable is not a regression).
     """
-    group_by = tuple(args.group_by or ())
     result = diff_stores(
         args.baseline,
         args.current,
@@ -496,9 +490,9 @@ def _print_diff(args: argparse.Namespace) -> int:
         rtol=args.rtol,
         atol=args.atol,
         bands=args.bands,
-        group_by=group_by,
+        group_by=tuple(args.group_by or ()),
     )
-    print(render_diff(result, fmt=args.format, group_by=group_by))
+    print(render_diff(result, fmt=args.format))
     return 1 if result.has_regressions else 0
 
 
@@ -924,7 +918,7 @@ def build_parser() -> argparse.ArgumentParser:
         "history",
         help="one metric's per-run time series from a SQLite result store",
     )
-    history.add_argument("metric", choices=sorted(METRICS),
+    history.add_argument("metric", choices=sorted(COLUMNS),
                          help="metric to trend across runs")
     history.add_argument("store", metavar="STORE",
                          help="SQLite result store")
@@ -959,10 +953,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "each replicated metric's band by the "
                            "baseline's own per-cell CV (default: exact)")
     diff.add_argument("--metric", nargs="+", default=None,
-                      choices=sorted(METRICS), metavar="NAME",
+                      choices=sorted(COLUMNS), metavar="NAME",
                       help="metric columns to compare "
                            f"(default: {' '.join(DEFAULT_METRICS)}; "
-                           f"choices: {', '.join(sorted(METRICS))})")
+                           f"choices: {', '.join(sorted(COLUMNS))})")
     diff.add_argument("--group-by", nargs="+", default=None, metavar="AXIS",
                       choices=group_axes(),
                       help="aggregate the table per config-axis group "

@@ -86,11 +86,8 @@ from repro.exp.record import RecordOutcome, record_cell
 from repro.exp.report import (
     FORMATS,
     bar_chart,
-    csv_table,
     delta_bar_chart,
-    format_table,
     load_cache_rows,
-    markdown_table,
     render_report,
     render_table,
     stacked_bar_chart,
@@ -143,17 +140,14 @@ __all__ = [
     "build_tenant_workloads",
     "config_hash",
     "contention",
-    "csv_table",
     "delta_bar_chart",
     "diff_stores",
     "figure7",
     "figure8",
     "figure9",
-    "format_table",
     "grid_fingerprint",
     "imu_overhead_rows",
     "load_cache_rows",
-    "markdown_table",
     "load_history",
     "merge_into",
     "open_store",

@@ -7,22 +7,28 @@ result stores or ``repro sweep --json`` row dumps — by aligning rows
 on their config hash and classifying every metric of every matched
 cell against a configurable tolerance:
 
-* :func:`diff_stores` — the one differ: a sorted merge-join of the
-  two sides into a typed :class:`DiffResult` of per-cell
+* :func:`diff_stores` — the one differ: both sides read through
+  :func:`~repro.exp.store.iter_source` and aligned with
+  :func:`~repro.exp.store.join_keyed`, the key join ``repro merge``
+  uses too, into a typed :class:`DiffResult` of per-cell
   :class:`MetricDelta` columns (absolute + relative), plus added /
   removed cells and distinct counts of stale-``CACHE_VERSION``
   entries (usually a deliberate schema bump) and invalid ones
   (corruption);
 * :func:`render_diff` — the regression table (through
   :func:`~repro.exp.report.render_table`) with ASCII delta bars for
-  the changed cells.
+  the changed cells, per cell or per axis group of the diff's
+  ``group_by`` (grouped through
+  :func:`~repro.exp.report.group_sorted`, like a grouped report).
 
 Tolerance follows the ``numpy.isclose`` shape — a delta is *changed*
 when ``|current - base| > atol + rtol * |base|`` — and every metric
-knows its bad direction, so an improvement is a change but never a
-*regression*.  ``repro diff BASELINE CURRENT`` is the command-line
-face (exit 1 on regressions beyond tolerance, 0 otherwise); CI runs
-it between a PR's merged shard cache and the main-branch baseline.
+knows its bad direction (the ``higher_is_worse`` of its
+:data:`~repro.exp.results.COLUMNS` entry), so an improvement is a
+change but never a *regression*.  ``repro diff BASELINE CURRENT`` is
+the command-line face (exit 1 on regressions beyond tolerance, 0
+otherwise); CI runs it between a PR's merged shard cache and the
+main-branch baseline.
 
 Two banding policies select how the tolerance is derived (``repro
 diff --bands {exact,cv}``):
@@ -44,126 +50,29 @@ diff --bands {exact,cv}``):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
-from typing import Callable
 
 from repro.errors import ReproError
-from repro.exp.cache import iter_dump_rows
 from repro.exp.report import (
     check_group_axes,
     delta_bar_chart,
     format_cell,
     format_delta,
+    group_sorted,
+    group_title,
     render_table,
 )
-from repro.exp.results import REPLICATED_COLUMNS, CellResult
+from repro.exp.results import COLUMNS, REPLICATED_COLUMNS, CellResult, Column
 from repro.exp.spec import CACHE_VERSION, fingerprint_from_keys, replica_hash
-from repro.exp.store import is_sqlite_file, open_store
+from repro.exp.store import iter_source, join_keyed, open_store
 
 
 # ----------------------------------------------------------------------
-# Metrics: what gets compared, and which direction is "worse"
+# Metrics: the numeric result columns, and which direction is "worse"
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Metric:
-    """One diffable result column.
-
-    Parameters
-    ----------
-    name : str
-        Selector and table header.
-    field : str
-        The :class:`~repro.exp.results.CellResult` column the metric
-        reads — the coverage contract: every numeric result column
-        must appear as exactly one metric's field (enforced by
-        ``tests/exp/test_metrics_coverage.py``), so a new column
-        cannot ship without declaring its regression direction.  When
-        the field is one of
-        :data:`~repro.exp.results.REPLICATED_COLUMNS`, ``--bands cv``
-        compares its ``_mean`` column under a tolerance derived from
-        the baseline's ``_cv`` column.
-    value : callable
-        Extracts the numeric value from a
-        :class:`~repro.exp.results.CellResult` (``None``-valued
-        optional columns read as 0.0).
-    higher_is_worse : bool or None
-        Regression direction: ``True`` for times and fault counts,
-        ``False`` for speedups and hit rates, ``None`` for counters
-        with no inherent direction (tracked as *changed*, never as a
-        regression).
-    """
-
-    name: str
-    field: str
-    value: Callable[[CellResult], float]
-    higher_is_worse: bool | None = True
-
-
-def _metric(
-    name: str, field: str, higher_is_worse: bool | None = True
-) -> Metric:
-    """A metric reading *field* directly (None reads as 0.0)."""
-    return Metric(
-        name,
-        field,
-        lambda r: getattr(r, field) if getattr(r, field) is not None else 0.0,
-        higher_is_worse=higher_is_worse,
-    )
-
-
-def _replicated_metrics() -> dict[str, Metric]:
-    """The ``_mean`` / ``_cv`` summary metrics, one pair per entry of
-    :data:`~repro.exp.results.REPLICATED_COLUMNS`.
-
-    A mean column inherits its primary metric's regression direction;
-    a CV column has none (variance moving is worth flagging, but is
-    not by itself a regression).
-    """
-    out: dict[str, Metric] = {}
-    for field in REPLICATED_COLUMNS:
-        direction = False if field == "vim_speedup" else True
-        out[f"{field}_mean"] = _metric(
-            f"{field}_mean", f"{field}_mean", higher_is_worse=direction
-        )
-        out[f"{field}_cv"] = _metric(
-            f"{field}_cv", f"{field}_cv", higher_is_worse=None
-        )
-    return out
-
-
-#: Every metric ``repro diff`` can compare, keyed by selector name.
-METRICS: dict[str, Metric] = {
-    "sw_ms": _metric("sw_ms", "sw_ms"),
-    "vim_ms": _metric("vim_ms", "vim_ms"),
-    "hw_ms": _metric("hw_ms", "hw_ms"),
-    "sw_dp_ms": _metric("sw_dp_ms", "sw_dp_ms"),
-    "sw_imu_ms": _metric("sw_imu_ms", "sw_imu_ms"),
-    "sw_other_ms": _metric("sw_other_ms", "sw_other_ms"),
-    "speedup": _metric("speedup", "vim_speedup", higher_is_worse=False),
-    "faults": _metric("faults", "page_faults"),
-    "compulsory_loads": _metric("compulsory_loads", "compulsory_loads"),
-    "tlb_refills": _metric("tlb_refills", "tlb_refills"),
-    "evictions": _metric("evictions", "evictions"),
-    "steals": _metric("steals", "steals"),
-    "writebacks": _metric("writebacks", "writebacks"),
-    "bytes_to_dpram": _metric("bytes_to_dpram", "bytes_to_dpram"),
-    "bytes_from_dpram": _metric("bytes_from_dpram", "bytes_from_dpram"),
-    "tlb_hit_rate": _metric(
-        "tlb_hit_rate", "tlb_hit_rate", higher_is_worse=False
-    ),
-    "typical_ms": _metric("typical_ms", "typical_ms"),
-    "typical_speedup": _metric(
-        "typical_speedup", "typical_speedup", higher_is_worse=False
-    ),
-    "prefetches": _metric("prefetches", "prefetches", higher_is_worse=None),
-    "dma_transfers": _metric(
-        "dma_transfers", "dma_transfers", higher_is_worse=None
-    ),
-    **_replicated_metrics(),
-}
 
 #: The default comparison set: the paper's time decomposition, the
 #: speedup claim, and the fault count.
@@ -254,7 +163,7 @@ def scalar_delta(
 
 
 def banded_delta(
-    metric: Metric,
+    metric: Column,
     base_row: CellResult,
     current_row: CellResult,
     rtol: float = 0.0,
@@ -382,6 +291,10 @@ class DiffResult:
         config hash and applied rtol/atol uniformly; ``cv`` aligned
         rows seed-blind and widened each replicated metric's band by
         the baseline's CV.
+    group_by : tuple of str
+        The config axes whose values each :class:`CellDiff` recorded
+        (``repro diff --group-by``); :func:`render_diff` aggregates
+        along them.
     """
 
     cells: tuple[CellDiff, ...]
@@ -393,6 +306,7 @@ class DiffResult:
     rtol: float
     atol: float
     bands: str = "exact"
+    group_by: tuple[str, ...] = ()
 
     @property
     def changed_cells(self) -> tuple[CellDiff, ...]:
@@ -415,50 +329,44 @@ class DiffResult:
         return self.baseline.fingerprint, self.current.fingerprint
 
 
-def _resolve_metrics(names) -> list[Metric]:
-    unknown = [name for name in names if name not in METRICS]
+def _resolve_metrics(names) -> list[Column]:
+    unknown = [name for name in names if name not in COLUMNS]
     if unknown:
         raise ReproError(
-            f"unknown diff metric(s) {unknown}; choices: {sorted(METRICS)}"
+            f"unknown diff metric(s) {unknown}; choices: {sorted(COLUMNS)}"
         )
-    return [METRICS[name] for name in names]
+    return [COLUMNS[name] for name in names]
 
 
-def _side_rows(path: Path, counter: list[int]):
-    """One side's loadable rows in key order, tallying its entries.
+def _side_rows(path: Path, statuses: Counter):
+    """One side's loadable rows in key order, one per config.
 
-    ``counter`` is ``[entries, stale, invalid]`` and is updated as the
-    rows are read.  A SQLite store streams off its key-sorted cursor;
-    a ``--json`` dump is a JSON list in memory already, so it is
-    deduplicated and sorted there.
+    Every entry's status is tallied into *statuses*.  A store or a
+    ``--json`` dump is read through
+    :func:`~repro.exp.store.iter_source`; a dump may repeat a config
+    only with an equal row.  A directory is refused: a legacy JSON
+    cache is imported with ``repro merge`` first.
     """
     if not path.exists():
         raise ReproError(f"diff source {path} does not exist")
-    if path.is_dir() or is_sqlite_file(path):
-        with open_store(path) as store:
-            for _origin, status, result in store.iter_classified():
-                counter[0] += 1
-                if status == "ok":
-                    yield result
-                elif status == "stale-version":
-                    counter[1] += 1
-                else:
-                    counter[2] += 1
-        return
-    rows: dict[str, CellResult] = {}
-    for origin, result in iter_dump_rows(path):
-        counter[0] += 1
-        if result is None:
-            counter[2] += 1
-            continue
-        known = rows.get(result.key)
-        if known is not None and known != result:
-            raise ReproError(
-                f"diff source {path} carries two different results for "
-                f"config {result.key} ({origin})"
-            )
-        rows[result.key] = result
-    yield from (rows[key] for key in sorted(rows))
+    if path.is_dir():
+        open_store(path)  # raises, naming the `repro merge` import
+
+    def loadable():
+        for origin, status, result in iter_source(path):
+            statuses[status] += 1
+            if result is not None:
+                yield origin, result
+
+    for key, entries in groupby(loadable(), key=lambda entry: entry[1].key):
+        _origin, first = next(entries)
+        for origin, result in entries:
+            if result != first:
+                raise ReproError(
+                    f"diff source {path} carries two different results "
+                    f"for config {key} ({origin})"
+                )
+        yield first
 
 
 def _replica_aligned(rows, origin: Path):
@@ -499,7 +407,7 @@ def diff_stores(
     """Align two runs and classify every metric of every match.
 
     Both sides are walked as sorted streams of ``(alignment key,
-    row)`` and aligned with a two-pointer merge-join; each
+    row)`` and aligned with :func:`~repro.exp.store.join_keyed`; each
     :class:`~repro.exp.results.CellResult` is dropped the moment its
     deltas are computed, and the returned :class:`DiffResult` holds
     only labels, deltas and fingerprints.  Two stores under ``exact``
@@ -513,7 +421,7 @@ def diff_stores(
         SQLite result stores or ``repro sweep --json`` dumps, either
         on either side.
     metrics : sequence of str
-        Metric selectors from :data:`METRICS`.
+        Metric selectors from :data:`~repro.exp.results.COLUMNS`.
     rtol, atol : float
         Relative / absolute tolerance; a delta within
         ``atol + rtol * |base|`` is neither a change nor a regression.
@@ -528,7 +436,8 @@ def diff_stores(
         metrics by the baseline's own per-cell CV.
     group_by : tuple of str
         Config axes whose raw values to record per matched cell
-        (``repro diff --group-by``), for :func:`render_diff`.
+        (``repro diff --group-by``); :func:`render_diff` aggregates
+        the table and bars along them.
 
     Raises
     ------
@@ -543,43 +452,32 @@ def diff_stores(
     if bands not in BANDS:
         raise ReproError(f"unknown band policy {bands!r}; choices: {BANDS}")
     selected = _resolve_metrics(metrics)
+    group_by = tuple(group_by)
     check_group_axes(group_by)
     paths = (Path(baseline), Path(current))
-    counters = ([0, 0, 0], [0, 0, 0])  # entries, stale, invalid
+    statuses = (Counter(), Counter())
     streams = []
-    for path, counter in zip(paths, counters):
-        rows = _side_rows(path, counter)
+    for path, side_statuses in zip(paths, statuses):
+        rows = _side_rows(path, side_statuses)
         if bands == "cv":
-            streams.append(iter(_replica_aligned(rows, path)))
+            streams.append(_replica_aligned(rows, path))
         else:
             streams.append((row.key, row) for row in rows)
-    base_stream, current_stream = streams
-    base_keys: list[str] = []
-    current_keys: list[str] = []
+    keys: tuple[list[str], list[str]] = ([], [])
     cells: list[CellDiff] = []
     added: list[_LeanRow] = []
     removed: list[_LeanRow] = []
-    base_item = next(base_stream, None)
-    current_item = next(current_stream, None)
-    while base_item is not None or current_item is not None:
-        if current_item is None or (
-            base_item is not None and base_item[0] < current_item[0]
-        ):
-            key, row = base_item
-            base_keys.append(key)
-            removed.append(_LeanRow(key=row.key, label=row.label))
-            base_item = next(base_stream, None)
+    for key, members in join_keyed(streams):
+        sides = {index: row for index, (_key, row) in members}
+        for index in sides:
+            keys[index].append(key)
+        if 1 not in sides:
+            removed.append(_LeanRow(key=sides[0].key, label=sides[0].label))
             continue
-        if base_item is None or current_item[0] < base_item[0]:
-            key, row = current_item
-            current_keys.append(key)
-            added.append(_LeanRow(key=row.key, label=row.label))
-            current_item = next(current_stream, None)
+        if 0 not in sides:
+            added.append(_LeanRow(key=sides[1].key, label=sides[1].label))
             continue
-        key, base_row = base_item
-        _key, current_row = current_item
-        base_keys.append(key)
-        current_keys.append(key)
+        base_row, current_row = sides[0], sides[1]
         if bands == "cv":
             deltas = tuple(
                 banded_delta(metric, base_row, current_row, rtol=rtol, atol=atol)
@@ -605,10 +503,8 @@ def diff_stores(
                 getattr(current_row.config, axis) for axis in group_by
             ),
         ))
-        base_item = next(base_stream, None)
-        current_item = next(current_stream, None)
-    for path, counter in zip(paths, counters):
-        if not counter[0]:
+    for path, side_statuses in zip(paths, statuses):
+        if not side_statuses.total():
             raise ReproError(
                 f"{path} holds no result rows; pass a result store or a "
                 "non-empty `repro sweep --json` dump"
@@ -621,13 +517,11 @@ def diff_stores(
     sides = tuple(
         DiffSide(
             origin=str(path),
-            fingerprint=fingerprint_from_keys(keys),
-            stale=counter[1],
-            invalid=counter[2],
+            fingerprint=fingerprint_from_keys(side_keys),
+            stale=side_statuses["stale-version"],
+            invalid=side_statuses["invalid"],
         )
-        for path, keys, counter in zip(
-            paths, (base_keys, current_keys), counters
-        )
+        for path, side_keys, side_statuses in zip(paths, keys, statuses)
     )
     return DiffResult(
         cells=tuple(cells),
@@ -639,6 +533,7 @@ def diff_stores(
         rtol=rtol,
         atol=atol,
         bands=bands,
+        group_by=group_by,
     )
 
 
@@ -664,10 +559,11 @@ def format_delta_cell(delta: MetricDelta) -> str:
     return text
 
 
-def _cell_status(cell: CellDiff) -> str:
-    if cell.regressed:
+def _status(cells) -> str:
+    """A table row's status: any member cell regressed, else changed."""
+    if any(cell.regressed for cell in cells):
         return "REGRESSION"
-    if cell.changed:
+    if any(cell.changed for cell in cells):
         return "changed"
     return "ok"
 
@@ -684,92 +580,46 @@ def _side_notes(side: DiffSide, name: str) -> list[str]:
     return notes
 
 
-def _grouped_cells(
-    result: DiffResult, group_by: tuple[str, ...]
-) -> list[tuple[tuple, list[CellDiff]]]:
-    """Matched cells bucketed by axis values, sorted like the report
-    grouper (raw values, ``None`` first)."""
-    groups: dict[tuple, list[CellDiff]] = {}
-    for cell in result.cells:
-        groups.setdefault(cell.group_values, []).append(cell)
-    return sorted(
-        groups.items(),
-        key=lambda item: tuple((v is not None, v) for v in item[0]),
-    )
-
-
-def _group_delta(cells: list[CellDiff], index: int) -> MetricDelta:
-    """One metric aggregated over a group: mean vs mean.
+def _group_deltas(cells: list[CellDiff]) -> list[MetricDelta]:
+    """Each metric aggregated over a group: mean vs mean.
 
     ``changed``/``regressed`` hold if *any* cell in the group did —
     an aggregate table must not average a regression away.
     """
-    deltas = [cell.deltas[index] for cell in cells]
-    return MetricDelta(
-        metric=deltas[0].metric,
-        base=sum(d.base for d in deltas) / len(deltas),
-        current=sum(d.current for d in deltas) / len(deltas),
-        changed=any(d.changed for d in deltas),
-        regressed=any(d.regressed for d in deltas),
-    )
-
-
-def _group_status(cells: list[CellDiff]) -> str:
-    if any(cell.regressed for cell in cells):
-        return "REGRESSION"
-    if any(cell.changed for cell in cells):
-        return "changed"
-    return "ok"
-
-
-def _grouped_table(
-    result: DiffResult, group_by: tuple[str, ...], fmt: str
-) -> str:
-    """The ``--group-by`` aggregate table: one row per axis-value
-    combination, mean-vs-mean deltas, any-cell status."""
-    headers = (
-        list(group_by) + ["cells"]
-        + [f"Δ {name}" for name in result.metrics] + ["status"]
-    )
-    rows = []
-    for values, cells in _grouped_cells(result, group_by):
-        rows.append(
-            list(values)
-            + [len(cells)]
-            + [
-                format_delta_cell(_group_delta(cells, index))
-                for index in range(len(result.metrics))
-            ]
-            + [_group_status(cells)]
+    return [
+        MetricDelta(
+            metric=deltas[0].metric,
+            base=sum(d.base for d in deltas) / len(deltas),
+            current=sum(d.current for d in deltas) / len(deltas),
+            changed=any(d.changed for d in deltas),
+            regressed=any(d.regressed for d in deltas),
         )
-    return render_table(headers, rows, fmt)
+        for deltas in zip(*(cell.deltas for cell in cells))
+    ]
 
 
-def _grouped_bars(result: DiffResult, group_by: tuple[str, ...]) -> str:
-    """Delta bars of the first metric's per-group mean relative delta."""
-    if not result.metrics:
-        return ""
-    rows = []
-    for values, cells in _grouped_cells(result, group_by):
-        delta = _group_delta(cells, 0)
-        if delta.changed and delta.relative is not None:
-            label = ", ".join(
-                f"{axis}={format_cell(value)}"
-                for axis, value in zip(group_by, values)
-            )
-            rows.append((label, delta.relative * 100.0))
+def _delta_bars(metric: str, labelled) -> str:
+    """Delta bars of *metric* over the changed ``(label, delta)`` pairs."""
+    rows = [
+        (label, delta.relative * 100.0)
+        for label, delta in labelled
+        if delta.changed and delta.relative is not None
+    ]
     if not rows:
         return ""
-    return f"Δ {result.metrics[0]} vs baseline:\n" + delta_bar_chart(rows)
+    return f"Δ {metric} vs baseline:\n" + delta_bar_chart(rows)
 
 
 def render_diff(
-    result: DiffResult,
-    fmt: str = "ascii",
-    bars: bool = True,
-    group_by: tuple[str, ...] = (),
+    result: DiffResult, fmt: str = "ascii", bars: bool = True
 ) -> str:
     """Render a :class:`DiffResult` as a regression table plus summary.
+
+    Without ``group_by`` the table has one row per matched cell.  With
+    the diff's ``group_by`` axes (``repro diff --group-by``) it has one
+    row per axis-value combination instead, with mean-vs-mean deltas
+    and a status that regresses if *any* member cell regressed; the
+    summary line, added/removed lists, and side notes stay per-cell.
 
     Parameters
     ----------
@@ -780,14 +630,8 @@ def render_diff(
         through :func:`~repro.exp.report.render_table`.
     bars : bool
         Append ASCII delta bars (relative deltas of the first compared
-        metric, changed cells only).  ``md`` wraps them in a fenced
+        metric, changed rows only).  ``md`` wraps them in a fenced
         block.
-    group_by : tuple of str
-        Config axes to aggregate along (``repro diff --group-by``):
-        instead of one row per cell, the table gets one row per
-        axis-value combination with mean-vs-mean deltas and a status
-        that regresses if *any* member cell regressed.  The summary
-        line, added/removed lists, and side notes stay per-cell.
 
     Returns
     -------
@@ -799,20 +643,36 @@ def render_diff(
         added/removed/stale information is available on the
         :class:`DiffResult` itself, and the exit code still gates.
     """
-    check_group_axes(group_by)
+    group_by = result.group_by
+    # (leading cells, bar label, deltas, member cells) per table row.
     if group_by:
-        table = _grouped_table(result, tuple(group_by), fmt)
+        table_rows = [
+            (
+                list(values) + [len(cells)],
+                group_title(group_by, values),
+                _group_deltas(cells),
+                cells,
+            )
+            for values, cells in group_sorted(
+                result.cells, lambda cell: cell.group_values
+            )
+        ]
+        leading = list(group_by) + ["cells"]
     else:
-        table = render_table(
-            ["cell"] + [f"Δ {name}" for name in result.metrics] + ["status"],
-            [
-                [cell.label]
-                + [format_delta_cell(delta) for delta in cell.deltas]
-                + [_cell_status(cell)]
-                for cell in result.cells
-            ],
-            fmt,
-        )
+        table_rows = [
+            ([cell.label], cell.label, cell.deltas, [cell])
+            for cell in result.cells
+        ]
+        leading = ["cell"]
+    table = render_table(
+        leading + [f"Δ {name}" for name in result.metrics] + ["status"],
+        [
+            first + [format_delta_cell(delta) for delta in deltas]
+            + [_status(cells)]
+            for first, _label, deltas, cells in table_rows
+        ],
+        fmt,
+    )
     if fmt == "csv":
         return table
     tolerance = f"rtol={result.rtol:g}, atol={result.atol:g}"
@@ -849,10 +709,10 @@ def render_diff(
             "(different grid, or a CACHE_VERSION bump made the baseline "
             "stale); nothing to gate on"
         )
-    if bars:
-        chart = (
-            _grouped_bars(result, tuple(group_by)) if group_by
-            else _delta_bars(result)
+    if bars and result.metrics:
+        chart = _delta_bars(
+            result.metrics[0],
+            [(label, deltas[0]) for _, label, deltas, _ in table_rows],
         )
         if chart:
             lines.append("")
@@ -860,18 +720,3 @@ def render_diff(
                 chart = f"```\n{chart}\n```"
             lines.append(chart)
     return "\n".join(lines)
-
-
-def _delta_bars(result: DiffResult) -> str:
-    """Delta bars for the first compared metric's changed cells."""
-    if not result.metrics:
-        return ""
-    primary = result.metrics[0]
-    rows = []
-    for cell in result.cells:
-        delta = cell.deltas[0]
-        if delta.changed and delta.relative is not None:
-            rows.append((cell.label, delta.relative * 100.0))
-    if not rows:
-        return ""
-    return f"Δ {primary} vs baseline:\n" + delta_bar_chart(rows)

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.exp.diff import METRICS
 from repro.exp.report import delta_bar_chart, format_cell, render_table
+from repro.exp.results import COLUMNS
 from repro.exp.store import SqliteStore
 
 
@@ -55,7 +55,7 @@ def load_history(
     store : SqliteStore
         The store whose run history to read.
     metric : str
-        A selector from :data:`~repro.exp.diff.METRICS`.
+        A selector from :data:`~repro.exp.results.COLUMNS`.
     cells : tuple of str
         Substring filters on cell labels; a cell is kept when any
         filter matches (empty keeps every cell).
@@ -68,11 +68,11 @@ def load_history(
         On an unknown metric, no recorded runs, or filters that match
         no cell.
     """
-    if metric not in METRICS:
+    if metric not in COLUMNS:
         raise ReproError(
-            f"unknown history metric {metric!r}; choices: {sorted(METRICS)}"
+            f"unknown history metric {metric!r}; choices: {sorted(COLUMNS)}"
         )
-    selector = METRICS[metric]
+    column = COLUMNS[metric]
     runs = store.runs()
     by_cell: dict[tuple[str, str], dict[int, float]] = {}
     for key, label, _version, run_id, result in store.iter_versions():
@@ -80,7 +80,7 @@ def load_history(
             continue  # stale/corrupt version: absent from the trend
         # Later versions overwrite earlier ones within the same run,
         # so each run contributes its final value for the cell.
-        by_cell.setdefault((label, key), {})[run_id] = selector.value(result)
+        by_cell.setdefault((label, key), {})[run_id] = column.value(result)
     if not runs:
         raise ReproError(f"no runs recorded in {store.path}")
     if cells:

@@ -8,25 +8,30 @@ report ``0 simulated`` and a post-merge ``repro report`` byte-match
 the unsharded report.  A legacy JSON cache directory is a read-only
 source too, so ``repro merge NEW.sqlite DIR`` imports one.
 
-Sources are consumed as **key-sorted streams** joined with a heap
-merge, so the merge holds one row per source at a time — constant
-memory in the store size — while keeping the original conflict
-contract: two sources claiming the *same* config hash with *different*
-results mean something is broken (non-deterministic cell, hand-edited
-file, mixed-up directories); the merge refuses loudly instead of
-silently picking a winner.
+Every source is read through :func:`~repro.exp.store.iter_source` as
+a **key-sorted stream**, and the streams are joined with
+:func:`~repro.exp.store.join_keyed` — the key join ``repro diff``
+aligns its two sides with — so the merge holds one row per source at
+a time, constant memory in the store size, while keeping the original
+conflict contract: two sources claiming the *same* config hash with
+*different* results mean something is broken (non-deterministic cell,
+hand-edited file, mixed-up directories); the merge refuses loudly
+instead of silently picking a winner.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.exp.cache import iter_classified, iter_dump_rows
-from repro.exp.store import SqliteStore, is_sqlite_file, open_store
+from repro.exp.store import (
+    SqliteStore,
+    is_sqlite_file,
+    iter_source,
+    join_keyed,
+    open_store,
+)
 
 
 @dataclass(frozen=True)
@@ -97,74 +102,23 @@ class MergeSummary:
         )
 
 
-def _source_factory(path: Path):
-    """A zero-argument stream factory for one merge source.
+def _joined(sources, skip_counter: list[int]):
+    """Every source's loadable rows, joined on config hash.
 
-    Calling the factory yields ``(origin, CellResult | None)`` with
-    the loadable rows in **key-sorted order** (``None`` marks a
-    skipped entry and may appear anywhere).  A SQLite file streams
-    through its store, and a legacy JSON cache directory through
-    :func:`~repro.exp.cache.iter_classified` (file names are the keys,
-    so filename order is key order); any other file is a ``repro
-    sweep --json`` dump read through the shared
-    :func:`~repro.exp.cache.iter_dump_rows` gatekeeper (dumps are
-    in-memory JSON lists already, so sorting them is free of any extra
-    materialisation).
+    Yields ``(key, rows)`` in key order, *rows* the ``(origin,
+    result)`` of every source entry under that key, in source order;
+    *skip_counter* counts the entries that are not loadable rows.
     """
-    if is_sqlite_file(path):
-        store = open_store(path)
 
-        def stream():
-            for origin, _status, result in store.iter_classified():
-                yield origin, result
-
-        return stream
-    if path.is_dir():
-
-        def stream():
-            for origin, _status, result in iter_classified(path):
-                yield str(origin), result
-
-        return stream
-
-    def stream():
-        rows = list(iter_dump_rows(path))
-        yield from (
-            (origin, None) for origin, result in rows if result is None
-        )
-        yield from sorted(
-            ((origin, result) for origin, result in rows if result is not None),
-            key=lambda item: item[1].key,
-        )
-
-    return stream
-
-
-def _keyed(stream, index: int, skip_counter: list[int] | None):
-    """Decorate a source stream for the heap join, counting skips."""
-    for origin, result in stream():
-        if result is None:
-            if skip_counter is not None:
+    def loadable(source):
+        for origin, _status, result in iter_source(source):
+            if result is None:
                 skip_counter[0] += 1
-            continue
-        yield result.key, index, origin, result
+            else:
+                yield result.key, origin, result
 
-
-def _joined(factories, skip_counter: list[int] | None):
-    """All sources joined into one key-grouped sorted stream.
-
-    Yields ``(key, group)`` where *group* iterates
-    ``(key, source_index, origin, result)`` in source order — the
-    heap keeps one pending row per source, never a full store.
-    """
-    merged = heapq.merge(
-        *(
-            _keyed(stream, index, skip_counter)
-            for index, stream in enumerate(factories)
-        ),
-        key=lambda item: item[:2],
-    )
-    return groupby(merged, key=lambda item: item[0])
+    for key, members in join_keyed([loadable(s) for s in sources]):
+        yield key, [(origin, result) for _i, (_k, origin, result) in members]
 
 
 def merge_into(
@@ -220,15 +174,14 @@ def merge_into(
     dest_store: SqliteStore | None = (
         open_store(dest_path) if dest_path.exists() else None
     )
-    factories = [_source_factory(Path(source)) for source in sources]
     skip_counter = [0]
     written = identical = 0
     usable = False
     conflicts: list[MergeConflict] = []
     # Pass 1 (read-only): stream-join every source and cross-check.
-    for key, group in _joined(factories, skip_counter):
+    for key, rows in _joined(sources, skip_counter):
         usable = True
-        _key, _index, first_origin, first_result = next(group)
+        (first_origin, first_result), *others = rows
         existing = (
             dest_store.get(first_result.config)
             if dest_store is not None else None
@@ -245,7 +198,7 @@ def merge_into(
             written += 1
         else:
             identical += 1
-        for _key, _index, origin, result in group:
+        for origin, result in others:
             if conflicted:
                 # Already contested; duplicate source copies must not
                 # inflate the conflict count.
@@ -286,12 +239,9 @@ def merge_into(
     # the first-seen row of every key it does not already hold.
     if dest_store is None:
         dest_store = open_store(dest_path, create=True)
-    for _key, group in _joined(factories, None):
-        _key2, _index, _origin, result = next(group)
+    for _key, [(_origin, result), *_others] in _joined(sources, [0]):
         if dest_store.get(result.config) is None:
             dest_store.put(result)
-        for _rest in group:
-            pass
     dest_store.close()
     return summary
 

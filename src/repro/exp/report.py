@@ -16,6 +16,8 @@ software column — without re-running anything:
   constant memory;
 * :func:`render_report` — the same report as a string, from rows in
   any order;
+* :func:`group_sorted` / :func:`group_title` — the one grouping along
+  config axes, of report rows and of diff cells alike;
 * :func:`render_table` — the shared low-level table renderer (also
   the formatting route for the benchmark reports and the CLI);
 * :func:`bar_chart` / :func:`stacked_bar_chart` /
@@ -27,8 +29,10 @@ to one rendered from a single unsharded run — the property the CI
 matrix asserts.  ``repro report`` is the command-line face of this
 module; with ``--baseline STORE`` every numeric cell is annotated
 with its delta against a second store (the PR-vs-main workflow), and
-``repro diff`` (:mod:`repro.exp.diff`) builds its regression tables
-and delta bars from the same renderers.
+``repro diff`` (:mod:`repro.exp.diff`) builds its regression tables,
+groups and delta bars from the same renderers.  A report column is a
+numeric :data:`~repro.exp.results.COLUMNS` entry, header included,
+or one of the three report-only columns in :data:`REPORT_COLUMNS`.
 """
 
 from __future__ import annotations
@@ -37,10 +41,9 @@ import csv
 import io
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable
 
 from repro.errors import ReproError
-from repro.exp.results import REPLICATED_COLUMNS, CellResult
+from repro.exp.results import COLUMNS, REPLICATED_COLUMNS, CellResult
 from repro.exp.spec import CellConfig
 from repro.exp.store import SqliteStore, open_store
 
@@ -149,21 +152,6 @@ def render_table(headers: list[str], rows: list[list], fmt: str = "ascii") -> st
     rendered = [[format_cell(v) for v in row] for row in rows]
     widths = _widths(headers, rendered) if fmt == "ascii" else None
     return "\n".join(_table_lines(headers, rendered, fmt, widths))
-
-
-def format_table(headers: list[str], rows: list[list]) -> str:
-    """A fixed-width plain-text table with a header rule."""
-    return render_table(headers, rows, "ascii")
-
-
-def markdown_table(headers: list[str], rows: list[list]) -> str:
-    """A GitHub-flavoured markdown table."""
-    return render_table(headers, rows, "md")
-
-
-def csv_table(headers: list[str], rows: list[list]) -> str:
-    """An RFC-4180 CSV table (comma-separated, quoted where needed)."""
-    return render_table(headers, rows, "csv")
 
 
 def _is_number(value) -> bool:
@@ -307,36 +295,22 @@ def delta_bar_chart(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Column:
-    """One report column: a header plus a value getter."""
-
-    header: str
-    value: Callable[[CellResult], object]
-
-
-#: Every column ``--report`` can render, keyed by its selector name.
-COLUMNS: dict[str, Column] = {
-    "cell": Column("cell", lambda r: r.label),
-    "sw_ms": Column("SW ms", lambda r: r.sw_ms),
-    "vim_ms": Column("VIM ms", lambda r: r.vim_ms),
-    "hw_ms": Column("HW ms", lambda r: r.hw_ms),
-    "sw_dp_ms": Column("SW(DP) ms", lambda r: r.sw_dp_ms),
-    "sw_imu_ms": Column("SW(IMU) ms", lambda r: r.sw_imu_ms),
-    "sw_other_ms": Column("SW(other) ms", lambda r: r.sw_other_ms),
-    "sw_imu_pct": Column(
+#: Every column a report can render, as ``name: (header, value
+#: getter)``: the numeric :data:`~repro.exp.results.COLUMNS`, plus
+#: three that only a report shows — the cell label, the SW(IMU) share
+#: of the VIM total, and the typical version's time as text ("exceeds
+#: memory" when its working set does not fit, "-" when the cell ran
+#: without it).
+REPORT_COLUMNS = {
+    **{
+        name: (column.header, column.value)
+        for name, column in COLUMNS.items()
+    },
+    "cell": ("cell", lambda r: r.label),
+    "sw_imu_pct": (
         "SW(IMU)/total", lambda r: f"{r.sw_imu_fraction * 100:.2f}%"
     ),
-    "speedup": Column("speedup", lambda r: r.vim_speedup),
-    "faults": Column("faults", lambda r: r.page_faults),
-    "tlb_refills": Column("TLB refills", lambda r: r.tlb_refills),
-    "evictions": Column("evictions", lambda r: r.evictions),
-    "steals": Column("steals", lambda r: r.steals),
-    "writebacks": Column("writebacks", lambda r: r.writebacks),
-    "prefetches": Column("prefetches", lambda r: r.prefetches),
-    "dma_transfers": Column("DMA xfers", lambda r: r.dma_transfers),
-    "tlb_hit_rate": Column("TLB hit rate", lambda r: r.tlb_hit_rate),
-    "typical_ms": Column(
+    "typical_ms": (
         "typical ms",
         lambda r: (
             "exceeds memory" if not r.typical_fits
@@ -345,19 +319,6 @@ COLUMNS: dict[str, Column] = {
         ),
     ),
 }
-
-# The cross-replicate summary columns, one mean/CV pair per entry of
-# results.REPLICATED_COLUMNS (e.g. "vim_ms_mean", "vim_ms_cv").
-for _field in REPLICATED_COLUMNS:
-    COLUMNS[f"{_field}_mean"] = Column(
-        f"{_field} mean",
-        lambda r, f=_field: getattr(r, f"{f}_mean"),
-    )
-    COLUMNS[f"{_field}_cv"] = Column(
-        f"{_field} CV",
-        lambda r, f=_field: getattr(r, f"{f}_cv"),
-    )
-del _field
 
 #: The default ``--report`` column set: the SW(DP)/SW(IMU) time
 #: decomposition plus the speedup-over-software column of Figures 8/9.
@@ -487,31 +448,39 @@ def load_cache_rows(
 # ----------------------------------------------------------------------
 
 
-def _resolve_columns(names) -> list[tuple[str, Column]]:
-    unknown = [name for name in names if name not in COLUMNS]
+def _resolve_columns(names) -> list[tuple]:
+    """``(header, value getter)`` of each named report column."""
+    unknown = [name for name in names if name not in REPORT_COLUMNS]
     if unknown:
         raise ReproError(
-            f"unknown report column(s) {unknown}; choices: {sorted(COLUMNS)}"
+            f"unknown report column(s) {unknown}; "
+            f"choices: {sorted(REPORT_COLUMNS)}"
         )
-    return [(name, COLUMNS[name]) for name in names]
+    return [REPORT_COLUMNS[name] for name in names]
 
 
-def _group_rows(
-    rows, axes: tuple[str, ...]
-) -> list[tuple[tuple, list[CellResult]]]:
-    """Split *rows* into (raw-group-values, rows) buckets, sorted.
+def group_sorted(items, values_of) -> list[tuple[tuple, list]]:
+    """Bucket *items* by their group values; buckets in sorted order.
 
-    Groups sort by the **raw** axis values (``None`` first), so
-    numeric axes order numerically — a page-size grouping renders
-    512, 1024, 2048, not the lexicographic 1024, 2048, 512.
+    *values_of* maps an item (a report row, a diff cell) to its tuple
+    of raw config-axis values.  Buckets sort by those **raw** values
+    (``None`` first), so numeric axes order numerically — a page-size
+    grouping renders 512, 1024, 2048, not the lexicographic 1024,
+    2048, 512.
     """
-    groups: dict[tuple, list[CellResult]] = {}
-    for row in rows:
-        key = tuple(getattr(row.config, axis) for axis in axes)
-        groups.setdefault(key, []).append(row)
+    groups: dict[tuple, list] = {}
+    for item in items:
+        groups.setdefault(values_of(item), []).append(item)
     return sorted(
         groups.items(),
         key=lambda item: tuple((v is not None, v) for v in item[0]),
+    )
+
+
+def group_title(axes, values) -> str:
+    """``axis=value, ...``: the name of one group."""
+    return ", ".join(
+        f"{axis}={format_cell(value)}" for axis, value in zip(axes, values)
     )
 
 
@@ -544,9 +513,9 @@ def write_report(
         and ``ascii`` render one headed table per group; ``csv`` stays
         one flat table with the group axes as leading columns.
     columns : sequence of str, optional
-        Column selectors from :data:`COLUMNS`; ``None`` (the default)
-        picks :func:`default_columns` — the classic set, widened by
-        the mean/CV summaries when any row is replicated.
+        Column selectors from :data:`REPORT_COLUMNS`; ``None`` (the
+        default) picks :func:`default_columns` — the classic set,
+        widened by the mean/CV summaries when any row is replicated.
     baseline : iterable of CellResult, optional
         A second run's rows (``--baseline STORE``).  Every numeric
         cell is annotated with its delta against the baseline row of
@@ -572,7 +541,7 @@ def write_report(
     if columns is None:
         columns = default_columns(rows)
     selected = _resolve_columns(columns)
-    headers = [column.header for _, column in selected]
+    headers = [header for header, _value in selected]
     base_by_key = (
         None if baseline is None else {row.key: row for row in baseline}
     )
@@ -580,15 +549,15 @@ def write_report(
 
     def cells(row) -> list[str]:
         out_cells = []
-        for _, column in selected:
-            value = column.value(row)
+        for _header, value_of in selected:
+            value = value_of(row)
             if base_by_key is not None and _is_number(value):
                 base_row = base_by_key.get(row.key)
                 if base_row is None:
                     value = f"{format_cell(value)} (new)"
                 else:
                     value = format_cell(value) + format_delta(
-                        value, column.value(base_row)
+                        value, value_of(base_row)
                     )
             out_cells.append(format_cell(value))
         return out_cells
@@ -608,25 +577,23 @@ def write_report(
         for line in lines:
             out.write("\n" + line)
 
+    def group_values(row) -> tuple:
+        return tuple(getattr(row.config, axis) for axis in group_by)
+
     if not group_by:
         table(headers, rows)
     elif fmt == "csv":
-        grouped = _group_rows(rows, tuple(group_by))
+        grouped = group_sorted(rows, group_values)
         table(
             list(group_by) + headers,
             [row for _values, group in grouped for row in group],
-            leading=lambda row: [
-                format_cell(getattr(row.config, axis)) for axis in group_by
-            ],
+            leading=lambda row: [format_cell(v) for v in group_values(row)],
         )
     else:
         for index, (values, group) in enumerate(
-            _group_rows(rows, tuple(group_by))
+            group_sorted(rows, group_values)
         ):
-            title = ", ".join(
-                f"{axis}={format_cell(value)}"
-                for axis, value in zip(group_by, values)
-            )
+            title = group_title(group_by, values)
             heading = f"### {title}" if fmt == "md" else f"== {title} =="
             out.write(("\n\n" if index else "") + heading + "\n\n")
             table(headers, group)

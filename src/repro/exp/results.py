@@ -5,6 +5,10 @@ cell: the configuration that produced it, the time decomposition of
 every executed version, and the VIM counters the figures plot.  The
 serialisation is exact (Python floats round-trip through ``repr`` in
 JSON), which is what makes parallel and serial sweeps byte-comparable.
+
+:data:`COLUMNS` describes every numeric column once: the selector
+``repro diff --metric`` and ``repro history`` take, the report
+header, and the direction in which a change is a regression.
 """
 
 from __future__ import annotations
@@ -241,3 +245,85 @@ def replicate_summary(values: list[float]) -> tuple[float, float]:
         return mean, 0.0
     variance = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
     return mean, variance ** 0.5 / abs(mean)
+
+
+@dataclass(frozen=True)
+class Column:
+    """One numeric result column, as reports head it and diffs gate it.
+
+    Parameters
+    ----------
+    name : str
+        Selector of ``repro diff --metric``, ``repro history`` and the
+        report's column choice.
+    field : str
+        The :class:`CellResult` field the column reads.  Every numeric
+        field is exactly one column's field (enforced by
+        ``tests/exp/test_metrics_coverage.py``), so a new field cannot
+        ship without a header and a regression direction.
+    header : str
+        Report table heading.
+    higher_is_worse : bool or None
+        Regression direction: ``True`` for times and fault counts,
+        ``False`` for speedups and hit rates, ``None`` for counters
+        with no inherent direction (a change, never a regression).
+    """
+
+    name: str
+    field: str
+    header: str
+    higher_is_worse: bool | None = True
+
+    def value(self, row: CellResult):
+        """The column's value in *row*; an unset optional field reads 0.0."""
+        value = getattr(row, self.field)
+        return 0.0 if value is None else value
+
+
+def _columns() -> dict[str, Column]:
+    """:data:`COLUMNS`: the primary columns, then one ``_mean``/``_cv``
+    pair per :data:`REPLICATED_COLUMNS` entry.
+
+    A mean column inherits its primary column's regression direction;
+    a CV column has none (variance moving is worth flagging, but is
+    not by itself a regression).
+    """
+    primary = [
+        Column("sw_ms", "sw_ms", "SW ms"),
+        Column("vim_ms", "vim_ms", "VIM ms"),
+        Column("hw_ms", "hw_ms", "HW ms"),
+        Column("sw_dp_ms", "sw_dp_ms", "SW(DP) ms"),
+        Column("sw_imu_ms", "sw_imu_ms", "SW(IMU) ms"),
+        Column("sw_other_ms", "sw_other_ms", "SW(other) ms"),
+        Column("speedup", "vim_speedup", "speedup", higher_is_worse=False),
+        Column("faults", "page_faults", "faults"),
+        Column("compulsory_loads", "compulsory_loads", "compulsory loads"),
+        Column("tlb_refills", "tlb_refills", "TLB refills"),
+        Column("evictions", "evictions", "evictions"),
+        Column("steals", "steals", "steals"),
+        Column("writebacks", "writebacks", "writebacks"),
+        Column("bytes_to_dpram", "bytes_to_dpram", "bytes to DP-RAM"),
+        Column("bytes_from_dpram", "bytes_from_dpram", "bytes from DP-RAM"),
+        Column("tlb_hit_rate", "tlb_hit_rate", "TLB hit rate",
+               higher_is_worse=False),
+        Column("typical_ms", "typical_ms", "typical ms"),
+        Column("typical_speedup", "typical_speedup", "typical speedup",
+               higher_is_worse=False),
+        Column("prefetches", "prefetches", "prefetches", higher_is_worse=None),
+        Column("dma_transfers", "dma_transfers", "DMA xfers",
+               higher_is_worse=None),
+    ]
+    direction = {column.field: column.higher_is_worse for column in primary}
+    summaries = []
+    for field in REPLICATED_COLUMNS:
+        summaries += [
+            Column(f"{field}_mean", f"{field}_mean", f"{field} mean",
+                   higher_is_worse=direction[field]),
+            Column(f"{field}_cv", f"{field}_cv", f"{field} CV",
+                   higher_is_worse=None),
+        ]
+    return {column.name: column for column in primary + summaries}
+
+
+#: Every numeric result column, keyed by selector name.
+COLUMNS: dict[str, Column] = _columns()

@@ -14,7 +14,10 @@ writers safe, and reads stream straight off indexed cursors, so a
 
 A store is a SQLite file, whatever its name (:func:`open_store`).
 Legacy per-cell JSON cache directories are read-only merge sources:
-``repro merge NEW.sqlite DIR`` imports one.
+``repro merge NEW.sqlite DIR`` imports one.  :func:`iter_source` is
+the one reader of every source kind (store, ``--json`` dump, legacy
+directory) and :func:`join_keyed` the one join of key-sorted sources;
+merge and diff are both built on the pair.
 
 Run identity (``run_id``, timestamps) deliberately lives *next to* the
 payload, never inside it: :func:`~repro.exp.spec.config_hash` covers
@@ -25,14 +28,17 @@ merges.
 
 from __future__ import annotations
 
+import heapq
 import json
 import sqlite3
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.exp.cache import parse_entry
+from repro.exp.cache import iter_classified, iter_dump_rows, parse_entry
 from repro.exp.results import CellResult
 from repro.exp.spec import CACHE_VERSION, CellConfig
 
@@ -435,3 +441,61 @@ def open_store(
             f"{path} is not a result store (expected a SQLite store file)"
         )
     return SqliteStore(path, create=create, threadsafe=threadsafe)
+
+
+def iter_source(path: str | Path):
+    """Yield ``(origin, status, CellResult | None)`` for any result source.
+
+    The one reader of the three source kinds, shared by merge and
+    diff.  A SQLite store streams off its key-sorted cursor and is
+    closed when the stream ends; a legacy JSON cache directory goes
+    through :func:`~repro.exp.cache.iter_classified` (its file names
+    are the keys); any other file is a ``repro sweep --json`` dump,
+    read through :func:`~repro.exp.cache.iter_dump_rows` (a JSON list
+    in memory already) and sorted here, so repeated keys arrive
+    adjacent.  Loadable rows arrive in key order; a skipped entry
+    (``None``) may arrive anywhere.  *status* is one of
+    :data:`~repro.exp.cache.ENTRY_STATUSES`; *origin* names the entry
+    for messages.
+    """
+    path = Path(path)
+    if is_sqlite_file(path):
+        with open_store(path) as store:
+            yield from store.iter_classified()
+    elif path.is_dir():
+        for entry, status, result in iter_classified(path):
+            yield str(entry), status, result
+    else:
+        rows = list(iter_dump_rows(path))
+        for origin, result in rows:
+            if result is None:
+                yield origin, "invalid", None
+        yield from sorted(
+            (
+                (origin, "ok", result)
+                for origin, result in rows if result is not None
+            ),
+            key=lambda entry: entry[2].key,
+        )
+
+
+def join_keyed(streams):
+    """Join key-sorted streams of ``(key, ...)`` tuples on their keys.
+
+    Yields ``(key, members)`` once per distinct key, in key order;
+    *members* lists ``(stream index, entry)`` for every entry under
+    that key, in stream order.  A heap merge: it holds one pending
+    entry per stream, never a whole source.
+    """
+    merged = heapq.merge(
+        *(_tagged(index, stream) for index, stream in enumerate(streams)),
+        key=itemgetter(0, 1),
+    )
+    for key, group in groupby(merged, key=itemgetter(0)):
+        yield key, [(index, entry) for _key, index, entry in group]
+
+
+def _tagged(index: int, stream):
+    """``(key, stream index, entry)`` for each entry of *stream*."""
+    for entry in stream:
+        yield entry[0], index, entry

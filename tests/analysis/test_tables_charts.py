@@ -6,36 +6,35 @@ from repro.errors import ReproError
 from repro.exp import (
     bar_chart,
     delta_bar_chart,
-    format_table,
-    markdown_table,
+    render_table,
     stacked_bar_chart,
 )
 
 
 class TestFormatTable:
     def test_alignment_and_rule(self):
-        text = format_table(["name", "ms"], [["adpcm", 1.5], ["idea", 25.0]])
+        text = render_table(["name", "ms"], [["adpcm", 1.5], ["idea", 25.0]])
         lines = text.splitlines()
         assert len(lines) == 4
         assert "---" in lines[1] or "-" in lines[1]
         assert "1.500" in text
 
     def test_bools_render_as_yes_no(self):
-        text = format_table(["fits"], [[True], [False]])
+        text = render_table(["fits"], [[True], [False]])
         assert "yes" in text and "no" in text
 
     def test_row_width_mismatch_rejected(self):
         with pytest.raises(ReproError):
-            format_table(["a", "b"], [["only-one"]])
+            render_table(["a", "b"], [["only-one"]])
 
     def test_empty_headers_rejected(self):
         with pytest.raises(ReproError):
-            format_table([], [])
+            render_table([], [])
 
 
 class TestMarkdownTable:
     def test_structure(self):
-        text = markdown_table(["a", "b"], [[1, 2]])
+        text = render_table(["a", "b"], [[1, 2]], "md")
         lines = text.splitlines()
         assert lines[0] == "| a | b |"
         assert lines[1] == "|---|---|"

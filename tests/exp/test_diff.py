@@ -17,12 +17,11 @@ import pytest
 from repro.errors import ReproError
 from repro.exp.diff import (
     DEFAULT_METRICS,
-    METRICS,
     diff_stores,
     render_diff,
     scalar_delta,
 )
-from repro.exp.results import CellResult
+from repro.exp.results import COLUMNS, CellResult
 from repro.exp.spec import CellConfig
 from tests.store_helpers import corrupt, make_stale, store_keys, write_store
 
@@ -280,8 +279,17 @@ class TestRendering:
         header = render_diff(result, fmt="md").splitlines()[0]
         assert header == "| cell | Δ vim_ms | Δ faults | status |"
 
+    def test_grouped_rendering_follows_the_diff(self, identical_caches):
+        # The diff records its axes, so its table can only be grouped
+        # along the axes whose values its cells carry.
+        result = diff_stores(*identical_caches, group_by=("policy",))
+        assert result.group_by == ("policy",)
+        lines = render_diff(result, fmt="md").splitlines()
+        assert lines[0].startswith("| policy | cells |")
+        assert lines[2].startswith("| fifo | 1 |")
+
     def test_default_metrics_are_known(self):
-        assert set(DEFAULT_METRICS) <= set(METRICS)
+        assert set(DEFAULT_METRICS) <= set(COLUMNS)
 
     def test_csv_is_pure_records(self, tmp_path):
         # csv must stay machine-parseable: the table only, no summary

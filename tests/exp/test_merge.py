@@ -73,6 +73,26 @@ class TestMerge:
         assert result.executed == 0
         assert result.cached == 2
 
+    def test_source_stores_are_closed(self, shard_caches, monkeypatch):
+        # Every source store merge opens is closed when its stream
+        # ends: one open per source and pass.
+        import repro.exp.store as store_module
+
+        opened = []
+        real_open = store_module.open_store
+
+        def tracking_open(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(store_module, "open_store", tracking_open)
+        merge_into(
+            shard_caches / "merged",
+            [shard_caches / "shard1", shard_caches / "shard2"],
+        )
+        assert len(opened) == 4
+        assert all(store._db is None for store in opened)
+
     def test_remerge_is_idempotent(self, shard_caches):
         dest = shard_caches / "merged"
         merge_into(dest, [shard_caches / "shard1", shard_caches / "shard2"])

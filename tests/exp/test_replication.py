@@ -20,11 +20,10 @@ from repro.exp.cell import replicate_seed, run_cell
 from repro.exp.diff import (
     BANDS,
     CV_BAND_SIGMA,
-    METRICS,
     banded_delta,
     diff_stores,
 )
-from repro.exp.results import REPLICATED_COLUMNS, replicate_summary
+from repro.exp.results import COLUMNS, REPLICATED_COLUMNS, replicate_summary
 from repro.exp.spec import CellConfig, SweepSpec, replica_hash
 
 #: A cheap replicable cell: 1 KB vadd is deterministic per seed but
@@ -139,25 +138,25 @@ class TestBandedDelta:
 
     def test_within_cv_band_passes(self):
         base, current = self._rows(base_cv=0.02, drift=0.05)
-        delta = banded_delta(METRICS["vim_ms"], base, current)
+        delta = banded_delta(COLUMNS["vim_ms"], base, current)
         # Band is 3 * 0.02 = 6% relative; a 5% drift is inside.
         assert not delta.regressed
         assert CV_BAND_SIGMA == 3.0
 
     def test_beyond_cv_band_regresses(self):
         base, current = self._rows(base_cv=0.01, drift=0.05)
-        delta = banded_delta(METRICS["vim_ms"], base, current)
+        delta = banded_delta(COLUMNS["vim_ms"], base, current)
         assert delta.regressed
 
     def test_deterministic_metric_collapses_to_exact(self):
         base, current = self._rows(base_cv=0.0, drift=1e-9)
-        delta = banded_delta(METRICS["vim_ms"], base, current)
+        delta = banded_delta(COLUMNS["vim_ms"], base, current)
         assert delta.regressed
 
     def test_unreplicated_metric_uses_raw_tolerance(self):
         base, _ = self._rows(base_cv=0.5, drift=0.0)
         current = replace(base, evictions=base.evictions + 1)
-        delta = banded_delta(METRICS["evictions"], base, current)
+        delta = banded_delta(COLUMNS["evictions"], base, current)
         # evictions carries no CV column: the 0.5 CV must not leak.
         assert delta.regressed
 
