@@ -81,6 +81,23 @@ class Job:
     hits: set[str] = field(default_factory=set)
 
 
+def _from_payload(build: Callable, payload, what: str):
+    """``build(payload)`` for JSON from outside; malformed is a ReproError.
+
+    ``from_dict`` checks field names, not value types, so a wrongly
+    typed or missing field raises ``TypeError``, ``KeyError``,
+    ``ValueError`` or ``AttributeError``.  The HTTP handler answers a
+    :class:`~repro.errors.ReproError` with a 400; anything else would
+    end the request's thread without a response.
+    """
+    try:
+        return build(payload)
+    except (TypeError, KeyError, ValueError, AttributeError) as error:
+        raise ReproError(
+            f"{what} is malformed ({type(error).__name__}: {error})"
+        ) from None
+
+
 class SweepService:
     """Coordinator state: one result store, one lease board, N jobs.
 
@@ -136,8 +153,10 @@ class SweepService:
         Parameters
         ----------
         cells : list of dict
-            ``CellConfig.to_dict()`` payloads in grid order.  Invalid
-            configs raise (the HTTP layer maps that to a 400).
+            ``CellConfig.to_dict()`` payloads in grid order.  Anything
+            else, or an invalid config, raises
+            :class:`~repro.errors.ReproError` naming the cell (the
+            HTTP layer maps that to a 400).
 
         Returns
         -------
@@ -151,7 +170,12 @@ class SweepService:
         """
         if not cells:
             raise ReproError("a submission needs at least one cell")
-        configs = [CellConfig.from_dict(payload) for payload in cells]
+        if not isinstance(cells, list):
+            raise ReproError("a submission's cells must be a JSON list")
+        configs = [
+            _from_payload(CellConfig.from_dict, payload, f"cell {index}")
+            for index, payload in enumerate(cells)
+        ]
         with self._lock:
             if self._draining:
                 raise ReproError(
@@ -221,7 +245,9 @@ class SweepService:
         worker finished first the duplicate is checked for equality
         like any re-merge.
         """
-        result = CellResult.from_dict(result_payload)
+        result = _from_payload(
+            CellResult.from_dict, result_payload, f"result of lease {lease_id}"
+        )
         with self._lock:
             task = self._board.task_for(lease_id)
             if task is None:

@@ -7,8 +7,11 @@ end-to-end run over real cells proving the service path produces
 exactly what a local :func:`~repro.exp.sweep.run_sweep` produces.
 """
 
+import json
 import threading
 from dataclasses import replace
+from urllib import error as urlerror
+from urllib import request as urlrequest
 
 import pytest
 
@@ -129,6 +132,51 @@ class TestSubmission:
             service.results(job["job"])
         with pytest.raises(ReproError, match="unknown job"):
             service.status(999)
+
+
+class TestMalformedPayloads:
+    """Outside JSON that ``from_dict`` cannot build is a 400, not a crash."""
+
+    #: Bodies whose cells or result have a wrongly typed or missing field.
+    BODIES = [
+        ("/api/submit", {"cells": [{"input_bytes": "x"}]}),
+        ("/api/submit", {"cells": [3]}),
+        ("/api/submit", {"cells": 3}),
+        ("/api/complete", {"lease": "L1", "result": {"key": "k"}}),
+    ]
+
+    @pytest.fixture
+    def url(self, service):
+        server = ServiceServer(("127.0.0.1", 0), service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+        server.shutdown()
+        server.server_close()
+
+    def test_each_body_gets_a_400_and_the_coordinator_keeps_serving(
+        self, url
+    ):
+        for path, body in self.BODIES:
+            request = urlrequest.Request(
+                url + path,
+                data=json.dumps(body).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with pytest.raises(urlerror.HTTPError) as excinfo:
+                urlrequest.urlopen(request, timeout=10)
+            assert excinfo.value.code == 400, (path, body)
+            assert json.loads(excinfo.value.read())["error"], (path, body)
+        assert call(url, "/api/health") == {"ok": True}
+
+    def test_errors_name_the_cell(self, service):
+        with pytest.raises(ReproError, match="cell 1 is malformed"):
+            service.submit([_config(1).to_dict(), {"input_bytes": "x"}])
+        with pytest.raises(ReproError, match="must be a JSON list"):
+            service.submit(3)
+        with pytest.raises(ReproError, match="result of lease L1"):
+            service.complete("L1", {"key": "k"})
 
 
 class TestIngestion:
