@@ -94,25 +94,27 @@ def load_history(
                 f"no cell label matches --cells {list(cells)} in "
                 f"{store.path}"
             )
+    selected = runs
     if last is not None:
         if last < 1:
             raise ReproError(f"--last must be >= 1, got {last}")
-        runs = runs[-last:]
+        selected = runs[-last:]
+    selected_ids = {run.run_id for run in selected}
     series = []
     for (label, key) in sorted(by_cell):
         points = by_cell[(label, key)]
         values: list[float | None] = []
         current: float | None = None
-        for run in store.runs():  # carry-forward walks ALL runs...
+        for run in runs:  # carry-forward walks ALL runs...
             if run.run_id in points:
                 current = points[run.run_id]
-            if run in runs:  # ...but only selected runs emit a value
+            if run.run_id in selected_ids:  # ...selected runs emit a value
                 values.append(current)
         series.append(HistorySeries(key=key, label=label, values=tuple(values)))
     return HistoryResult(
         metric=metric,
         origin=str(store.path),
-        runs=tuple(runs),
+        runs=selected,
         series=tuple(series),
     )
 

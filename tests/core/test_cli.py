@@ -502,6 +502,24 @@ class TestStoreCli:
         assert "vadd-1KB" in out and "vadd-2KB" in out
         assert out.count("\n") >= 5  # title + table of two run rows
 
+    def test_history_reads_the_run_table_once(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        store = tmp_path / "results.sqlite"
+        assert main(["sweep", *self.GRID, "--cache", str(store)]) == 0
+        assert main(["sweep", "--app", "vadd", "--kb", "2",
+                     "--cache", str(store)]) == 0
+        calls = []
+        real_runs = store_module.SqliteStore.runs
+
+        def counted_runs(self):
+            calls.append(self.path)
+            return real_runs(self)
+
+        monkeypatch.setattr(store_module.SqliteStore, "runs", counted_runs)
+        assert main(["history", "vim_ms", str(store), "--last", "1"]) == 0
+        assert len(calls) == 1
+
     def test_history_cells_filter_and_last(self, capsys, tmp_path):
         store = tmp_path / "results.sqlite"
         assert main(["sweep", *self.GRID, "--cache", str(store)]) == 0
