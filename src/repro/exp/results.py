@@ -274,7 +274,7 @@ class Column:
     header: str
     higher_is_worse: bool | None = True
 
-    def value(self, row: CellResult):
+    def value(self, row: CellResult) -> float:
         """The column's value in *row*; an unset optional field reads 0.0."""
         value = getattr(row, self.field)
         return 0.0 if value is None else value
