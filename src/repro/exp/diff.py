@@ -560,7 +560,8 @@ def format_delta_cell(delta: MetricDelta) -> str:
 
 
 def _status(cells) -> str:
-    """A table row's status: any member cell regressed, else changed."""
+    """A table row's status from its member cells: ``REGRESSION`` if
+    any regressed, else ``changed`` if any changed, else ``ok``."""
     if any(cell.regressed for cell in cells):
         return "REGRESSION"
     if any(cell.changed for cell in cells):
