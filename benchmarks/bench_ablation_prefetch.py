@@ -18,14 +18,14 @@ from repro.exp.spec import CellConfig
 
 def test_abl4_prefetching():
     rows = ablation_prefetch(cell=CellConfig(app="adpcm", input_bytes=8 * 1024))
-    none, conservative, aggressive, overlapped = rows
+    none, conservative, aggressive, overlapped = rows.values()
     assert aggressive.page_faults < none.page_faults
     assert aggressive.prefetches > 0
     # Conservative prefetch never evicts, so it can never be worse in
     # fault count than no prefetch.
     assert conservative.page_faults <= none.page_faults
     # Time neutrality without overlap (within 5%).
-    assert abs(aggressive.total_ms - none.total_ms) / none.total_ms < 0.05
+    assert abs(aggressive.vim_ms - none.vim_ms) / none.vim_ms < 0.05
     # With overlap the avoided faults become actual time savings.
     assert overlapped.page_faults == aggressive.page_faults
-    assert overlapped.total_ms < none.total_ms
+    assert overlapped.vim_ms < none.vim_ms

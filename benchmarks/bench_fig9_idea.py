@@ -15,7 +15,7 @@ PAPER_SW_MS = {4: 26.0, 8: 53.0, 16: 105.0, 32: 211.0}
 
 def test_fig9_idea_three_versions():
     rows = figure9()
-    by_kb = {r.input_kb: r for r in rows}
+    by_kb = {r.config.input_bytes // 1024: r for r in rows}
     # Software times match the paper closely (same cost model scale).
     for kb, paper_ms in PAPER_SW_MS.items():
         assert abs(by_kb[kb].sw_ms - paper_ms) / paper_ms < 0.10, kb

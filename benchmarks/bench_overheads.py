@@ -20,5 +20,5 @@ def test_txt1_imu_management_overhead():
 
 
 def test_txt2_translation_overhead():
-    result = translation_overhead()
-    assert 0.10 < result.overhead_fraction < 0.30
+    fraction = translation_overhead()
+    assert 0.10 < fraction < 0.30

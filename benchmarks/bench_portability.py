@@ -19,9 +19,9 @@ def test_port_same_binaries_across_devices():
         "idea-32KB": portability(CellConfig(app="idea", input_bytes=32 * 1024)),
     }
     for name, rows in results.items():
-        assert [r.soc for r in rows] == ["EPXA1", "EPXA4", "EPXA10"], name
+        assert [r.config.soc for r in rows] == ["EPXA1", "EPXA4", "EPXA10"], name
         # The EPXA1 faults on these sizes; the EPXA10 never does.
         assert rows[0].page_faults > 0, name
         assert rows[-1].page_faults == 0, name
         # More interface memory never hurts.
-        assert rows[-1].total_ms <= rows[0].total_ms, name
+        assert rows[-1].vim_ms <= rows[0].vim_ms, name

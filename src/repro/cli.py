@@ -88,7 +88,7 @@ from repro.exp.spec import (
 )
 from repro.os.scheduler import SCHEDS
 
-#: Ablation registry: name -> (driver, row headers, row formatter).
+#: Ablation registry: name -> driver (variant label -> CellResult row).
 _ABLATIONS: dict[str, Callable] = {
     "pipeline": exp.ablation_pipelined,
     "policies": exp.ablation_policies,
@@ -138,8 +138,8 @@ def _print_overheads(args: argparse.Namespace) -> None:
         ["point", "SW(IMU)/total"],
         [[label, f"{fraction * 100:.2f}%"] for label, fraction in rows],
     ))
-    result = exp.translation_overhead()
-    print(f"\nIDEA translation overhead: {result.overhead_fraction * 100:.1f}% "
+    overhead = exp.translation_overhead()
+    print(f"\nIDEA translation overhead: {overhead * 100:.1f}% "
           "of hardware time (paper: ~20%)")
 
 
@@ -155,8 +155,8 @@ def _print_ablations(args: argparse.Namespace) -> None:
         print(f"\nablation: {name}")
         print(render_table(
             ["config", "total ms", "hw ms", "SW(DP) ms", "faults", "prefetches"],
-            [[r.label, r.total_ms, r.hw_ms, r.sw_dp_ms, r.page_faults,
-              r.prefetches] for r in rows],
+            [[label, r.vim_ms, r.hw_ms, r.sw_dp_ms, r.page_faults,
+              r.prefetches] for label, r in rows.items()],
         ))
 
 
@@ -164,7 +164,8 @@ def _print_portability(args: argparse.Namespace) -> None:
     rows = exp.portability()
     print(render_table(
         ["SoC", "DP-RAM KB", "total ms", "faults"],
-        [[r.soc, r.dpram_kb, r.total_ms, r.page_faults] for r in rows],
+        [[r.config.soc, PRESETS[r.config.soc].dpram_bytes // 1024, r.vim_ms,
+          r.page_faults] for r in rows],
     ))
 
 
@@ -359,13 +360,14 @@ def _print_report(args: argparse.Namespace) -> None:
     sys.stdout.write("\n")
 
 
-def _print_sweep_rows(cell_rows, executed: int, cached: int) -> None:
+def _print_sweep_rows(result: exp.SweepResult) -> None:
     """The sweep result table and summary line.
 
     Shared by ``repro sweep`` and ``repro submit`` — a submitted
     sweep's stdout is byte-identical to the local run's, summary line
     included (CI greps it for ``0 simulated`` on resubmission).
     """
+    cell_rows = result.rows
     multi_tenant = any(r.config.tenants > 1 for r in cell_rows)
     replicated = any(r.config.replicates > 1 for r in cell_rows)
     headers = ["cell", "total ms", "hw ms", "SW(DP) ms", "SW(IMU) ms",
@@ -396,8 +398,8 @@ def _print_sweep_rows(cell_rows, executed: int, cached: int) -> None:
              )],
         ))
     print(
-        f"\n{len(cell_rows)} cells: {executed} simulated, "
-        f"{cached} from cache"
+        f"\n{len(cell_rows)} cells: {result.executed} simulated, "
+        f"{result.cached} from cache"
     )
 
 
@@ -444,7 +446,7 @@ def _print_sweep(args: argparse.Namespace) -> None:
         spec = shard_cells(cells, index, total)
         print(f"shard {index}/{total}: {len(spec)} of {grid_size} unique cells")
     result = exp.run_sweep(spec, jobs=args.jobs, cache_dir=args.cache)
-    _print_sweep_rows(result.rows, result.executed, result.cached)
+    _print_sweep_rows(result)
     if args.json:
         payload = [r.to_dict() for r in result.rows]
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -633,7 +635,7 @@ def _print_submit(args: argparse.Namespace) -> None:
             )
     spec = spec_from_args(args)
     cells = spec.expand() if isinstance(spec, SweepSpec) else list(spec)
-    outcome = submit_sweep(
+    result = submit_sweep(
         args.url,
         cells,
         poll=args.poll,
@@ -644,7 +646,7 @@ def _print_submit(args: argparse.Namespace) -> None:
         # Same canonical order and rendering as `repro report`, so a
         # submitted grid's table matches the cache-rendered one byte
         # for byte.
-        rows = sorted(outcome.rows, key=lambda r: (r.label, r.key))
+        rows = sorted(result.rows, key=lambda r: (r.label, r.key))
         baseline = None
         if args.baseline is not None:
             baseline = _load_baseline_rows(args.baseline)
@@ -655,7 +657,7 @@ def _print_submit(args: argparse.Namespace) -> None:
             baseline=baseline,
         ))
         return
-    _print_sweep_rows(outcome.rows, outcome.executed, outcome.cached)
+    _print_sweep_rows(result)
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:

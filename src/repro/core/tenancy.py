@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.accounting import TenantStats
 from repro.core.measurement import Measurement
 from repro.core.runner import verify_outputs
 from repro.core.session import CoprocessorSession
@@ -108,19 +107,32 @@ class SharedInterface:
 
 @dataclass(frozen=True)
 class TenantRun:
-    """Everything one tenant did during a multi-tenant run."""
+    """Everything one tenant did during a multi-tenant run.
+
+    The tenant's time, faults, evictions, steals and write-backs are
+    its ``measurement``; ``counters.steals`` counts the evictions of
+    *another* tenant's page that this tenant's faults performed.  The
+    execution count is ``len(outputs)``.
+    """
 
     #: Tenant process name.
     name: str
     #: Name of the workload spec the tenant ran.
     workload: str
-    #: Per-tenant fault/evict/steal record.
-    stats: TenantStats
-    #: CPU/HW time decomposition accumulated over all executions.
+    #: CPU/HW time decomposition and event counters accumulated over
+    #: all executions.
     measurement: Measurement
     #: Output bytes of every execution, in order (``outputs[k]`` maps
     #: the workload's OUT object ids to their snapshots after call k).
     outputs: tuple[dict[int, bytes], ...]
+    #: Address-space id tagging the tenant's objects and translations.
+    asid: int
+    #: Times the scheduler dispatched this tenant's process.
+    dispatches: int
+    #: This tenant's resident pages evicted by other tenants.
+    pages_lost: int
+    #: Fabric reconfigurations paid when this tenant took the PLD over.
+    reconfigurations: int
 
 
 @dataclass(frozen=True)
@@ -184,8 +196,9 @@ def run_tenants(
     Returns
     -------
     MultiTenantResult
-        Per-tenant measurements, fault/evict/steal statistics and
-        output snapshots, plus the run's makespan.
+        Per-tenant measurements, output snapshots and the scheduling
+        and contention counts no measurement holds, plus the run's
+        makespan.
     """
     if not workloads:
         raise ReproError("run_tenants needs at least one workload")
@@ -219,7 +232,7 @@ def run_tenants(
     )
     sessions: list[CoprocessorSession] = []
     try:
-        order: list[int] = []
+        # One state per tenant, in workload order (the result's order).
         by_pid: dict[int, dict] = {}
         for index, workload in enumerate(workloads):
             session = CoprocessorSession(
@@ -234,9 +247,7 @@ def run_tenants(
                 session.map_object(
                     spec.obj_id, spec.name, spec.size, spec.direction, data=spec.data
                 )
-            pid = session.process.pid
-            order.append(pid)
-            by_pid[pid] = {
+            by_pid[session.process.pid] = {
                 "session": session,
                 "workload": workload,
                 "remaining": workload.repeats,
@@ -282,36 +293,21 @@ def run_tenants(
             state["remaining"] -= 1
         makespan_ps = system.engine.now - start_ps
         total_switches = kernel.scheduler.context_switches - switches_before
-        runs = []
-        for pid in order:
-            state = by_pid[pid]
-            session = state["session"]
-            meas: Measurement = state["measurement"]
-            counters = meas.counters
-            stats = TenantStats(
+        runs = tuple(
+            TenantRun(
+                name=state["session"].process.name,
+                workload=state["workload"].spec.name,
+                measurement=state["measurement"],
+                outputs=tuple(state["outputs"]),
                 asid=pid,
-                name=session.process.name,
-                executions=len(state["outputs"]),
                 dispatches=state["dispatches"],
-                page_faults=counters.page_faults,
-                evictions=counters.evictions,
-                steals=counters.steals,
                 pages_lost=shared.vim.pages_lost.get(pid, 0),
-                writebacks=counters.writebacks,
-                reconfigurations=session.reconfigurations,
-                total_ms=meas.total_ms,
+                reconfigurations=state["session"].reconfigurations,
             )
-            runs.append(
-                TenantRun(
-                    name=session.process.name,
-                    workload=state["workload"].spec.name,
-                    stats=stats,
-                    measurement=meas,
-                    outputs=tuple(state["outputs"]),
-                )
-            )
+            for pid, state in by_pid.items()
+        )
         return MultiTenantResult(
-            tenants=tuple(runs),
+            tenants=runs,
             makespan_ms=to_ms(makespan_ps),
             context_switches=total_switches,
         )

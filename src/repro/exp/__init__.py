@@ -44,11 +44,7 @@ not writing a new driver file.
 """
 
 from repro.exp.api import (
-    AblationRow,
-    AppRow,
     Figure7Result,
-    PortabilityRow,
-    TranslationOverheadResult,
     ablation_page_size,
     ablation_pipelined,
     ablation_policies,
@@ -110,8 +106,6 @@ from repro.exp.store import (
 from repro.exp.sweep import SweepResult, run_sweep
 
 __all__ = [
-    "AblationRow",
-    "AppRow",
     "CellConfig",
     "CellResult",
     "DiffResult",
@@ -122,14 +116,12 @@ __all__ = [
     "MergeConflict",
     "MergeSummary",
     "MetricDelta",
-    "PortabilityRow",
     "RecordOutcome",
     "RunRecord",
     "SqliteStore",
     "StoreCounts",
     "SweepResult",
     "SweepSpec",
-    "TranslationOverheadResult",
     "ablation_page_size",
     "ablation_pipelined",
     "ablation_policies",

@@ -19,6 +19,12 @@ so every one of them inherits ``--jobs`` parallelism and result
 caching for free, and adding a scenario means adding an axis value,
 not a driver.  The drivers that study one workload take it as a base
 ``cell`` and vary its axes; every other field of that cell holds.
+
+Each of them returns the :class:`~repro.exp.results.CellResult` rows
+it measured: a list in variant order from ``figure8``, ``figure9``,
+``contention`` and ``portability``, and a dict from variant label to
+row, in variant order, from every ``ablation_*`` driver.
+``translation_overhead`` returns the one fraction its two rows give.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.coproc.base import Behavior, Coprocessor
-from repro.core.soc import PRESETS
 from repro.core.system import System
 from repro.exp.results import CellResult
 from repro.exp.spec import CellConfig
@@ -139,82 +144,36 @@ def figure7(access_cycles: int = 4, pipelined: bool = False) -> Figure7Result:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AppRow:
-    """One input-size point of Figure 8 or 9."""
-
-    label: str
-    input_kb: int
-    sw_ms: float
-    vim_ms: float
-    hw_ms: float
-    sw_dp_ms: float
-    sw_imu_ms: float
-    sw_other_ms: float
-    vim_speedup: float
-    page_faults: int
-    typical_ms: float | None = None
-    typical_speedup: float | None = None
-    typical_fits: bool = True
-
-    @property
-    def sw_imu_fraction(self) -> float:
-        """SW(IMU) share of the VIM total (the <= 2.5 % claim)."""
-        return self.sw_imu_ms / self.vim_ms if self.vim_ms else 0.0
-
-
-def _app_row(label: str, input_kb: int, cell: CellResult) -> AppRow:
-    return AppRow(
-        label=label,
-        input_kb=input_kb,
-        sw_ms=cell.sw_ms,
-        vim_ms=cell.vim_ms,
-        hw_ms=cell.hw_ms,
-        sw_dp_ms=cell.sw_dp_ms,
-        sw_imu_ms=cell.sw_imu_ms,
-        sw_other_ms=cell.sw_other_ms,
-        vim_speedup=cell.vim_speedup,
-        page_faults=cell.page_faults,
-        typical_ms=cell.typical_ms,
-        typical_speedup=cell.typical_speedup,
-        typical_fits=cell.typical_fits,
-    )
-
-
 def _app_figure(
     app: str,
     sizes_kb: tuple[int, ...],
     with_typical: bool,
     jobs: int,
     cache_dir,
-) -> list[AppRow]:
+) -> list[CellResult]:
     configs = [
         CellConfig(app=app, input_bytes=kb * 1024, with_typical=with_typical)
         for kb in sizes_kb
     ]
-    sweep = run_sweep(configs, jobs=jobs, cache_dir=cache_dir)
-    return [
-        _app_row(f"{app}-{kb}KB", kb, cell)
-        for kb, cell in zip(sizes_kb, sweep.rows)
-    ]
+    return list(run_sweep(configs, jobs=jobs, cache_dir=cache_dir).rows)
 
 
 def figure8(
     sizes_kb: tuple[int, ...] = (2, 4, 8),
     jobs: int = 1,
     cache_dir=None,
-) -> list[AppRow]:
+) -> list[CellResult]:
     """adpcmdecode at the paper's input sizes (SW and VIM versions)."""
-    return _app_figure("adpcm", tuple(sizes_kb), False, jobs, cache_dir)
+    return _app_figure("adpcm", sizes_kb, False, jobs, cache_dir)
 
 
 def figure9(
     sizes_kb: tuple[int, ...] = (4, 8, 16, 32),
     jobs: int = 1,
     cache_dir=None,
-) -> list[AppRow]:
+) -> list[CellResult]:
     """IDEA at the paper's input sizes (SW, typical, and VIM versions)."""
-    return _app_figure("idea", tuple(sizes_kb), True, jobs, cache_dir)
+    return _app_figure("idea", sizes_kb, True, jobs, cache_dir)
 
 
 # ----------------------------------------------------------------------
@@ -244,30 +203,17 @@ def imu_overhead_rows(
     return rows
 
 
-@dataclass(frozen=True)
-class TranslationOverheadResult:
-    """HW-time share attributable to address translation."""
-
-    label: str
-    hw_ms: float
-    ideal_hw_ms: float
-
-    @property
-    def overhead_fraction(self) -> float:
-        """(translated - translation-free) / translated HW time."""
-        return 1.0 - self.ideal_hw_ms / self.hw_ms if self.hw_ms else 0.0
-
-
 def translation_overhead(
     cell: CellConfig | None = None,
     jobs: int = 1,
     cache_dir=None,
-) -> TranslationOverheadResult:
+) -> float:
     """Translation overhead of the IDEA hardware time (§4.1, ~20 %).
 
     Measured by comparing the normal IMU against an idealised one with
     single-cycle translation — same datapath, same clock-domain
-    synchronisers, no TLB translation latency.
+    synchronisers, no TLB translation latency.  Returns the fraction
+    ``1 - ideal.hw_ms / normal.hw_ms`` of the two cells.
     """
     cell = cell or CellConfig(app="idea", input_bytes=8 * 1024)
     normal, ideal = _cells_for(
@@ -276,11 +222,7 @@ def translation_overhead(
         jobs=jobs,
         cache_dir=cache_dir,
     )
-    return TranslationOverheadResult(
-        label=normal.workload,
-        hw_ms=normal.hw_ms,
-        ideal_hw_ms=ideal.hw_ms,
-    )
+    return 1.0 - ideal.hw_ms / normal.hw_ms if normal.hw_ms else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -288,64 +230,29 @@ def translation_overhead(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AblationRow:
-    """One configuration point of an ablation sweep."""
-
-    label: str
-    total_ms: float
-    hw_ms: float
-    sw_dp_ms: float
-    sw_imu_ms: float
-    page_faults: int
-    prefetches: int = 0
-    tlb_refills: int = 0
-    dma_transfers: int = 0
-
-
-def _ablation_row(label: str, cell: CellResult) -> AblationRow:
-    return AblationRow(
-        label=label,
-        total_ms=cell.vim_ms,
-        hw_ms=cell.hw_ms,
-        sw_dp_ms=cell.sw_dp_ms,
-        sw_imu_ms=cell.sw_imu_ms,
-        page_faults=cell.page_faults,
-        prefetches=cell.prefetches,
-        tlb_refills=cell.tlb_refills,
-        dma_transfers=cell.dma_transfers,
-    )
-
-
 def _ablation(
     cell: CellConfig,
-    labelled_variants: list[tuple[str, dict]],
+    labelled_variants: dict[str, dict],
     jobs: int = 1,
     cache_dir=None,
-) -> list[AblationRow]:
-    cells = _cells_for(
-        cell,
-        [variant for _, variant in labelled_variants],
-        jobs=jobs,
-        cache_dir=cache_dir,
+) -> dict[str, CellResult]:
+    rows = _cells_for(
+        cell, list(labelled_variants.values()), jobs=jobs, cache_dir=cache_dir
     )
-    return [
-        _ablation_row(label, cell)
-        for (label, _), cell in zip(labelled_variants, cells)
-    ]
+    return dict(zip(labelled_variants, rows))
 
 
 def ablation_pipelined(
     cell: CellConfig | None = None, jobs: int = 1, cache_dir=None
-) -> list[AblationRow]:
+) -> dict[str, CellResult]:
     """Multi-cycle vs pipelined IMU (the paper's announced improvement)."""
     cell = cell or CellConfig(app="idea", input_bytes=8 * 1024)
     return _ablation(
         cell,
-        [
-            ("multi-cycle", {"pipelined_imu": False}),
-            ("pipelined", {"pipelined_imu": True}),
-        ],
+        {
+            "multi-cycle": {"pipelined_imu": False},
+            "pipelined": {"pipelined_imu": True},
+        },
         jobs=jobs,
         cache_dir=cache_dir,
     )
@@ -353,12 +260,12 @@ def ablation_pipelined(
 
 def ablation_policies(
     cell: CellConfig | None = None, jobs: int = 1, cache_dir=None
-) -> list[AblationRow]:
+) -> dict[str, CellResult]:
     """The replacement policies §3.3 enumerates, on one faulting run."""
     cell = cell or CellConfig(app="adpcm", input_bytes=8 * 1024)
     return _ablation(
         cell,
-        [(name, {"policy": name}) for name in policy_names()],
+        {name: {"policy": name} for name in policy_names()},
         jobs=jobs,
         cache_dir=cache_dir,
     )
@@ -366,16 +273,16 @@ def ablation_policies(
 
 def ablation_transfers(
     cell: CellConfig | None = None, jobs: int = 1, cache_dir=None
-) -> list[AblationRow]:
+) -> dict[str, CellResult]:
     """Double-transfer (measured) vs single-transfer (announced) vs
     DMA-descriptor (the modelled end point of §4.1's roadmap) VIM."""
     cell = cell or CellConfig(app="adpcm", input_bytes=8 * 1024)
     return _ablation(
         cell,
-        [
-            (mode.name.lower(), {"transfer": mode.name.lower()})
+        {
+            mode.name.lower(): {"transfer": mode.name.lower()}
             for mode in (TransferMode.DOUBLE, TransferMode.SINGLE, TransferMode.DMA)
-        ],
+        },
         jobs=jobs,
         cache_dir=cache_dir,
     )
@@ -383,7 +290,7 @@ def ablation_transfers(
 
 def ablation_prefetch(
     cell: CellConfig | None = None, jobs: int = 1, cache_dir=None
-) -> list[AblationRow]:
+) -> dict[str, CellResult]:
     """No prefetch vs conservative / aggressive / overlapped prefetch.
 
     The *overlapped* row models the paper's full future-work vision:
@@ -394,12 +301,10 @@ def ablation_prefetch(
     cell = cell or CellConfig(app="adpcm", input_bytes=8 * 1024)
     return _ablation(
         cell,
-        [
-            ("none", {"prefetch": "none"}),
-            ("sequential", {"prefetch": "sequential"}),
-            ("aggressive", {"prefetch": "aggressive"}),
-            ("overlapped", {"prefetch": "overlapped"}),
-        ],
+        {
+            name: {"prefetch": name}
+            for name in ("none", "sequential", "aggressive", "overlapped")
+        },
         jobs=jobs,
         cache_dir=cache_dir,
     )
@@ -410,7 +315,7 @@ def ablation_page_size(
     page_sizes: tuple[int, ...] = (512, 1024, 2048, 4096),
     jobs: int = 1,
     cache_dir=None,
-) -> list[AblationRow]:
+) -> dict[str, CellResult]:
     """Page-size sweep at fixed 16 KB DP-RAM capacity.
 
     The classic virtual-memory trade-off transplanted to the interface
@@ -421,10 +326,10 @@ def ablation_page_size(
     """
     return _ablation(
         CellConfig(app="adpcm", input_bytes=input_bytes),
-        [
-            (f"{page}B", {"page_bytes": page, "dpram_bytes": 16 * 1024})
+        {
+            f"{page}B": {"page_bytes": page, "dpram_bytes": 16 * 1024}
             for page in page_sizes
-        ],
+        },
         jobs=jobs,
         cache_dir=cache_dir,
     )
@@ -435,15 +340,15 @@ def ablation_tlb_capacity(
     capacities: tuple[int, ...] = (2, 4, 8),
     jobs: int = 1,
     cache_dir=None,
-) -> list[AblationRow]:
+) -> dict[str, CellResult]:
     """Shrinking the TLB below one-entry-per-frame (extra faults)."""
     cell = cell or CellConfig(app="adpcm", input_bytes=4 * 1024)
     return _ablation(
         cell,
-        [
-            (f"tlb-{capacity}", {"tlb_capacity": capacity})
+        {
+            f"tlb-{capacity}": {"tlb_capacity": capacity}
             for capacity in capacities
-        ],
+        },
         jobs=jobs,
         cache_dir=cache_dir,
     )
@@ -468,9 +373,8 @@ def contention(
     One cell per entry of *tenant_counts*: the first (usually 1) is the
     uncontended baseline, the rest add processes that interleave
     executions through the round-robin scheduler and steal each
-    other's resident pages.  Returns the raw :class:`CellResult` rows —
-    their ``tenant_*`` tuples carry the per-tenant fault/evict/steal
-    split the solo drivers cannot express.
+    other's resident pages.  The ``tenant_*`` tuples of the returned
+    rows carry the per-tenant fault/evict/steal split.
     """
     configs = [
         CellConfig(
@@ -492,19 +396,9 @@ def contention(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PortabilityRow:
-    """One SoC preset running the unchanged application."""
-
-    soc: str
-    dpram_kb: int
-    total_ms: float
-    page_faults: int
-
-
 def portability(
     cell: CellConfig | None = None, jobs: int = 1, cache_dir=None
-) -> list[PortabilityRow]:
+) -> list[CellResult]:
     """Run the identical workload on every SoC preset.
 
     Nothing about the workload (C-side mapping or core FSM) changes;
@@ -513,19 +407,9 @@ def portability(
     count drops to zero.
     """
     cell = cell or CellConfig(app="adpcm", input_bytes=8 * 1024)
-    socs = ("EPXA1", "EPXA4", "EPXA10")
-    cells = _cells_for(
+    return _cells_for(
         cell,
-        [{"soc": name} for name in socs],
+        [{"soc": name} for name in ("EPXA1", "EPXA4", "EPXA10")],
         jobs=jobs,
         cache_dir=cache_dir,
     )
-    return [
-        PortabilityRow(
-            soc=name,
-            dpram_kb=PRESETS[name].dpram_bytes // 1024,
-            total_ms=cell.vim_ms,
-            page_faults=cell.page_faults,
-        )
-        for name, cell in zip(socs, cells)
-    ]

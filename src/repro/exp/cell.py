@@ -352,17 +352,18 @@ def _run_contended(config: CellConfig) -> CellResult:
     )
     vim_ms = result.makespan_ms
     tenants = result.tenants
+    measurements = [t.measurement for t in tenants]
     return _cell_row(
         config,
         "+".join(t.workload for t in tenants),
-        [t.measurement for t in tenants],
+        measurements,
         sw_ms=sw_ms,
         vim_ms=vim_ms,
         vim_speedup=sw_ms / vim_ms if vim_ms else 0.0,
         tenant_labels=tuple(t.name for t in tenants),
-        tenant_ms=tuple(t.stats.total_ms for t in tenants),
-        tenant_faults=tuple(t.stats.page_faults for t in tenants),
-        tenant_evictions=tuple(t.stats.evictions for t in tenants),
-        tenant_steals=tuple(t.stats.steals for t in tenants),
-        tenant_pages_lost=tuple(t.stats.pages_lost for t in tenants),
+        tenant_ms=tuple(m.total_ms for m in measurements),
+        tenant_faults=tuple(m.counters.page_faults for m in measurements),
+        tenant_evictions=tuple(m.counters.evictions for m in measurements),
+        tenant_steals=tuple(m.counters.steals for m in measurements),
+        tenant_pages_lost=tuple(t.pages_lost for t in tenants),
     )

@@ -108,7 +108,7 @@ def record_cell(
         # pid; the trace stores workload-order tenant indices instead,
         # because pids are a spawn-order artifact.
         asid_to_tenant = {
-            run.stats.asid: index for index, run in enumerate(result.tenants)
+            run.asid: index for index, run in enumerate(result.tenants)
         }
     else:
         workload = build_workload(config)

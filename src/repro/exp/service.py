@@ -57,6 +57,7 @@ from repro.exp.leasing import LeaseBoard
 from repro.exp.results import CellResult
 from repro.exp.spec import CellConfig
 from repro.exp.store import open_store
+from repro.exp.sweep import SweepResult
 
 #: Job lifecycle states reported by ``/api/status``.
 JOB_STATES = ("running", "done", "failed")
@@ -570,22 +571,13 @@ def call(url: str, path: str, payload: dict | None = None,
         raise ReproError(f"cannot reach coordinator at {url}: {error}")
 
 
-@dataclass(frozen=True)
-class SubmitOutcome:
-    """What one submission produced, in local-sweep vocabulary."""
-
-    rows: tuple[CellResult, ...]  #: submit order, duplicates included
-    executed: int  #: cells simulated by the worker pool for this job
-    cached: int  #: cells served instantly from the coordinator's store
-
-
 def submit_sweep(
     url: str,
     cells,
     poll: float = 0.5,
     progress: Callable[[str], None] | None = None,
     timeout: float | None = None,
-) -> SubmitOutcome:
+) -> SweepResult:
     """Submit a grid and block until the merged rows stream back.
 
     Parameters
@@ -605,9 +597,10 @@ def submit_sweep(
 
     Returns
     -------
-    SubmitOutcome
-        Rows in submitted order plus executed/cached counts with the
-        exact semantics of :class:`~repro.exp.sweep.SweepResult` — a
+    SweepResult
+        Rows in submitted order, duplicates included; ``executed``
+        counts the cells the worker pool simulated for this job and
+        ``cached`` those the coordinator's store served, so a
         resubmission of a completed grid reports ``executed == 0``.
     """
     progress = progress or (lambda line: None)
@@ -648,6 +641,6 @@ def submit_sweep(
     payload = call(url, f"/api/results/{job}")
     rows = tuple(CellResult.from_dict(row) for row in payload["rows"])
     status = call(url, f"/api/status/{job}")
-    return SubmitOutcome(
+    return SweepResult(
         rows=rows, executed=status["simulated"], cached=status["hits"],
     )

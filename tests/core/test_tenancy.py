@@ -44,11 +44,11 @@ class TestSchedulerArbitration:
         result = run_tenants(System(), _adpcm_tenants(3, repeats=2))
         assert len(result.tenants) == 3
         for tenant in result.tenants:
-            assert tenant.stats.executions == 2
-            assert tenant.stats.dispatches == 2
+            assert len(tenant.outputs) == 2
+            assert tenant.dispatches == 2
         # Round-robin: dispatch counts differ by at most one at any
         # point, so totals are exactly equal for equal repeats.
-        dispatches = [t.stats.dispatches for t in result.tenants]
+        dispatches = [t.dispatches for t in result.tenants]
         assert max(dispatches) - min(dispatches) == 0
 
     def test_context_switch_accounting(self):
@@ -64,8 +64,8 @@ class TestSchedulerArbitration:
             Workload(spec=adpcm_workload(2 * 1024, seed=2), repeats=3),
         ]
         result = run_tenants(System(), workloads)
-        assert [t.stats.executions for t in result.tenants] == [1, 3]
-        assert [t.stats.dispatches for t in result.tenants] == [1, 3]
+        assert [len(t.outputs) for t in result.tenants] == [1, 3]
+        assert [t.dispatches for t in result.tenants] == [1, 3]
 
     def test_sleep_wake_cycle_per_execution(self):
         """FPGA_EXECUTE sleeps the caller; the interrupt re-queues it."""
@@ -74,7 +74,7 @@ class TestSchedulerArbitration:
         assert result.context_switches > 0
         # Processes were woken once per execution before terminating.
         for run in result.tenants:
-            assert run.stats.executions == 2
+            assert len(run.outputs) == 2
 
 
 class TestSharedResidency:
@@ -95,7 +95,7 @@ class TestSharedResidency:
              Workload(spec=build(2), repeats=repeats)],
         )
         # Contention actually happened: somebody stole a page.
-        assert sum(t.stats.steals for t in contended.tenants) > 0
+        assert sum(t.measurement.counters.steals for t in contended.tenants) > 0
         for seed, tenant in zip((1, 2), contended.tenants):
             spec = build(seed)
             system = System()
@@ -113,16 +113,16 @@ class TestSharedResidency:
 
     def test_steals_and_losses_balance(self):
         result = run_tenants(System(), _adpcm_tenants(3, repeats=2))
-        stolen = sum(t.stats.steals for t in result.tenants)
-        lost = sum(t.stats.pages_lost for t in result.tenants)
+        stolen = sum(t.measurement.counters.steals for t in result.tenants)
+        lost = sum(t.pages_lost for t in result.tenants)
         assert stolen == lost
         assert stolen > 0
 
     def test_solo_run_has_no_cross_tenant_traffic(self):
         result = run_tenants(System(), _adpcm_tenants(1, repeats=2))
         tenant = result.tenants[0]
-        assert tenant.stats.steals == 0
-        assert tenant.stats.pages_lost == 0
+        assert tenant.measurement.counters.steals == 0
+        assert tenant.pages_lost == 0
 
     def test_mixed_apps_share_the_window(self):
         """adpcm and IDEA tenants time-share fabric and DP-RAM."""
@@ -135,12 +135,12 @@ class TestSharedResidency:
         # Different bitstreams: the fabric is reconfigured on every
         # turn handoff.
         for tenant in result.tenants:
-            assert tenant.stats.reconfigurations == 2
+            assert tenant.reconfigurations == 2
 
     def test_same_bitstream_keeps_fabric_warm_in_between(self):
         """A tenant running back-to-back turns does not reconfigure."""
         result = run_tenants(System(), _adpcm_tenants(1, repeats=3))
-        assert result.tenants[0].stats.reconfigurations == 1
+        assert result.tenants[0].reconfigurations == 1
 
     def test_small_dpram_contention(self, small_soc):
         """Tenants survive on a 4-frame DP-RAM (param page contended)."""
@@ -150,7 +150,7 @@ class TestSharedResidency:
             for i in range(2)
         ]
         result = run_tenants(system, workloads)
-        assert all(t.stats.executions == 2 for t in result.tenants)
+        assert all(len(t.outputs) == 2 for t in result.tenants)
 
 
 class TestLifecycle:
