@@ -411,7 +411,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        text = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(text)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The end of the body is unknown, so nothing after it on
+            # this connection can be parsed as the next request.
+            self.close_connection = True
+            raise ReproError(f"bad Content-Length {text!r}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}

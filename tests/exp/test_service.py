@@ -8,6 +8,7 @@ exactly what a local :func:`~repro.exp.sweep.run_sweep` produces.
 """
 
 import json
+import socket
 import threading
 from dataclasses import replace
 from urllib import error as urlerror
@@ -168,6 +169,27 @@ class TestMalformedPayloads:
                 urlrequest.urlopen(request, timeout=10)
             assert excinfo.value.code == 400, (path, body)
             assert json.loads(excinfo.value.read())["error"], (path, body)
+        assert call(url, "/api/health") == {"ok": True}
+
+    def test_a_bad_content_length_gets_a_400_and_the_coordinator_keeps_serving(
+        self, url
+    ):
+        host, port = url.removeprefix("http://").split(":")
+        for length in (b"abc", b"-1"):
+            # urllib always sends a valid length: speak HTTP by hand.
+            with socket.create_connection((host, int(port)), timeout=5) as conn:
+                conn.sendall(
+                    b"POST /api/submit HTTP/1.1\r\nHost: coordinator\r\n"
+                    b"Content-Length: " + length + b"\r\n\r\n"
+                )
+                # The coordinator closes the connection after the reply,
+                # because it cannot tell where the body ends.
+                reply = b""
+                while chunk := conn.recv(4096):
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), (length, reply)
+            assert json.loads(body)["error"], length
         assert call(url, "/api/health") == {"ok": True}
 
     def test_errors_name_the_cell(self, service):
