@@ -143,16 +143,16 @@ def run_vim(
     prefetcher: Prefetcher | None = None,
     tlb_capacity: int | None = None,
     eager_mapping: bool = True,
-    sync_cycles: int | None = None,
     recorder=None,
 ) -> RunResult:
     """The VIM-based version: the paper's full virtualised path.
 
-    ``sync_cycles`` defaults to zero for single-domain designs and to
-    :attr:`Imu.CDC_SYNC_CYCLES` when the core and IMU clocks differ
-    (the IDEA system's stall-based synchronisation).  Passing
-    *recorder* (a :class:`~repro.trace.record.TraceRecorder`) captures
-    the run's per-access address stream through the session's IMU.
+    The IMU's synchroniser latency comes from the bitstream: zero for
+    single-domain designs, :attr:`Imu.CDC_SYNC_CYCLES` when the core
+    and IMU clocks differ (the IDEA system's stall-based
+    synchronisation).  Passing *recorder* (a
+    :class:`~repro.trace.record.TraceRecorder`) captures the run's
+    per-access address stream through the session's IMU.
 
     Implemented as a one-shot :class:`~repro.core.session.
     CoprocessorSession`; applications that call the coprocessor
@@ -170,7 +170,6 @@ def run_vim(
         prefetcher=prefetcher,
         tlb_capacity=tlb_capacity,
         eager_mapping=eager_mapping,
-        sync_cycles=sync_cycles,
         process_name=workload.name,
         recorder=recorder,
     )

@@ -61,7 +61,6 @@ class CoprocessorSession:
         prefetcher: Prefetcher | None = None,
         tlb_capacity: int | None = None,
         eager_mapping: bool = True,
-        sync_cycles: int | None = None,
         process_name: str = "session",
         shared=None,
         priority: int = 1,
@@ -97,15 +96,12 @@ class CoprocessorSession:
             self.executions = 0
             self._closed = False
             return
-        if sync_cycles is None:
-            sync_cycles = 0 if bitstream.single_domain else Imu.CDC_SYNC_CYCLES
         self.imu = Imu(
             system.dpram,
             system.interrupts,
             access_cycles=access_cycles,
             pipelined=pipelined_imu,
             tlb_capacity=tlb_capacity,
-            sync_cycles=sync_cycles,
         )
         # The per-access trace sink (repro record): a solo session owns
         # its IMU, so the hook attaches here; shared-interface tenants
@@ -258,12 +254,13 @@ class CoprocessorSession:
         try:
             if self.shared is not None:
                 self._acquire_fabric()
-                # Synchroniser cost follows the active design: a
-                # single-domain tenant pays nothing, a dual-domain one
-                # pays the CDC handshake — same as its solo session.
-                self.imu.sync_cycles = (
-                    0 if self.bitstream.single_domain else Imu.CDC_SYNC_CYCLES
-                )
+            # Synchroniser cost follows the active design: a
+            # single-domain design pays nothing, a dual-domain one the
+            # CDC handshake.  Set per execution, solo or tenant alike,
+            # because a shared IMU serves each tenant's design in turn.
+            self.imu.sync_cycles = (
+                0 if self.bitstream.single_domain else Imu.CDC_SYNC_CYCLES
+            )
             tlb_stats = self.imu.tlb.stats
             lookups_before = tlb_stats.lookups
             hits_before = tlb_stats.hits
