@@ -103,8 +103,11 @@ def verify_outputs(
 
     Raises :class:`VimError` naming the first differing byte (or the
     length mismatch) — shared by :meth:`RunResult.verify` and the
-    multi-tenant executor's per-execution check.
+    multi-tenant executor's per-execution check.  An empty reference
+    is refused too: it would pass any outputs unchecked.
     """
+    if not expected:
+        raise VimError(f"{name}: no reference outputs to verify against")
     for obj_id, want in expected.items():
         got = outputs.get(obj_id)
         if got is None:

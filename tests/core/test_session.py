@@ -99,6 +99,17 @@ class TestRepeatedExecution:
         assert first.measurement is not second.measurement
         assert first.measurement.total_ps == second.measurement.total_ps
 
+    def test_verify_refuses_a_result_without_a_reference(self):
+        """A session result has no software reference to check against."""
+        with vadd_session() as session:
+            session.map_input(0, "A", bytes(32))
+            session.map_input(1, "B", bytes(32))
+            session.map_output(2, "C", 32)
+            result = session.execute([8])
+        result.outputs[2] = b"\xff" * 32
+        with pytest.raises(VimError, match="exec-1/vim-session: no reference"):
+            result.verify()
+
     def test_partial_param_change_between_executes(self):
         # Process only a prefix of the mapped vectors on the second run.
         with vadd_session() as session:
