@@ -61,6 +61,27 @@ class TestLifecycle:
             CoprocessorSession(system, adpcm_core.bitstream())
         first.close()
 
+    def test_refused_session_leaves_the_interrupt_lines_alone(self):
+        # FPGA_LOAD comes before the interrupt lines are claimed, so a
+        # session refused the fabric takes no handler from the session
+        # that holds it.
+        def add_vectors(session, seed):
+            a = workloads.random_words(8, seed=seed)
+            b = workloads.random_words(8, seed=seed + 100)
+            session.map_input(0, "A", a.astype("<u4").tobytes())
+            session.map_input(1, "B", b.astype("<u4").tobytes())
+            session.map_output(2, "C", 32)
+            result = session.execute([8])
+            assert (np.frombuffer(result.outputs[2], dtype="<u4") == a + b).all()
+
+        system = System()
+        with vadd_session(system) as first:
+            with pytest.raises(FpgaError):
+                CoprocessorSession(system, adpcm_core.bitstream())
+            add_vectors(first, seed=1)
+        with vadd_session(system) as second:
+            add_vectors(second, seed=2)
+
 
 class TestRepeatedExecution:
     def test_results_independent_per_execute(self):
