@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.drivers import adpcm_workload, idea_workload
 from repro.core.runner import verify_outputs
-from repro.core.session import CoprocessorSession
+from repro.core.session import CoprocessorSession, VirtualInterface
 from repro.core.system import System
 from repro.os.vim.manager import TransferMode
 
@@ -57,10 +57,11 @@ def run_cell_counted(name: str) -> dict:
     """Run cell *name* once; its verified work counters."""
     build, transfer_mode = CELLS[name]
     workload = build()
+    system = System()
     session = CoprocessorSession(
-        System(),
+        system,
         workload.bitstream,
-        transfer_mode=transfer_mode,
+        VirtualInterface(system, transfer_mode=transfer_mode),
         process_name=workload.name,
     )
     try:

@@ -30,6 +30,7 @@ from repro.core import (
     RunResult,
     SocConfig,
     System,
+    VirtualInterface,
     WorkloadSpec,
     adpcm_encode_workload,
     adpcm_workload,
@@ -60,6 +61,7 @@ __all__ = [
     "SocConfig",
     "System",
     "TransferMode",
+    "VirtualInterface",
     "WorkloadSpec",
     "adpcm_encode_workload",
     "adpcm_workload",

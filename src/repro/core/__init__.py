@@ -15,7 +15,7 @@ from repro.core.runner import (
     run_typical,
     run_vim,
 )
-from repro.core.session import CoprocessorSession
+from repro.core.session import CoprocessorSession, VirtualInterface
 from repro.core.soc import EPXA1, EPXA4, EPXA10, PRESETS, SocConfig
 from repro.core.system import System
 
@@ -27,6 +27,7 @@ __all__ = [
     "RunResult",
     "SocConfig",
     "System",
+    "VirtualInterface",
     "WorkloadSpec",
     "adpcm_encode_workload",
     "adpcm_workload",

@@ -158,14 +158,15 @@ def run_vim(
     per-access address stream through the session's IMU.
 
     Implemented as a one-shot :class:`~repro.core.session.
-    CoprocessorSession`; applications that call the coprocessor
-    repeatedly should hold a session open instead.
+    CoprocessorSession` through a :class:`~repro.core.session.
+    VirtualInterface` built from the keyword arguments; applications
+    that call the coprocessor repeatedly should hold a session open
+    instead.
     """
-    from repro.core.session import CoprocessorSession
+    from repro.core.session import CoprocessorSession, VirtualInterface
 
-    session = CoprocessorSession(
+    interface = VirtualInterface(
         system,
-        workload.bitstream,
         policy=policy,
         transfer_mode=transfer_mode,
         pipelined_imu=pipelined_imu,
@@ -173,8 +174,10 @@ def run_vim(
         prefetcher=prefetcher,
         tlb_capacity=tlb_capacity,
         eager_mapping=eager_mapping,
-        process_name=workload.name,
         recorder=recorder,
+    )
+    session = CoprocessorSession(
+        system, workload.bitstream, interface, process_name=workload.name
     )
     try:
         for spec in workload.objects:
@@ -186,11 +189,7 @@ def run_vim(
         )
     finally:
         session.close()
-    outputs = {
-        spec.obj_id: result.outputs[spec.obj_id]
-        for spec in workload.output_specs()
-    }
-    return RunResult(workload, "vim", result.measurement, outputs)
+    return RunResult(workload, "vim", result.measurement, result.outputs)
 
 
 def run_typical(

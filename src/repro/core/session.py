@@ -8,6 +8,12 @@ the natural shape of a streaming application (decode chunk, consume,
 decode next chunk) that :func:`repro.core.runner.run_vim` hides behind
 its one-shot interface.
 
+Every session executes through a :class:`VirtualInterface`, the one
+IMU and the VIM that services its ``INT_PLD`` interrupt (Figure 4): a
+solo session through its own, a tenant of
+:func:`repro.core.tenancy.run_tenants` through the one all tenants
+share.
+
 Example::
 
     with CoprocessorSession(System(), adpcm_bitstream) as session:
@@ -36,24 +42,24 @@ from repro.os.vim.prefetch import Prefetcher
 from repro.os.vmm import UserBuffer
 
 
-class CoprocessorSession:
-    """A configured coprocessor, ready for repeated FPGA_EXECUTE calls.
+class VirtualInterface:
+    """The IMU and the VIM kernel module that services it (§3.1–3.3).
 
-    With ``shared`` set (a :class:`repro.core.tenancy.SharedInterface`)
-    the session becomes one *tenant* of a multi-tenant system: it
-    reuses the shared IMU and VIM — and therefore the shared DP-RAM
-    frame pool and TLB — instead of building its own, tags its objects
-    with the process's address-space id, and acquires the PLD fabric
-    lazily at each ``execute`` (the fabric is time-shared between
-    tenants, not owned for the session's lifetime).  The VIM knobs
-    (policy, transfer mode, prefetcher, TLB capacity) then live on the
-    shared interface and the per-session arguments are ignored.
+    The virtualised counterpart of the typical version's
+    :class:`~repro.imu.direct.DirectInterface`: the IMU translates the
+    coprocessor's virtual accesses and the VIM, installed as the
+    ``INT_PLD`` and ``INT_DMA`` handler, services its faults.
+
+    A solo session runs through its own interface.  With ``shared``
+    set, every tenant of a multi-tenant run goes through this one, so
+    the DP-RAM frame pool and the CAM TLB are genuinely shared
+    (translations are ASID-tagged per tenant) and one *recorder*
+    captures the interleaved address stream of all tenants.
     """
 
     def __init__(
         self,
         system: System,
-        bitstream: Bitstream,
         policy: str = "fifo",
         transfer_mode: TransferMode = TransferMode.DOUBLE,
         pipelined_imu: bool = False,
@@ -61,41 +67,11 @@ class CoprocessorSession:
         prefetcher: Prefetcher | None = None,
         tlb_capacity: int | None = None,
         eager_mapping: bool = True,
-        process_name: str = "session",
-        shared=None,
-        priority: int = 1,
         recorder=None,
+        shared: bool = False,
     ) -> None:
         self.system = system
-        self.bitstream = bitstream
         self.shared = shared
-        kernel = system.kernel
-        self.reconfigurations = 0
-        if shared is not None:
-            self.imu = shared.imu
-            self.vim = shared.vim
-            if recorder is not None:
-                # The shared IMU already carries the run-wide sink (the
-                # SharedInterface installs it); a per-tenant recorder
-                # would shadow the other tenants' accesses.
-                raise VimError(
-                    "pass the recorder to the SharedInterface, not to a "
-                    "tenant session: the shared IMU records all tenants"
-                )
-            self.core = bitstream.build_core()
-            self.core.bind(self.imu)
-            self.process = kernel.spawn(process_name, priority=priority)
-            self.services = FpgaServices(kernel, system.fabric, self.vim)
-            self._setup_measurement = Measurement(name=f"{process_name}/setup")
-            # No FPGA_LOAD here: the fabric is contended, so it is
-            # (re)acquired at execute time and the scheduler decides
-            # who runs; the process stays READY in the run queue.
-            self.domains = system.build_clock_domains(
-                bitstream, self.imu, self.core
-            )
-            self.executions = 0
-            self._closed = False
-            return
         self.imu = Imu(
             system.dpram,
             system.interrupts,
@@ -103,14 +79,10 @@ class CoprocessorSession:
             pipelined=pipelined_imu,
             tlb_capacity=tlb_capacity,
         )
-        # The per-access trace sink (repro record): a solo session owns
-        # its IMU, so the hook attaches here; shared-interface tenants
-        # inherit the SharedInterface's sink instead.
+        # The per-access trace sink (repro record).
         self.imu.trace_sink = recorder
-        self.core = bitstream.build_core()
-        self.core.bind(self.imu)
         self.vim = Vim(
-            kernel,
+            system.kernel,
             system.dpram,
             system.bus,
             self.imu,
@@ -118,21 +90,84 @@ class CoprocessorSession:
             transfer_mode=transfer_mode,
             prefetcher=prefetcher,
             eager_mapping=eager_mapping,
+            shared=shared,
             dma=system.dma,
         )
+        self._open = False
+
+    def open(self) -> None:
+        """Install the VIM as the INT_PLD and INT_DMA handler."""
+        interrupts = self.system.interrupts
+        interrupts.register(INT_PLD_LINE, self.vim.handle_interrupt)
+        interrupts.register(INT_DMA_LINE, self.vim.handle_dma_complete)
+        self._open = True
+
+    def close(self) -> None:
+        """Unregister the handlers; a no-op unless :meth:`open` ran.
+
+        An execution aborted mid-service (or a final flush still
+        draining) may leave a line asserted; clear both — and disarm
+        the DMA completion interrupt — so nothing fires into the next
+        interface's handlers.
+        """
+        if not self._open:
+            return
+        self._open = False
+        interrupts = self.system.interrupts
+        interrupts.unregister(INT_PLD_LINE)
+        interrupts.unregister(INT_DMA_LINE)
+        interrupts.clear(INT_PLD_LINE)
+        interrupts.clear(INT_DMA_LINE)
+        self.system.dma.quiesce()
+
+
+class CoprocessorSession:
+    """A configured coprocessor, ready for repeated FPGA_EXECUTE calls.
+
+    Without an *interface* the session builds a default
+    :class:`VirtualInterface` of its own; pass one to choose the VIM's
+    policy, transfer mode, prefetcher or TLB capacity.  A solo session
+    loads its bit-stream at construction, before it installs the
+    interface's handlers, and closes the interface with itself.
+
+    Given a shared interface the session becomes one *tenant* of a
+    multi-tenant system: it tags its objects with the process's
+    address-space id and acquires the PLD fabric lazily at each
+    ``execute`` (the fabric is time-shared between tenants, not owned
+    for the session's lifetime).  The interface stays up for the other
+    tenants; whoever built it closes it.
+    """
+
+    def __init__(
+        self,
+        system: System,
+        bitstream: Bitstream,
+        interface: VirtualInterface | None = None,
+        process_name: str = "session",
+        priority: int = 1,
+    ) -> None:
+        if interface is None:
+            interface = VirtualInterface(system)
+        self.system = system
+        self.bitstream = bitstream
+        self.interface = interface
+        self.imu = interface.imu
+        self.vim = interface.vim
+        self.reconfigurations = 0
+        kernel = system.kernel
+        self.core = bitstream.build_core()
+        self.core.bind(self.imu)
         self.process = kernel.spawn(process_name, priority=priority)
-        kernel.scheduler.pick_next()
         self.services = FpgaServices(kernel, system.fabric, self.vim)
-        self._setup_measurement = Measurement(name=f"{process_name}/setup")
-        kernel.attach_measurement(self._setup_measurement)
-        try:
+        if not interface.shared:
+            kernel.scheduler.pick_next()
             # Acquire the fabric first: if another process owns it, fail
-            # before claiming the interrupt line or any clock resources.
+            # before claiming the interrupt lines or any clock resources.
             self.services.fpga_load(self.process, bitstream)
-        finally:
-            kernel.detach_measurement()
-        system.interrupts.register(INT_PLD_LINE, self.vim.handle_interrupt)
-        system.interrupts.register(INT_DMA_LINE, self.vim.handle_dma_complete)
+            interface.open()
+        # A tenant loads nothing here: the fabric is contended, so it is
+        # (re)acquired at execute time and the scheduler decides who
+        # runs; the process stays READY in the run queue.
         self.domains = system.build_clock_domains(bitstream, self.imu, self.core)
         self.executions = 0
         self._closed = False
@@ -140,7 +175,7 @@ class CoprocessorSession:
     @property
     def asid(self) -> int:
         """Address-space id tagging this session's objects (0 solo)."""
-        return self.process.pid if self.shared is not None else 0
+        return self.process.pid if self.interface.shared else 0
 
     # -- object mapping --------------------------------------------------
 
@@ -167,27 +202,24 @@ class CoprocessorSession:
             raise SyscallError(
                 f"object id {obj_id} out of range [0, 254]"
             )
-        kernel = self.system.kernel
-        buffer = kernel.user_memory.alloc(name, size, self.process.pid)
+        buffer = self.system.kernel.user_memory.alloc(
+            name, size, self.process.pid
+        )
         if data is not None:
             buffer.fill_from(data)
-        kernel.attach_measurement(self._setup_measurement)
-        try:
-            # A tenant's object ids are tagged with its ASID so every
-            # tenant keeps the 8-bit CP_OBJ namespace to itself, and
-            # mapping must not require fabric ownership (the
-            # time-shared fabric belongs to whoever executed last).
-            self.services.fpga_map_object(
-                self.process,
-                tag_obj(self.asid, obj_id),
-                buffer,
-                size,
-                direction,
-                hints,
-                require_fabric=self.shared is None,
-            )
-        finally:
-            kernel.detach_measurement()
+        # A tenant's object ids are tagged with its ASID so every tenant
+        # keeps the 8-bit CP_OBJ namespace to itself, and mapping must
+        # not require fabric ownership (the time-shared fabric belongs
+        # to whoever executed last).
+        self.services.fpga_map_object(
+            self.process,
+            tag_obj(self.asid, obj_id),
+            buffer,
+            size,
+            direction,
+            hints,
+            require_fabric=not self.interface.shared,
+        )
         return buffer
 
     def map_input(
@@ -252,7 +284,7 @@ class CoprocessorSession:
         kernel.attach_measurement(measurement)
         self.core.reset()
         try:
-            if self.shared is not None:
+            if self.interface.shared:
                 self._acquire_fabric()
             # Synchroniser cost follows the active design: a
             # single-domain design pays nothing, a dual-domain one the
@@ -288,7 +320,7 @@ class CoprocessorSession:
                 if not arrived:
                     raise VimError(f"{name}: clocks drained without an interrupt")
                 kernel.service_interrupts()
-            if self.shared is None:
+            if not self.interface.shared:
                 # Solo sessions re-dispatch the woken process here; in
                 # multi-tenant mode the executor owns dispatch so the
                 # round-robin order is decided in one place.
@@ -316,36 +348,27 @@ class CoprocessorSession:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Release the fabric, the interrupt line and all user memory.
+        """Release the fabric, the interface and all user memory.
 
-        A shared-interface tenant instead releases only its own slice:
-        its DP-RAM residents, TLB entries, mapped objects and buffers.
-        The interrupt line and the shared IMU/VIM stay up for the other
-        tenants (the :class:`~repro.core.tenancy.SharedInterface` owns
-        them).
+        A tenant instead releases only its own slice of the shared
+        interface: its DP-RAM residents, TLB entries and mapped objects;
+        the interface stays up for the other tenants.
         """
         if self._closed:
             return
         self._closed = True
         System.stop_clocks(self.domains)
-        if self.shared is not None:
+        pid = self.process.pid
+        fabric = self.system.fabric
+        if self.interface.shared:
             self.vim.release_tenant(self.asid)
-            if self.system.fabric.owner_pid == self.process.pid:
-                self.system.fabric.release(self.process.pid)
-            self.system.kernel.user_memory.free_process(self.process.pid)
+            if fabric.owner_pid == pid:
+                fabric.release(pid)
             self.process.terminate()
-            return
-        self.system.interrupts.unregister(INT_PLD_LINE)
-        self.system.interrupts.unregister(INT_DMA_LINE)
-        # An execution aborted mid-service (or a final flush still
-        # draining) may leave a line asserted; clear both — and disarm
-        # the DMA completion interrupt — so nothing fires into the next
-        # session's handlers.
-        self.system.interrupts.clear(INT_PLD_LINE)
-        self.system.interrupts.clear(INT_DMA_LINE)
-        self.system.dma.quiesce()
-        self.system.fabric.release(self.process.pid)
-        self.system.kernel.user_memory.free_process(self.process.pid)
+        else:
+            self.interface.close()
+            fabric.release(pid)
+        self.system.kernel.user_memory.free_process(pid)
 
     def _require_open(self) -> None:
         if self._closed:

@@ -5,9 +5,10 @@ end-of-operation interrupt re-queues it — only becomes visible when
 several processes actually share the interface window.  This module is
 that scenario:
 
-* a :class:`SharedInterface` owns the one IMU and the one VIM every
-  tenant goes through, so the DP-RAM frame pool and the CAM TLB are
-  genuinely shared (translations are ASID-tagged per tenant);
+* one :class:`~repro.core.session.VirtualInterface` built with
+  ``shared=True`` is the one IMU and the one VIM every tenant goes
+  through, so the DP-RAM frame pool and the CAM TLB are genuinely
+  shared (translations are ASID-tagged per tenant);
 * :func:`run_tenants` spawns one process per
   :class:`~repro.os.workload.Workload`, and lets the kernel's
   round-robin scheduler arbitrate: the dispatched tenant issues one
@@ -30,79 +31,15 @@ from dataclasses import dataclass
 
 from repro.core.measurement import Measurement
 from repro.core.runner import verify_outputs
-from repro.core.session import CoprocessorSession
+from repro.core.session import CoprocessorSession, VirtualInterface
 from repro.core.system import System
 from repro.errors import ReproError
-from repro.hw.dma import INT_DMA_LINE
-from repro.imu.imu import INT_PLD_LINE, Imu
 from repro.os.scheduler import scheduling_policy
-from repro.os.vim.manager import TransferMode, Vim
+from repro.os.vim.manager import TransferMode
 from repro.os.vim.objects import Direction
 from repro.os.vim.prefetch import Prefetcher
 from repro.os.workload import Workload
 from repro.sim.time import to_ms
-
-
-class SharedInterface:
-    """The one IMU + VIM pair every tenant session goes through.
-
-    Owns the resources that make the system *multi*-tenant: the ASID-
-    tagged TLB, the shared frame allocator inside the VIM, and the
-    INT_PLD handler registration.  Sessions built with
-    ``CoprocessorSession(..., shared=interface)`` attach to it instead
-    of building their own interface stack.
-    """
-
-    def __init__(
-        self,
-        system: System,
-        policy: str = "fifo",
-        transfer_mode: TransferMode = TransferMode.DOUBLE,
-        pipelined_imu: bool = False,
-        access_cycles: int = 4,
-        prefetcher: Prefetcher | None = None,
-        tlb_capacity: int | None = None,
-        eager_mapping: bool = True,
-        recorder=None,
-    ) -> None:
-        self.system = system
-        self.imu = Imu(
-            system.dpram,
-            system.interrupts,
-            access_cycles=access_cycles,
-            pipelined=pipelined_imu,
-            tlb_capacity=tlb_capacity,
-        )
-        # One trace sink for the whole interface: the shared IMU sees
-        # every tenant's accesses ASID-tagged, so a single recorder
-        # captures the interleaved multi-tenant address stream.
-        self.imu.trace_sink = recorder
-        self.vim = Vim(
-            system.kernel,
-            system.dpram,
-            system.bus,
-            self.imu,
-            policy=policy,
-            transfer_mode=transfer_mode,
-            prefetcher=prefetcher,
-            eager_mapping=eager_mapping,
-            shared=True,
-            dma=system.dma,
-        )
-        system.interrupts.register(INT_PLD_LINE, self.vim.handle_interrupt)
-        system.interrupts.register(INT_DMA_LINE, self.vim.handle_dma_complete)
-        self._closed = False
-
-    def close(self) -> None:
-        """Unregister the interrupt handlers (after all sessions close)."""
-        if self._closed:
-            return
-        self._closed = True
-        self.system.interrupts.unregister(INT_PLD_LINE)
-        self.system.interrupts.clear(INT_PLD_LINE)
-        self.system.interrupts.unregister(INT_DMA_LINE)
-        self.system.interrupts.clear(INT_DMA_LINE)
-        self.system.dma.quiesce()
 
 
 @dataclass(frozen=True)
@@ -219,7 +156,7 @@ def run_tenants(
     # The dispatch policy is installed before any tenant is spawned, so
     # the very first pick already follows it.
     kernel.scheduler.policy = scheduling_policy(sched)
-    shared = SharedInterface(
+    interface = VirtualInterface(
         system,
         policy=policy,
         transfer_mode=transfer_mode,
@@ -229,7 +166,9 @@ def run_tenants(
         tlb_capacity=tlb_capacity,
         eager_mapping=eager_mapping,
         recorder=recorder,
+        shared=True,
     )
+    interface.open()
     sessions: list[CoprocessorSession] = []
     try:
         # One state per tenant, in workload order (the result's order).
@@ -238,7 +177,7 @@ def run_tenants(
             session = CoprocessorSession(
                 system,
                 workload.spec.bitstream,
-                shared=shared,
+                interface,
                 process_name=workload.tenant_name(index),
                 priority=workload.priority,
             )
@@ -301,7 +240,7 @@ def run_tenants(
                 outputs=tuple(state["outputs"]),
                 asid=pid,
                 dispatches=state["dispatches"],
-                pages_lost=shared.vim.pages_lost.get(pid, 0),
+                pages_lost=interface.vim.pages_lost.get(pid, 0),
                 reconfigurations=state["session"].reconfigurations,
             )
             for pid, state in by_pid.items()
@@ -314,4 +253,4 @@ def run_tenants(
     finally:
         for session in sessions:
             session.close()
-        shared.close()
+        interface.close()

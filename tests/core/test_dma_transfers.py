@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.drivers import adpcm_workload, idea_workload, vector_add_workload
 from repro.core.runner import run_vim
-from repro.core.session import CoprocessorSession
+from repro.core.session import CoprocessorSession, VirtualInterface
 from repro.core.system import System
 from repro.core.tenancy import run_tenants
 from repro.exp.cell import build_tenant_workloads
@@ -63,7 +63,7 @@ class TestCompletionOrdering:
         session = CoprocessorSession(
             system,
             workload.bitstream,
-            transfer_mode=TransferMode.DMA,
+            VirtualInterface(system, transfer_mode=TransferMode.DMA),
             process_name=workload.name,
         )
         for spec in workload.objects:

@@ -9,7 +9,7 @@ from repro.coproc.bitstream import Bitstream
 from repro.coproc.kernels import adpcm as adpcm_core
 from repro.coproc.kernels import vector_add as vadd_core
 from repro.coproc.ports import PARAM_OBJECT
-from repro.core.session import CoprocessorSession
+from repro.core.session import CoprocessorSession, VirtualInterface
 from repro.core.system import System
 from repro.errors import FpgaError, SimulationError, VimError
 from repro.hw.fpga import PldResources
@@ -238,7 +238,9 @@ class TestLivelockGuard:
         # FAULT and the core waits for CP_TLBHIT forever.
         system = _tight_guard(System())
         session = CoprocessorSession(
-            system, _bitstream(_ReadOnce), eager_mapping=False
+            system,
+            _bitstream(_ReadOnce),
+            VirtualInterface(system, eager_mapping=False),
         )
         with session:
             session.map_input(0, "in", bytes(64))
@@ -253,7 +255,9 @@ class TestLivelockGuard:
         # only hardware windows may count against it.
         system = _tight_guard(System(), edges=12_000)
         session = CoprocessorSession(
-            system, vadd_core.bitstream(), eager_mapping=False
+            system,
+            vadd_core.bitstream(),
+            VirtualInterface(system, eager_mapping=False),
         )
         with session:
             session.map_input(0, "A", bytes(4096))

@@ -9,9 +9,9 @@ to its solo-session run.
 import pytest
 
 from repro.core.drivers import adpcm_workload, idea_workload, vector_add_workload
-from repro.core.session import CoprocessorSession
+from repro.core.session import CoprocessorSession, VirtualInterface
 from repro.core.system import System
-from repro.core.tenancy import SharedInterface, run_tenants
+from repro.core.tenancy import run_tenants
 from repro.coproc.kernels import vector_add as vadd_core
 from repro.errors import OsError, ReproError, SyscallError
 from repro.imu.imu import INT_PLD_LINE
@@ -165,7 +165,8 @@ class TestLifecycle:
 
     def test_shared_interface_close_idempotent(self):
         system = System()
-        shared = SharedInterface(system)
+        shared = VirtualInterface(system, shared=True)
+        shared.open()
         shared.close()
         shared.close()
 
@@ -176,10 +177,9 @@ class TestLifecycle:
     def test_object_id_beyond_cp_obj_wire_rejected(self):
         """Ids outside the 8-bit CP_OBJ range would alias ASID tags."""
         system = System()
-        shared = SharedInterface(system)
-        session = CoprocessorSession(
-            system, vadd_core.bitstream(), shared=shared
-        )
+        shared = VirtualInterface(system, shared=True)
+        shared.open()
+        session = CoprocessorSession(system, vadd_core.bitstream(), shared)
         try:
             with pytest.raises(SyscallError):
                 session.map_object(
