@@ -394,6 +394,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     # Connection reuse matters for the polling client/worker loops.
     protocol_version = "HTTP/1.1"
+    #: Seconds a connection may stay silent in the middle of a request
+    #: (or between requests) before the handler drops it, so a client
+    #: that sends less than its Content-Length cannot hold a thread.
+    timeout = 10.0
 
     @property
     def service(self) -> SweepService:
@@ -422,6 +426,13 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise ReproError(f"bad Content-Length {text!r}")
         raw = self.rfile.read(length) if length else b""
+        if len(raw) != length:
+            # The client stopped sending: never act on part of a body.
+            self.close_connection = True
+            raise ReproError(
+                f"request body is {len(raw)} bytes, "
+                f"but Content-Length is {length}"
+            )
         if not raw:
             return {}
         try:

@@ -10,6 +10,7 @@ exactly what a local :func:`~repro.exp.sweep.run_sweep` produces.
 import json
 import socket
 import threading
+import time
 from dataclasses import replace
 from urllib import error as urlerror
 from urllib import request as urlrequest
@@ -22,6 +23,7 @@ from repro.exp.results import CellResult
 from repro.exp.service import (
     ServiceServer,
     SweepService,
+    _Handler,
     call,
     submit_sweep,
 )
@@ -190,6 +192,46 @@ class TestMalformedPayloads:
             head, _, body = reply.partition(b"\r\n\r\n")
             assert head.startswith(b"HTTP/1.1 400 "), (length, reply)
             assert json.loads(body)["error"], length
+        assert call(url, "/api/health") == {"ok": True}
+
+    def test_a_short_body_is_refused_and_never_waited_for(
+        self, url, service, monkeypatch
+    ):
+        assert 0 < _Handler.timeout <= 60
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        host, port = url.removeprefix("http://").split(":")
+
+        def post(body: bytes, length: int, shut: bool) -> tuple[bytes, float]:
+            """Send *body* under Content-Length *length*; the reply."""
+            with socket.create_connection((host, int(port)), timeout=5) as conn:
+                conn.sendall(
+                    b"POST /api/submit HTTP/1.1\r\nHost: coordinator\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (length, body)
+                )
+                if shut:
+                    conn.shutdown(socket.SHUT_WR)
+                start = time.monotonic()
+                reply = b""
+                while chunk := conn.recv(4096):
+                    reply += chunk
+                return reply, time.monotonic() - start
+
+        # A client that stops sending mid-body is dropped, unanswered,
+        # once the connection has been silent for the timeout.
+        reply, waited = post(b'{"cells": []}', 100, shut=False)
+        assert reply == b""
+        assert waited < 3
+        # A body that ends early is refused, naming both counts.
+        reply, _ = post(b'{"cells": []}', 100, shut=True)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), reply
+        error = json.loads(body)["error"]
+        assert "13" in error and "100" in error, error
+        # A valid submission declared longer than sent creates no job.
+        cells = json.dumps({"cells": [_config(1).to_dict()]}).encode("utf-8")
+        reply, _ = post(cells, len(cells) + 10, shut=True)
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert service.status()["jobs"] == {}
         assert call(url, "/api/health") == {"ok": True}
 
     def test_errors_name_the_cell(self, service):
