@@ -30,7 +30,7 @@ class Bitstream:
     Parameters
     ----------
     name:
-        Identifier (used in logs, errors and Flash storage).
+        Identifier (used in logs and errors).
     core_factory:
         Zero-argument callable building a fresh core FSM.
     core_frequency:

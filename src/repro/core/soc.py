@@ -44,8 +44,6 @@ class SocConfig:
     dpram_bytes: int = 16 * 1024
     page_bytes: int = 2 * 1024
     pld_resources: PldResources = EPXA1_RESOURCES
-    sdram_bytes: int = 64 * 1024 * 1024
-    flash_bytes: int = 4 * 1024 * 1024
     ahb_timing: AhbTiming = field(default_factory=AhbTiming)
 
     def __post_init__(self) -> None:

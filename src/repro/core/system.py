@@ -19,7 +19,6 @@ from repro.hw.dma import DmaEngine
 from repro.hw.dpram import DualPortRam
 from repro.hw.fpga import PldFabric
 from repro.hw.interrupts import InterruptController
-from repro.hw.memory import Flash, Sdram
 from repro.os.costs import CpuCostModel
 from repro.os.kernel import Kernel
 from repro.core.soc import EPXA1, SocConfig
@@ -44,8 +43,6 @@ class System:
             self.engine, self.bus, self.interrupts, soc.ahb_frequency
         )
         self.fabric = PldFabric(soc.pld_resources)
-        self.sdram = Sdram(soc.sdram_bytes)
-        self.flash = Flash(soc.flash_bytes)
         self.costs = costs or CpuCostModel()
         self.kernel = Kernel(
             self.engine, soc.cpu_frequency, self.costs, self.interrupts

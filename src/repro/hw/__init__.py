@@ -11,7 +11,7 @@ from repro.hw.fpga import (
     PldResources,
 )
 from repro.hw.interrupts import InterruptController
-from repro.hw.memory import Flash, Memory, Sdram
+from repro.hw.memory import Memory
 
 __all__ = [
     "AhbBus",
@@ -20,12 +20,10 @@ __all__ = [
     "DmaEngine",
     "DualPortRam",
     "INT_DMA_LINE",
-    "Flash",
     "InterruptController",
     "Memory",
     "PldFabric",
     "PldResources",
-    "Sdram",
     "EPXA1_RESOURCES",
     "EPXA4_RESOURCES",
     "EPXA10_RESOURCES",

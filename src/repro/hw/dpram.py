@@ -38,7 +38,7 @@ class DualPortRam(Memory):
             )
         if page_size & (page_size - 1):
             raise MemoryAccessError(f"page size {page_size} must be a power of two")
-        super().__init__("dpram", size, read_latency=1, write_latency=1)
+        super().__init__("dpram", size)
         self.page_size = page_size
         self.num_pages = size // page_size
         self.page_bits = page_size.bit_length() - 1

@@ -1,9 +1,9 @@
-"""Byte-addressable backing-store models (SDRAM, Flash).
+"""A byte-addressable memory model, the base of the dual-port RAM.
 
-These are functional models with latency parameters: data lives in a
-numpy byte array, and each access reports how many cycles of its
-clock domain the access costs.  The EPXA1 board of the paper carries
-64 MB of SDRAM and 4 MB of Flash; the defaults mirror that.
+A functional model: data lives in a numpy byte array and an access
+advances no time; whoever moves the bytes (the bus, the IMU, the DMA
+engine) charges the cycles.  The board's SDRAM and Flash are not
+modelled: user buffers live in :class:`repro.os.vmm.UserMemory`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from repro.errors import MemoryAccessError
 
 
 class Memory:
-    """A flat byte-addressable memory with simple access-latency data.
+    """A flat byte-addressable memory.
 
     Parameters
     ----------
@@ -22,24 +22,13 @@ class Memory:
         Human-readable identifier used in error messages.
     size:
         Capacity in bytes.
-    read_latency / write_latency:
-        Cycles charged per word access by bus models; the memory itself
-        is functional and does not advance time.
     """
 
-    def __init__(
-        self,
-        name: str,
-        size: int,
-        read_latency: int = 1,
-        write_latency: int = 1,
-    ) -> None:
+    def __init__(self, name: str, size: int) -> None:
         if size <= 0:
             raise MemoryAccessError(f"memory {name!r}: size must be positive")
         self.name = name
         self.size = size
-        self.read_latency = read_latency
-        self.write_latency = write_latency
         self._data = np.zeros(size, dtype=np.uint8)
         self.reads = 0
         self.writes = 0
@@ -87,21 +76,3 @@ class Memory:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, size={self.size})"
-
-
-class Sdram(Memory):
-    """Off-chip SDRAM: cheap capacity, multi-cycle access."""
-
-    def __init__(self, size: int = 64 * 1024 * 1024) -> None:
-        super().__init__("sdram", size, read_latency=6, write_latency=6)
-
-
-class Flash(Memory):
-    """Flash memory holding coprocessor configuration bit-streams.
-
-    Writes model programming latency; in the experiments Flash is only
-    read (by ``FPGA_LOAD``) so the write latency rarely matters.
-    """
-
-    def __init__(self, size: int = 4 * 1024 * 1024) -> None:
-        super().__init__("flash", size, read_latency=10, write_latency=500)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import MemoryAccessError
-from repro.hw.memory import Flash, Memory, Sdram
+from repro.hw.memory import Memory
 
 
 class TestMemory:
@@ -72,15 +72,3 @@ class TestMemory:
         mem = Memory("m", 8)
         mem.view()[3] = 99
         assert mem.read(3, 1) == bytes([99])
-
-
-class TestPresets:
-    def test_sdram_board_size(self):
-        assert Sdram().size == 64 * 1024 * 1024
-
-    def test_flash_board_size(self):
-        assert Flash().size == 4 * 1024 * 1024
-
-    def test_flash_write_is_expensive(self):
-        flash = Flash()
-        assert flash.write_latency > flash.read_latency
