@@ -1,9 +1,8 @@
 """A byte-addressable memory model, the base of the dual-port RAM.
 
 A functional model: data lives in a numpy byte array and an access
-advances no time; whoever moves the bytes (the bus, the IMU, the DMA
-engine) charges the cycles.  The board's SDRAM and Flash are not
-modelled: user buffers live in :class:`repro.os.vmm.UserMemory`.
+advances no time.  The board's SDRAM and Flash are not modelled: user
+buffers live in :class:`repro.os.vmm.UserMemory`.
 """
 
 from __future__ import annotations
