@@ -28,7 +28,7 @@ Example::
 from __future__ import annotations
 
 from repro.coproc.bitstream import Bitstream
-from repro.errors import SyscallError, VimError
+from repro.errors import FpgaError, SyscallError, VimError
 from repro.hw.dma import INT_DMA_LINE
 from repro.imu.imu import INT_PLD_LINE, Imu
 from repro.core.measurement import Measurement
@@ -163,7 +163,13 @@ class CoprocessorSession:
             kernel.scheduler.pick_next()
             # Acquire the fabric first: if another process owns it, fail
             # before claiming the interrupt lines or any clock resources.
-            self.services.fpga_load(self.process, bitstream)
+            # A refused process ends here, so the scheduler never
+            # dispatches it again.
+            try:
+                self.services.fpga_load(self.process, bitstream)
+            except FpgaError:
+                self.process.terminate()
+                raise
             interface.open()
         # A tenant loads nothing here: the fabric is contended, so it is
         # (re)acquired at execute time and the scheduler decides who
@@ -364,10 +370,10 @@ class CoprocessorSession:
             self.vim.release_tenant(self.asid)
             if fabric.owner_pid == pid:
                 fabric.release(pid)
-            self.process.terminate()
         else:
             self.interface.close()
             fabric.release(pid)
+        self.process.terminate()
         self.system.kernel.user_memory.free_process(pid)
 
     def _require_open(self) -> None:

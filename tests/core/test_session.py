@@ -9,12 +9,17 @@ from repro.coproc.bitstream import Bitstream
 from repro.coproc.kernels import adpcm as adpcm_core
 from repro.coproc.kernels import vector_add as vadd_core
 from repro.coproc.ports import PARAM_OBJECT
+from repro.core.drivers import adpcm_workload
+from repro.core.runner import run_vim
 from repro.core.session import CoprocessorSession, VirtualInterface
 from repro.core.system import System
+from repro.core.tenancy import run_tenants
 from repro.errors import FpgaError, SimulationError, VimError
 from repro.hw.fpga import PldResources
 from repro.imu.imu import INT_PLD_LINE
+from repro.os.process import ProcessState
 from repro.os.vim.objects import Hint
+from repro.os.workload import Workload
 from repro.sim.time import mhz
 
 
@@ -81,6 +86,22 @@ class TestLifecycle:
             add_vectors(first, seed=1)
         with vadd_session(system) as second:
             add_vectors(second, seed=2)
+
+    def test_closed_solo_session_leaves_no_process_to_dispatch(self):
+        system = System()
+        run_vim(system, adpcm_workload(1024))
+        result = run_tenants(system, [Workload(spec=adpcm_workload(1024, seed=2))])
+        assert len(result.tenants[0].outputs) == 1
+
+    def test_refused_session_leaves_no_process_to_dispatch(self):
+        system = System()
+        owner = vadd_session(system)
+        with pytest.raises(FpgaError):
+            CoprocessorSession(system, adpcm_core.bitstream())
+        owner.close()
+        assert owner.process.state is ProcessState.TERMINATED
+        result = run_tenants(system, [Workload(spec=adpcm_workload(1024, seed=2))])
+        assert len(result.tenants[0].outputs) == 1
 
 
 class TestRepeatedExecution:
