@@ -40,7 +40,9 @@ EXPECTED = {
     },
     "idea-32KB": {
         "edges_accounted": 472_095,
-        "edges_executed": 102_666,
+        # The 6 MHz core domain sleeps from each issue to the CP_TLBHIT
+        # rise; in the adpcm cells the IMU runs that edge anyway.
+        "edges_executed": 86_230,
         "imu_accesses": 16_437,
         "page_faults": 25,
     },

@@ -4,8 +4,8 @@ A coprocessor core is written as a Python generator: **each ``yield``
 is one rising edge of the core's clock**, playing the role of one state
 of the VHDL finite state machine in Figure 5.  The helpers below yield
 *waits* instead of runs of bare edges: ``compute(n)`` one wait for the
-core's *n*-th edge, an access one wait for the first edge that samples
-``CP_TLBHIT`` high.  The core's clock domain counts the edges in
+core's *n*-th edge, an access one wait for the first edge after
+``CP_TLBHIT`` rises.  The core's clock domain counts the edges in
 between instead of running them.  Cores interact with the
 outside world only through the CP_* port helpers below, so — like the
 paper's VHDL cores — they contain *no physical address and no knowledge
@@ -40,12 +40,11 @@ from repro.sim.clock import UNTIL_WOKEN, Clocked
 
 #: Generator type produced by coprocessor behaviours.  A behaviour
 #: yields None for one edge, an int *n* for the *n*-th edge from now,
-#: or :data:`TLBHIT` for the first later edge that samples CP_TLBHIT
-#: high.
+#: or :data:`TLBHIT` for the first edge after CP_TLBHIT rises.
 Behavior = Generator[object, None, None]
 
-#: Wait token: resume on the first later edge that samples CP_TLBHIT
-#: high.
+#: Wait token: sleep until CP_TLBHIT rises, resume on the first edge
+#: after the rise.
 TLBHIT = object()
 
 _DATA_MASK = (1 << DATA_BITS) - 1
@@ -107,7 +106,9 @@ class Coprocessor(Clocked):
         asserts ``CP_FIN`` automatically.  Returns the edges until the
         next one the core needs (:class:`~repro.sim.clock.Clocked`).
         """
-        ports = self._require_ports()
+        ports = self.ports
+        if ports is None:
+            ports = self._require_ports()
         if self.finished:
             return UNTIL_WOKEN
         if not self.started:
@@ -131,11 +132,11 @@ class Coprocessor(Clocked):
         if wait is None:
             return 1
         if wait is TLBHIT:
-            # A high CP_TLBHIT still belongs to the previous access:
-            # sample it again on the next edge, once the interface has
-            # seen the request.
+            # Sleep until CP_TLBHIT rises.  A high line still belongs to
+            # the previous access: the interface drops it when it
+            # detects the request and raises it when the access fires.
             self._hit_wait = True
-            return 1 if ports.cp_tlbhit.value else UNTIL_WOKEN
+            return UNTIL_WOKEN
         self._wait = wait - 1
         return wait
 
@@ -173,10 +174,10 @@ class Coprocessor(Clocked):
     ) -> Generator[object, None, int]:
         """Read ``size`` bytes at byte address *addr* of object *obj*.
 
-        The helper issues the request, then waits for the first core
-        edge that samples ``CP_TLBHIT`` high; a TLB miss therefore
-        stalls the core here, without the core being aware of it — the
-        paper's stall mechanism.
+        The helper issues the request, then sleeps until ``CP_TLBHIT``
+        rises and resumes on the first core edge after the rise; a TLB
+        miss therefore stalls the core here, without the core being
+        aware of it — the paper's stall mechanism.
         """
         ports = self._require_ports()
         ports.issue(obj, addr, write=False, size=size)

@@ -1,13 +1,11 @@
 """A byte-addressable memory model, the base of the dual-port RAM.
 
-A functional model: data lives in a numpy byte array and an access
-advances no time.  The board's SDRAM and Flash are not modelled: user
-buffers live in :class:`repro.os.vmm.UserMemory`.
+A functional model: data lives in a fixed-size ``bytearray`` and an
+access advances no time.  The board's SDRAM and Flash are not
+modelled: user buffers live in :class:`repro.os.vmm.UserMemory`.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.errors import MemoryAccessError
 
@@ -28,7 +26,7 @@ class Memory:
             raise MemoryAccessError(f"memory {name!r}: size must be positive")
         self.name = name
         self.size = size
-        self._data = np.zeros(size, dtype=np.uint8)
+        self._data = bytearray(size)
         self.reads = 0
         self.writes = 0
 
@@ -43,15 +41,17 @@ class Memory:
         """Read *length* bytes starting at *addr*."""
         self._check(addr, length)
         self.reads += 1
-        return self._data[addr : addr + length].tobytes()
+        return bytes(self._data[addr : addr + length])
 
     def write(self, addr: int, data: bytes) -> None:
-        """Write *data* starting at *addr*."""
-        self._check(addr, len(data))
+        """Write the bytes of *data* (any buffer) starting at *addr*."""
+        # Bounds-check the byte length: a buffer whose len() counts
+        # wider items would otherwise resize the store.
+        data = bytes(data)
+        length = len(data)
+        self._check(addr, length)
         self.writes += 1
-        self._data[addr : addr + len(data)] = np.frombuffer(
-            bytes(data), dtype=np.uint8
-        )
+        self._data[addr : addr + length] = data
 
     def read_word(self, addr: int, size: int = 4) -> int:
         """Read a little-endian word of 1, 2, or 4 bytes."""
@@ -67,10 +67,10 @@ class Memory:
 
     def fill(self, value: int = 0) -> None:
         """Set every byte of the memory to *value*."""
-        self._data[:] = value
+        self._data[:] = bytes((value,)) * self.size
 
-    def view(self) -> np.ndarray:
-        """Raw numpy view of the memory contents (shared, mutable)."""
+    def view(self) -> bytearray:
+        """The memory contents themselves (shared, mutable)."""
         return self._data
 
     def __repr__(self) -> str:

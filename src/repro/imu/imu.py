@@ -59,6 +59,13 @@ class ImuState(Enum):
     FAULT = "fault"
 
 
+# The states as module constants: a global read costs a fraction of an
+# enum member lookup, and the FSM tests its state several times an edge.
+_IDLE = ImuState.IDLE
+_TRANSLATE = ImuState.TRANSLATE
+_FAULT = ImuState.FAULT
+
+
 class Imu(Clocked):
     """Interface Management Unit: CAM TLB + AR/SR/CR + translation FSM.
 
@@ -133,7 +140,7 @@ class Imu(Clocked):
         #: edge and schedules nothing, so a recording changes nothing
         #: about timing.
         self.trace_sink = None
-        self.state = ImuState.IDLE
+        self.state = _IDLE
         self._remaining = 0
         self._last_req = 0
         self._param_handled = False
@@ -164,29 +171,32 @@ class Imu(Clocked):
             self._finish()
         if ports.cp_param_done.value and not self._param_handled:
             self._release_param_page()
-        if self.state is ImuState.IDLE:
+        state = self.state
+        if state is _IDLE:
             if ports.cp_access.value and ports.cp_req.value != self._last_req:
                 self._begin_translation()
-        elif self.state is ImuState.TRANSLATE:
+        elif state is _TRANSLATE:
             self.translate_cycles += 1
             self._remaining -= 1
             if self._remaining <= 0:
                 self._fire()
-        elif self.state is ImuState.FAULT:
+        elif state is _FAULT:
             self.fault_stall_cycles += 1
-        if self.state is ImuState.TRANSLATE:
+        state = self.state
+        if state is _TRANSLATE:
             return self._remaining
-        if self.state is ImuState.FAULT:
+        if state is _FAULT:
             return 1
         return UNTIL_WOKEN
 
     def idle(self, edges: int) -> None:
         """Account *edges* edges of idling or translation countdown."""
         self.ticks += edges
-        if self.state is ImuState.TRANSLATE:
+        state = self.state
+        if state is _TRANSLATE:
             self.translate_cycles += edges
             self._remaining -= edges
-        elif self.state is ImuState.FAULT:
+        elif state is _FAULT:
             self.fault_stall_cycles += edges
 
     def tag(self, obj: int) -> int:
@@ -204,7 +214,7 @@ class Imu(Clocked):
         # AR latches the asid-tagged object id: the VIM services faults
         # against its global (per-tenant) object table.
         self.ar.capture(
-            self.tag(ports.cp_obj.value),
+            tag_obj(self.asid, ports.cp_obj.value),
             ports.cp_addr.value,
             bool(ports.cp_wr.value),
         )
@@ -214,12 +224,11 @@ class Imu(Clocked):
         # overlaps translation with the request path, leaving only the
         # synchroniser latency of dual-domain designs.
         latency = self._translation_latency()
+        self.state = _TRANSLATE
         if latency <= 0:
-            self.state = ImuState.TRANSLATE
             self.translate_cycles += 1
             self._fire()
         else:
-            self.state = ImuState.TRANSLATE
             self._remaining = latency
 
     def _translation_latency(self) -> int:
@@ -228,37 +237,41 @@ class Imu(Clocked):
         return translate + self.sync_cycles
 
     def _fire(self) -> None:
-        """Perform the TLB lookup and, on a hit, the DP-RAM access."""
-        ports = self.ports
-        obj = self.tag(ports.cp_obj.value)
-        addr = ports.cp_addr.value
-        vpage = addr >> self.dpram.page_bits
-        offset = addr & (self.dpram.page_size - 1)
-        entry = self.tlb.lookup(obj, vpage)
+        """Perform the TLB lookup and, on a hit, the DP-RAM access.
+
+        The access is the one AR latched at detection.  The ports and
+        the tag cannot have moved since: the core holds its lines until
+        CP_TLBHIT rises, and the VIM writes :attr:`asid` only between
+        executions (``Vim.setup_execution``).
+        """
+        ar = self.ar
+        addr = ar.addr
+        dpram = self.dpram
+        entry = self.tlb.lookup(ar.obj, addr >> dpram.page_bits)
         if entry is None:
-            self.state = ImuState.FAULT
+            self.state = _FAULT
             self.sr.set(StatusRegister.FAULT)
             self.faults += 1
             if self.cr.test(ControlRegister.INT_ENABLE):
                 self.interrupts.raise_line(self.irq_line)
             return
-        paddr = (entry.ppage << self.dpram.page_bits) | offset
+        paddr = (entry.ppage << dpram.page_bits) | (addr & (dpram.page_size - 1))
+        ports = self.ports
         size = ports.cp_size.value
-        if ports.cp_wr.value:
-            self.dpram.pld_write(paddr, ports.cp_dout.value, size)
+        if ar.write:
+            dpram.pld_write(paddr, ports.cp_dout.value, size)
             entry.dirty = True
             self.writes += 1
         else:
-            ports.cp_din.set(self.dpram.pld_read(paddr, size))
+            ports.cp_din.set(dpram.pld_read(paddr, size))
             self.reads += 1
         if self.trace_sink is not None and ports.cp_obj.value != PARAM_OBJECT:
             self.trace_sink.record(
-                self.asid, bool(ports.cp_wr.value), ports.cp_obj.value,
-                addr, size,
+                self.asid, ar.write, ports.cp_obj.value, addr, size,
             )
         ports.cp_tlbhit.set(1)
         self.translations += 1
-        self.state = ImuState.IDLE
+        self.state = _IDLE
 
     def _finish(self) -> None:
         self.sr.set(StatusRegister.DONE)
@@ -288,11 +301,11 @@ class Imu(Clocked):
         "the OS allows the IMU to restart the translation and lets the
         coprocessor exit from the stalled state" (§3.3).
         """
-        if self.state is not ImuState.FAULT:
+        if self.state is not _FAULT:
             raise HardwareError("restart_translation while not in fault state")
         self.sr.clear(StatusRegister.FAULT)
         self.interrupts.clear(self.irq_line)
-        self.state = ImuState.TRANSLATE
+        self.state = _TRANSLATE
         self._remaining = max(1, self._translation_latency())
 
     def acknowledge_done(self) -> None:
@@ -311,7 +324,7 @@ class Imu(Clocked):
         stay live, which is what lets pages survive a tenant switch.
         The default flushes the TLB, matching single-tenant behaviour.
         """
-        self.state = ImuState.IDLE
+        self.state = _IDLE
         self._remaining = 0
         self._param_handled = False
         if not keep_tlb:
@@ -338,4 +351,4 @@ class Imu(Clocked):
     @property
     def stalled_on_fault(self) -> bool:
         """True while the coprocessor is stalled waiting for the VIM."""
-        return self.state is ImuState.FAULT
+        return self.state is _FAULT

@@ -42,14 +42,12 @@ class Engine:
         self._since = 0
         self._queue: list[tuple[int, int, int, Callable[[], Any]]] = []
         self._seq = 0
+        # Handles cancelled but still in the heap, skipped when popped.
+        # cancel() admits only a handle it finds in the heap, so this
+        # stays a subset of the heap's handles: pending() is exactly
+        # len(queue) - len(cancelled), and cancelling an executed or
+        # never-issued handle leaves no phantom behind.
         self._cancelled: set[int] = set()
-        # Handles currently live in the heap (scheduled, not yet run,
-        # not cancelled).  Keeping this exact — instead of deriving
-        # pending() from len(queue) - len(cancelled) — means cancelling
-        # an already-executed or never-issued handle is a no-op rather
-        # than a permanent phantom that makes pending() undercount and
-        # the cancelled set grow without bound over long runs.
-        self._live: set[int] = set()
 
     @property
     def now(self) -> int:
@@ -96,7 +94,6 @@ class Engine:
             self._queue,
             (time_ps, self._now if since is None else since, handle, callback),
         )
-        self._live.add(handle)
         return handle
 
     def cancel(self, handle: int) -> None:
@@ -104,15 +101,19 @@ class Engine:
 
         Cancellation is lazy: the event stays in the heap and is skipped
         when popped.  Cancelling a handle that already ran (or was never
-        issued) is a no-op.
+        issued) is a no-op.  The heap holds one entry per running clock
+        domain and a few one-shot events, so the search is short.
         """
-        if handle in self._live:
-            self._live.discard(handle)
-            self._cancelled.add(handle)
+        if handle in self._cancelled:
+            return
+        for entry in self._queue:
+            if entry[2] == handle:
+                self._cancelled.add(handle)
+                return
 
     def pending(self) -> int:
         """Number of scheduled (non-cancelled) events."""
-        return len(self._live)
+        return len(self._queue) - len(self._cancelled)
 
     def peek(self) -> int | None:
         """Time of the next live event, or None when the queue is empty."""
@@ -128,7 +129,6 @@ class Engine:
             if handle in self._cancelled:
                 self._cancelled.discard(handle)
                 continue
-            self._live.discard(handle)
             return entry
         return None
 
@@ -153,17 +153,24 @@ class Engine:
         ``max_time_ps`` (absolute) is exceeded — the guard every test
         uses against livelocked hardware.
         """
+        queue = self._queue
+        cancelled = self._cancelled
+        heappop = heapq.heappop
         while not predicate():
-            entry = self._pop()
-            if entry is None:
+            # _pop(), inlined: this runs once per event.
+            while queue:
+                entry = heappop(queue)
+                if entry[2] not in cancelled:
+                    break
+                cancelled.discard(entry[2])
+            else:
                 return False
             if max_time_ps is not None and entry[0] > max_time_ps:
                 # Put it back under its original handle: the caller may
                 # want to continue later, and the event must stay
                 # cancellable and keep its FIFO rank among simultaneous
                 # events.
-                heapq.heappush(self._queue, entry)
-                self._live.add(entry[2])
+                heapq.heappush(queue, entry)
                 raise SimulationError(
                     f"run_until exceeded {max_time_ps} ps without satisfying "
                     f"predicate (now={self._now} ps)"

@@ -21,7 +21,12 @@ class Signal:
 
     ``width`` is in bits; writes outside ``[0, 2**width)`` raise, which
     catches coprocessor cores that drive wider values than their ports.
+    :attr:`value` is a plain attribute, read on every clock edge;
+    :meth:`set` is its only writer, so every change is width-checked
+    and reaches the observers.
     """
+
+    __slots__ = ("name", "width", "_max", "value", "_observers")
 
     def __init__(self, name: str, width: int = 1, init: int = 0) -> None:
         if width < 1:
@@ -31,13 +36,9 @@ class Signal:
         self._max = (1 << width) - 1
         if not 0 <= init <= self._max:
             raise SimulationError(f"signal {name!r}: init {init} out of range")
-        self._value = init
+        #: Current value of the signal (written only by :meth:`set`).
+        self.value = init
         self._observers: list[Observer] = []
-
-    @property
-    def value(self) -> int:
-        """Current value of the signal."""
-        return self._value
 
     def set(self, value: int, time_ps: int = 0) -> None:
         """Drive a new value; observers fire only on actual changes."""
@@ -45,9 +46,9 @@ class Signal:
             raise SimulationError(
                 f"signal {self.name!r}: value {value} exceeds {self.width} bits"
             )
-        if value == self._value:
+        if value == self.value:
             return
-        self._value = value
+        self.value = value
         for observer in self._observers:
             observer(self, time_ps, value)
 
@@ -60,10 +61,10 @@ class Signal:
         self._observers.remove(observer)
 
     def __bool__(self) -> bool:
-        return bool(self._value)
+        return bool(self.value)
 
     def __repr__(self) -> str:
-        return f"Signal({self.name!r}, width={self.width}, value={self._value})"
+        return f"Signal({self.name!r}, width={self.width}, value={self.value})"
 
 
 class SignalBundle:

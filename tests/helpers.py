@@ -92,12 +92,14 @@ def make_imu_rig(
     core_mhz: float | None = None,
     imu_mhz: float = 40.0,
     tlb_capacity: int | None = None,
+    core_type: type[ScriptCore] = ScriptCore,
 ) -> ImuRig:
     """Build an engine + IMU + scripted core rig.
 
     With ``core_mhz`` unset, core and IMU share one domain (IMU ticked
     first, as in the real single-domain designs); otherwise the core
-    gets its own, slower domain.
+    gets its own, slower domain.  *core_type* builds the core from the
+    script.
     """
     engine = Engine()
     interrupts = InterruptController()
@@ -110,7 +112,7 @@ def make_imu_rig(
         sync_cycles=sync_cycles,
         tlb_capacity=tlb_capacity,
     )
-    core = ScriptCore(script)
+    core = core_type(script)
     core.bind(imu)
     domain = ClockDomain(engine, "imu", mhz(imu_mhz))
     domain.attach(imu)

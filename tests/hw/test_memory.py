@@ -1,5 +1,6 @@
 """Unit tests for the backing-store memory models."""
 
+import numpy as np
 import pytest
 
 from repro.errors import MemoryAccessError
@@ -72,3 +73,21 @@ class TestMemory:
         mem = Memory("m", 8)
         mem.view()[3] = 99
         assert mem.read(3, 1) == bytes([99])
+        mem.write(5, b"\x07")
+        assert mem.view()[5] == 7
+        assert mem.view() is mem.view()
+
+    def test_write_stores_the_bytes_of_a_wide_buffer(self):
+        # Two int16 items are four bytes: the write stores all four and
+        # never resizes the store.
+        mem = Memory("m", 8)
+        mem.write(2, np.array([1, 2], dtype=np.int16))
+        assert mem.read(0, 8) == bytes([0, 0, 1, 0, 2, 0, 0, 0])
+        assert len(mem.view()) == 8
+
+    def test_wide_buffer_bounds_checked_by_its_bytes(self):
+        mem = Memory("m", 8)
+        with pytest.raises(MemoryAccessError):
+            mem.write(6, np.array([1, 2], dtype=np.int16))
+        assert mem.read(0, 8) == bytes(8)
+        assert len(mem.view()) == 8
