@@ -88,6 +88,10 @@ class DualPortRam(Memory):
 
     def cpu_write_page(self, page: int, data: bytes, offset: int = 0) -> None:
         """Write into a page on the CPU port (offset + data within page)."""
+        # Check the byte length, as Memory.write does: a buffer whose
+        # len() counts wider items would otherwise spill into the next
+        # page.
+        data = bytes(data)
         if offset + len(data) > self.page_size:
             raise MemoryAccessError(
                 f"write of {len(data)} bytes at offset {offset} exceeds page "

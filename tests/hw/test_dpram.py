@@ -1,5 +1,6 @@
 """Unit tests for the paged dual-port RAM."""
 
+import numpy as np
 import pytest
 
 from repro.errors import MemoryAccessError
@@ -66,6 +67,17 @@ class TestPorts:
     def test_cpu_write_offset_overflow_rejected(self, dpram: DualPortRam):
         with pytest.raises(MemoryAccessError):
             dpram.cpu_write_page(0, bytes(100), offset=2000)
+
+    def test_wide_buffer_checked_against_the_page_by_its_bytes(
+        self, dpram: DualPortRam
+    ):
+        # 1024 int16 items are 2048 bytes: at offset 1024 they overrun
+        # page 0 and must not reach page 1.
+        with pytest.raises(MemoryAccessError):
+            dpram.cpu_write_page(0, np.ones(1024, dtype=np.int16), offset=1024)
+        assert dpram.cpu_read_page(1) == bytes(dpram.page_size)
+        dpram.cpu_write_page(0, np.ones(512, dtype=np.int16), offset=1024)
+        assert dpram.cpu_read_page(0)[1024:] == b"\x01\x00" * 512
 
     def test_port_counters_independent(self, dpram: DualPortRam):
         dpram.cpu_write_page(0, b"x")
