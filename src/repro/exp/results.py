@@ -13,7 +13,7 @@ header, and the direction in which a change is a regression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from repro.errors import ReproError
 from repro.exp.spec import CellConfig
@@ -41,6 +41,12 @@ REPLICATED_COLUMNS = (
     "sw_imu_ms",
     "vim_speedup",
     "page_faults",
+)
+
+#: ``(name, name_mean, name_cv)`` per :data:`REPLICATED_COLUMNS` entry,
+#: so :meth:`CellResult.__post_init__` formats no attribute names.
+_REPLICATED_SUMMARIES = tuple(
+    (name, f"{name}_mean", f"{name}_cv") for name in REPLICATED_COLUMNS
 )
 
 
@@ -153,13 +159,11 @@ class CellResult:
         # Autofill the cross-replicate summaries with the degenerate
         # one-replicate values so every row carries the full schema and
         # single-shot constructors stay unchanged.
-        for name in REPLICATED_COLUMNS:
-            if getattr(self, f"{name}_mean") is None:
-                object.__setattr__(
-                    self, f"{name}_mean", float(getattr(self, name))
-                )
-            if getattr(self, f"{name}_cv") is None:
-                object.__setattr__(self, f"{name}_cv", 0.0)
+        for name, mean, cv in _REPLICATED_SUMMARIES:
+            if getattr(self, mean) is None:
+                object.__setattr__(self, mean, float(getattr(self, name)))
+            if getattr(self, cv) is None:
+                object.__setattr__(self, cv, 0.0)
 
     @property
     def sw_imu_fraction(self) -> float:
@@ -187,13 +191,21 @@ class CellResult:
     def from_dict(cls, data: dict) -> "CellResult":
         """Rebuild a result row from :meth:`to_dict` output.
 
+        Builds the instance as the generated ``__init__`` does, without
+        binding keyword arguments: the values are collected in
+        declaration order, from *data* or from each field's default,
+        with the config rebuilt by :meth:`CellConfig.from_dict` and the
+        :data:`_TUPLE_FIELDS` as tuples; they fill the instance dict in
+        one update, and then :meth:`__post_init__` runs.
+
         Parameters
         ----------
         data : dict
             A dict as produced by :meth:`to_dict` (e.g. loaded from a
             cache file); unknown keys raise
             :class:`~repro.errors.ReproError` rather than being
-            silently dropped.
+            silently dropped, and a missing required field raises
+            ``TypeError``, as the constructor would.
 
         Returns
         -------
@@ -204,19 +216,31 @@ class CellResult:
         unknown = set(data) - _RESULT_FIELD_SET
         if unknown:
             raise ReproError(f"unknown cell result fields: {sorted(unknown)}")
-        payload = dict(data)
-        payload["config"] = CellConfig.from_dict(payload["config"])
+        missing = _RESULT_REQUIRED.difference(data)
+        if missing:
+            raise TypeError(f"cell result missing fields: {sorted(missing)}")
+        values = {**_RESULT_DEFAULTS, **data}
+        values["config"] = CellConfig.from_dict(values["config"])
         for name in _TUPLE_FIELDS:
-            if name in payload:
-                payload[name] = tuple(payload[name])
-        return cls(**payload)
+            values[name] = tuple(values[name])
+        result = object.__new__(cls)
+        result.__dict__.update(values)
+        result.__post_init__()
+        return result
 
 
 #: :class:`CellResult` field names in dataclass order (the
-#: :meth:`~CellResult.to_dict` layout), and the same names as a set for
-#: :meth:`~CellResult.from_dict`'s unknown-field check.
+#: :meth:`~CellResult.to_dict` layout), the same names as a set for
+#: :meth:`~CellResult.from_dict`'s unknown-field check, the names
+#: without a default, and every field's default in declaration order
+#: (``MISSING`` for a required one), which orders the values
+#: :meth:`~CellResult.from_dict` collects.
 _RESULT_FIELDS = tuple(f.name for f in fields(CellResult))
 _RESULT_FIELD_SET = frozenset(_RESULT_FIELDS)
+_RESULT_REQUIRED = frozenset(
+    f.name for f in fields(CellResult) if f.default is MISSING
+)
+_RESULT_DEFAULTS = {f.name: f.default for f in fields(CellResult)}
 
 
 def replicate_summary(values: list[float]) -> tuple[float, float]:

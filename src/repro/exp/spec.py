@@ -375,12 +375,26 @@ class CellConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CellConfig":
+        """Rebuild a config from :meth:`to_dict` output.
+
+        Builds the instance as the generated ``__init__`` does, without
+        binding keyword arguments: every field is set in declaration
+        order, from *data* or from its default, and then
+        :meth:`__post_init__` validates and canonicalises it.  Setting
+        the fields one by one keeps the key-sharing instance dict an
+        ``__init__``-built config has.  Unknown keys raise
+        :class:`~repro.errors.ReproError`.
+        """
         unknown = set(data) - _CONFIG_FIELD_SET
         if unknown:
             raise ReproError(f"unknown cell config fields: {sorted(unknown)}")
         if data.get("engine") == "fast":
             data = {**data, "engine": "reference"}
-        return cls(**data)
+        config = object.__new__(cls)
+        for name, default in _CONFIG_DEFAULTS:
+            object.__setattr__(config, name, data.get(name, default))
+        config.__post_init__()
+        return config
 
     def key(self) -> str:
         """Stable hash identifying this configuration (cache key)."""
@@ -423,10 +437,12 @@ class CellConfig:
 
 
 #: :class:`CellConfig` field names in dataclass order (the
-#: :meth:`~CellConfig.to_dict` layout), and the same names as a set for
-#: :meth:`~CellConfig.from_dict`'s unknown-field check.
+#: :meth:`~CellConfig.to_dict` layout), the same names as a set for
+#: :meth:`~CellConfig.from_dict`'s unknown-field check, and
+#: ``(name, default)`` pairs in that order for the fields it sets.
 _CONFIG_FIELDS = tuple(f.name for f in fields(CellConfig))
 _CONFIG_FIELD_SET = frozenset(_CONFIG_FIELDS)
+_CONFIG_DEFAULTS = tuple((f.name, f.default) for f in fields(CellConfig))
 
 
 def _size_label(nbytes: int) -> str:
