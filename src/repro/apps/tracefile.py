@@ -106,9 +106,10 @@ def trace_workload(
         )
         for index, obj in enumerate(trace.objects)
     )
+    expected = replay_reference(trace, ops)
 
     def reference() -> dict[int, bytes]:
-        return replay_reference(trace, ops)
+        return dict(expected)
 
     return WorkloadSpec(
         name=f"trace-{trace.digest[:10]}",

@@ -5,6 +5,9 @@ conclusions: each builder produces the object mapping and scalar
 parameters that the C application would pass through ``FPGA_MAP_OBJECT``
 and ``FPGA_EXECUTE`` (Figure 6), together with the software reference
 for functional verification and the ARM cost of the pure-SW version.
+Each builder computes the reference output once, with the workload;
+``reference()`` returns it in a fresh dict, so the software run and
+every verification share that one computation.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ def adpcm_workload(input_bytes: int, seed: int = 1) -> WorkloadSpec:
         raise ReproError(f"input size must be positive, got {input_bytes}")
     stream = gen.adpcm_stream(input_bytes, seed=seed)
     output_bytes = input_bytes * adpcm_app.OUTPUT_EXPANSION
+    expected = adpcm_app.decode(stream).astype("<i2").tobytes()
 
     def reference() -> dict[int, bytes]:
-        samples = adpcm_app.decode(stream)
-        return {adpcm_core.OBJ_OUT: samples.astype("<i2").tobytes()}
+        return {adpcm_core.OBJ_OUT: expected}
 
     return WorkloadSpec(
         name=f"adpcmdecode-{input_bytes // 1024}KB",
@@ -115,9 +118,10 @@ def adpcm_encode_workload(num_samples: int, seed: int = 1) -> WorkloadSpec:
         )
     pcm = gen.pcm_waveform(num_samples, seed=seed)
     pcm_bytes = pcm.astype("<i2").tobytes()
+    expected = adpcm_app.encode(pcm)
 
     def reference() -> dict[int, bytes]:
-        return {adpcm_core.OBJ_OUT: adpcm_app.encode(pcm)}
+        return {adpcm_core.OBJ_OUT: expected}
 
     return WorkloadSpec(
         name=f"adpcmencode-{num_samples}",
@@ -143,10 +147,10 @@ def vector_add_workload(num_elements: int, seed: int = 1) -> WorkloadSpec:
     a = gen.random_words(num_elements, seed=seed)
     b = gen.random_words(num_elements, seed=seed + 1)
     nbytes = num_elements * 4
+    expected = vectors_app.add_vectors(a, b).astype("<u4").tobytes()
 
     def reference() -> dict[int, bytes]:
-        c = vectors_app.add_vectors(a, b)
-        return {vadd_core.OBJ_C: c.astype("<u4").tobytes()}
+        return {vadd_core.OBJ_C: expected}
 
     return WorkloadSpec(
         name=f"add_vectors-{num_elements}",
@@ -195,9 +199,10 @@ def synthetic_workload(
         phases=phases,
     )
     data = gen.random_bytes(input_bytes, seed=seed)
+    expected = synthetic_app.run_reference(data, ops)
 
     def reference() -> dict[int, bytes]:
-        return {synthetic_core.OBJ_DATA: synthetic_app.run_reference(data, ops)}
+        return {synthetic_core.OBJ_DATA: expected}
 
     return WorkloadSpec(
         name=(

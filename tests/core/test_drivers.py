@@ -5,8 +5,16 @@ import pytest
 
 from repro.apps import adpcm as adpcm_app
 from repro.apps import idea as idea_app
-from repro.core.drivers import adpcm_workload, idea_workload, vector_add_workload
+from repro.core.drivers import (
+    adpcm_encode_workload,
+    adpcm_workload,
+    idea_workload,
+    synthetic_workload,
+    vector_add_workload,
+)
 from repro.errors import ReproError
+from repro.exp.cell import run_cell
+from repro.exp.spec import CellConfig
 from repro.os.vim.objects import Direction
 
 
@@ -89,3 +97,48 @@ class TestVectorAddWorkload:
 
     def test_sw_cycles_positive(self):
         assert vector_add_workload(16).sw_cycles > 0
+
+
+class TestReferenceComputedOnce:
+    """A builder computes the expected output once, with the workload."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """Count the calls of the ADPCM software decoder."""
+        calls = []
+        decode = adpcm_app.decode
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(adpcm_app, "decode", counted)
+        return calls
+
+    def test_solo_cell_decodes_once(self, decodes):
+        # The software run and the VIM run's verification share it.
+        run_cell(CellConfig(app="adpcm", input_bytes=1024))
+        assert len(decodes) == 1
+
+    def test_each_tenant_decodes_once(self, decodes):
+        run_cell(CellConfig(app="adpcm", input_bytes=1024, tenants=2))
+        assert len(decodes) == 2
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: adpcm_workload(256),
+            lambda: adpcm_encode_workload(256),
+            lambda: idea_workload(256),
+            lambda: vector_add_workload(64),
+            lambda: synthetic_workload(1024),
+        ],
+        ids=["adpcm", "adpcm-enc", "idea", "vadd", "synthetic"],
+    )
+    def test_each_call_returns_a_fresh_dict(self, build):
+        workload = build()
+        first = workload.reference()
+        first.clear()
+        second = workload.reference()
+        assert second
+        assert second == workload.reference()

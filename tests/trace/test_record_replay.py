@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.apps import tracefile
 from repro.cli import main
 from repro.exp.record import record_cell
 from repro.exp.cell import run_cell
@@ -179,6 +180,23 @@ class TestReplay:
         )
         with pytest.raises(TraceError, match="does not match"):
             run_cell(config)
+
+    def test_reference_is_replayed_once(self, recorded, monkeypatch):
+        calls = []
+        replay = tracefile.replay_reference
+
+        def counted(*args):
+            calls.append(args)
+            return replay(*args)
+
+        monkeypatch.setattr(tracefile, "replay_reference", counted)
+        run_cell(CellConfig(app="trace", trace_path=str(recorded.path)))
+        assert len(calls) == 1
+        workload = tracefile.trace_workload(recorded.path)
+        first = workload.reference()
+        first.clear()
+        assert workload.reference()
+        assert len(calls) == 2
 
     def test_identity_is_digest_not_path(self, recorded, tmp_path):
         copy = tmp_path / "elsewhere.gz"
