@@ -198,10 +198,9 @@ _SWEEP_PRESETS: dict[str, list] = {
 def iter_option_actions():
     """Yield ``(subcommand, action)`` for every CLI option action.
 
-    The one walker over argparse internals, shared by the ``--preset``
-    stray-flag guards and ``tools/check_docs.py`` (which keeps the
-    documented flag lists in lockstep with the parser).  Top-level
-    parser options yield ``subcommand=None``.
+    The one walker over argparse internals, for ``tools/check_docs.py``
+    (which keeps the documented flag lists in lockstep with the
+    parser).  Top-level parser options yield ``subcommand=None``.
     """
     parser = build_parser()
     subparsers = next(
@@ -215,92 +214,66 @@ def iter_option_actions():
             yield name, action
 
 
-@functools.lru_cache(maxsize=None)
-def _command_actions(command: str) -> tuple[argparse.Action, ...]:
-    """One subparser's actions (for guard introspection).
-
-    Cached: the parser shape is static, and the stray-flag guards
-    would otherwise rebuild the whole parser per call.
-    """
-    return tuple(
-        action for owner, action in iter_option_actions()
-        if owner == command
-    )
-
-
-def _option_in_argv(argv, option: str) -> bool:
-    """Whether *option* was explicitly spelled on the command line."""
-    return any(
-        token == option or token.startswith(option + "=") for token in argv
-    )
-
-
-#: Sweep flags that stay meaningful alongside ``--preset`` (the preset
-#: defines the grid; these control how it runs or where results go).
-_PRESET_FLAGS = frozenset(
-    {"preset", "jobs", "cache", "json", "force", "shard"}
-)
-
-
-def _explicit_flags(
-    args: argparse.Namespace,
-    allowed: frozenset,
-    command: str = "sweep",
-) -> list[str]:
-    """Flags of *command* set by the user whose dest is not in *allowed*.
-
-    Catches both a non-default value and a flag explicitly spelled
-    with its default (e.g. ``--app adpcm``), which a value comparison
-    alone cannot see — hence the raw-argv scan.
-    """
-    argv = getattr(args, "argv", ())
-    found = set()
-    for action in _command_actions(command):
-        options = [o for o in action.option_strings if o.startswith("--")]
-        if action.dest in allowed or action.dest == "help" or not options:
-            continue
-        if (
-            any(_option_in_argv(argv, option) for option in options)
-            or getattr(args, action.dest) != action.default
-        ):
-            found.add(options[0])
-    return sorted(found)
+#: Grid flag dest -> (:class:`~repro.exp.spec.SweepSpec` field, the
+#: conversion of the parsed value).  Every grid flag but ``--preset``
+#: defaults to ``argparse.SUPPRESS``, so it is in the namespace only
+#: when given, and ``SweepSpec`` supplies the value of every other axis.
+_GRID_FLAGS: dict[str, tuple[str, Callable]] = {
+    "app": ("apps", tuple),
+    "kb": ("input_bytes", lambda kbs: tuple(kb * 1024 for kb in kbs)),
+    "seed": ("seeds", tuple),
+    "soc": ("socs", tuple),
+    "page": ("page_bytes", tuple),
+    "policy": ("policies", tuple),
+    "transfer": ("transfers", tuple),
+    "prefetch": ("prefetches", tuple),
+    "tlb": ("tlb_capacities", tuple),
+    "pipelined_too": ("pipelined", lambda _: (False, True)),
+    "tenants": ("tenants", tuple),
+    "tenant_mix": ("tenant_mixes", tuple),
+    "tenant_repeats": ("tenant_repeats", tuple),
+    "sched": ("scheds", tuple),
+    "trace": ("trace_paths", tuple),
+    "syn_stride": ("syn_strides", tuple),
+    "syn_locality": ("syn_locality_pcts", tuple),
+    "syn_read": ("syn_read_pcts", tuple),
+    "syn_phases": ("syn_phases", tuple),
+    "typical": ("with_typical", bool),
+    "replicates": ("replicates", int),
+}
 
 
 def spec_from_args(args: argparse.Namespace):
-    """The grid a parsed ``sweep`` namespace describes.
+    """The grid that the parsed grid flags of *args* describe.
 
     Returns the preset's cell list when ``--preset`` was given, else
-    the :class:`~repro.exp.spec.SweepSpec` the axis flags define.  The
-    one translation from parsed flags to a grid — shared by the sweep
-    runner and ``tools/grid_key.py`` (which fingerprints a grid for
-    the CI baseline-cache key without running it).
+    the :class:`~repro.exp.spec.SweepSpec` the grid flags define.  The
+    one translation from parsed flags to a grid — shared by ``sweep``,
+    ``submit``, ``record`` and ``tools/grid_key.py`` (which
+    fingerprints a grid for the CI baseline-cache key without running
+    it).
+
+    Raises
+    ------
+    ReproError
+        If ``--preset`` comes with any grid flag, even one spelled
+        with its default: the preset would silently override it.
     """
+    given = [dest for dest in _GRID_FLAGS if hasattr(args, dest)]
     if args.preset:
+        if given:
+            flags = sorted("--" + dest.replace("_", "-") for dest in given)
+            raise ReproError(
+                f"--preset {args.preset} defines the whole grid; axis "
+                f"flag(s) {', '.join(flags)} would be ignored — drop "
+                "them or drop --preset"
+            )
         return list(_SWEEP_PRESETS[args.preset])
-    return SweepSpec(
-        apps=tuple(args.app),
-        input_bytes=tuple(kb * 1024 for kb in args.kb),
-        seeds=tuple(args.seed),
-        socs=tuple(args.soc),
-        page_bytes=tuple(args.page) if args.page else (None,),
-        policies=tuple(args.policy),
-        transfers=tuple(args.transfer),
-        prefetches=tuple(args.prefetch),
-        tlb_capacities=tuple(args.tlb) if args.tlb else (None,),
-        pipelined=(False, True) if args.pipelined_too else (False,),
-        tenants=tuple(args.tenants),
-        tenant_mixes=tuple(args.tenant_mix),
-        tenant_repeats=tuple(args.tenant_repeats),
-        scheds=tuple(args.sched),
-        trace_paths=tuple(args.trace) if args.trace else (None,),
-        syn_strides=tuple(args.syn_stride),
-        syn_locality_pcts=tuple(args.syn_locality),
-        syn_read_pcts=tuple(args.syn_read),
-        syn_phases=tuple(args.syn_phases),
-        with_typical=args.typical,
-        replicates=args.replicates,
-    )
+    return SweepSpec(**{
+        field: convert(getattr(args, dest))
+        for dest, (field, convert) in _GRID_FLAGS.items()
+        if dest in given
+    })
 
 
 def _load_baseline_rows(baseline: str):
@@ -404,17 +377,6 @@ def _print_sweep_rows(result: exp.SweepResult) -> None:
 
 
 def _print_sweep(args: argparse.Namespace) -> None:
-    if args.preset:
-        ignored = _explicit_flags(args, _PRESET_FLAGS)
-        if ignored:
-            # Same contract as the other guards: an axis flag the
-            # preset would override must fail loudly, not run a
-            # different grid than the user asked for.
-            raise ReproError(
-                f"--preset {args.preset} defines the whole grid; axis "
-                f"flag(s) {', '.join(ignored)} would be ignored — drop "
-                "them or drop --preset"
-            )
     spec = spec_from_args(args)
     if args.force and not args.json:
         # Same contract as the other no-effect-flag guards: a silently
@@ -566,15 +528,6 @@ def _print_record(args: argparse.Namespace) -> None:
     print(f"replay: repro sweep --app trace --trace {outcome.path}")
 
 
-#: Submit flags that stay meaningful alongside ``--preset`` — the
-#: service analogue of :data:`_PRESET_FLAGS` (submit's report flags
-#: shape the output table, never the grid; the coordinator owns
-#: caching and scheduling).
-_SUBMIT_PRESET_FLAGS = frozenset(
-    {"preset", "poll", "timeout", "report", "group_by", "format", "baseline"}
-)
-
-
 def _print_serve(args: argparse.Namespace) -> int:
     """``repro serve``: run a sweep coordinator until interrupted."""
     return serve_forever(
@@ -608,31 +561,15 @@ def _print_submit(args: argparse.Namespace) -> None:
     """
     if not args.report and (
         args.group_by is not None
-        or args.format != "md"
+        or args.format is not None
         or args.baseline is not None
-        or any(
-            _option_in_argv(getattr(args, "argv", ()), option)
-            for option in ("--group-by", "--format", "--baseline")
-        )
     ):
-        # Mirror of the sweep-side guard: these flags only shape the
-        # --report table and would silently do nothing on a plain
-        # submit.
+        # These flags only shape the --report table and would silently
+        # do nothing on a plain submit.
         raise ReproError(
             "--group-by/--format/--baseline shape the --report output; "
             "add --report to render the submitted grid as a report table"
         )
-    if args.preset:
-        ignored = _explicit_flags(args, _SUBMIT_PRESET_FLAGS, command="submit")
-        if ignored:
-            # Same contract as the sweep guard: an axis flag the preset
-            # would override must fail loudly, not submit a different
-            # grid than the user asked for.
-            raise ReproError(
-                f"--preset {args.preset} defines the whole grid; axis "
-                f"flag(s) {', '.join(ignored)} would be ignored — drop "
-                "them or drop --preset"
-            )
     spec = spec_from_args(args)
     cells = spec.expand() if isinstance(spec, SweepSpec) else list(spec)
     result = submit_sweep(
@@ -653,7 +590,7 @@ def _print_submit(args: argparse.Namespace) -> None:
         print(render_report(
             rows,
             group_by=tuple(args.group_by or ()),
-            fmt=args.format,
+            fmt=args.format or "md",
             baseline=baseline,
         ))
         return
@@ -668,65 +605,58 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     the same thing whether it runs locally or through a coordinator.
     Run flags (``--jobs``, ``--cache``, …) stay on ``sweep``: the
     coordinator owns caching and scheduling on the service path.
+    Every flag but ``--preset`` has no default of its own and one
+    :data:`_GRID_FLAGS` row: the default grid is ``SweepSpec()``.
     """
-    parser.add_argument("--app", nargs="+", default=["adpcm"], choices=APPS,
-                        help="workload axis")
-    parser.add_argument("--kb", type=int, nargs="+", default=[8],
-                        help="input-size axis (KB)")
-    parser.add_argument("--seed", type=int, nargs="+", default=[1],
-                        help="dataset seed axis")
-    parser.add_argument("--soc", nargs="+", default=["EPXA1"],
-                        choices=sorted(PRESETS), help="SoC preset axis")
-    parser.add_argument("--page", type=int, nargs="+", default=None,
-                        help="page-size axis (bytes; default: SoC preset)")
-    parser.add_argument("--policy", nargs="+", default=["fifo"],
-                        help="replacement-policy axis")
-    parser.add_argument("--transfer", nargs="+", default=["double"],
-                        choices=TRANSFERS, help="transfer-mode axis")
-    parser.add_argument("--prefetch", nargs="+", default=["none"],
-                        choices=PREFETCHES, help="prefetch axis")
-    parser.add_argument("--tlb", type=int, nargs="+", default=None,
-                        help="TLB-capacity axis (default: one per frame)")
-    parser.add_argument("--pipelined-too", action="store_true",
-                        help="also run every cell with the pipelined IMU")
-    parser.add_argument("--tenants", type=int, nargs="+", default=[1],
-                        help="tenant-count axis (processes sharing the "
-                             "DP-RAM)")
-    parser.add_argument("--tenant-mix", nargs="+", default=["same"],
-                        help="tenant app mix axis: 'same' or '+'-joined "
-                             "apps, e.g. adpcm+idea")
-    parser.add_argument("--tenant-repeats", type=int, nargs="+", default=[1],
-                        help="FPGA_EXECUTE calls per tenant axis")
-    parser.add_argument("--sched", nargs="+", default=["rr"], choices=SCHEDS,
-                        help="tenant scheduling-policy axis (per-tenant "
-                             "priorities via --tenant-mix app:N slots; "
-                             "solo cells always canonicalise to rr)")
-    parser.add_argument("--trace", nargs="+", default=None, metavar="PATH",
-                        help="trace-file axis for --app trace cells "
-                             "(files written by `repro record`; cell "
-                             "identity is the trace digest, not the path)")
-    parser.add_argument("--syn-stride", type=int, nargs="+", default=[1],
-                        help="synthetic hot-window stride axis (words; "
-                             "synthetic app cells only)")
-    parser.add_argument("--syn-locality", type=int, nargs="+", default=[80],
-                        help="synthetic hot-window hit percentage axis "
-                             "(0..100)")
-    parser.add_argument("--syn-read", type=int, nargs="+", default=[70],
-                        help="synthetic read-op percentage axis (0..100; "
-                             "the rest write)")
-    parser.add_argument("--syn-phases", type=int, nargs="+", default=[1],
-                        help="synthetic hot-window relocation count axis")
-    parser.add_argument("--replicates", type=int, default=1,
-                        help="independent replicate seeds per cell (one "
-                             "value, not an axis); above 1 every row gains "
-                             "mean/CV summary columns for repro diff "
-                             "--bands cv")
+    grid = functools.partial(parser.add_argument, default=argparse.SUPPRESS)
+    grid("--app", nargs="+", choices=APPS, help="workload axis")
+    grid("--kb", type=int, nargs="+", help="input-size axis (KB)")
+    grid("--seed", type=int, nargs="+", help="dataset seed axis")
+    grid("--soc", nargs="+", choices=sorted(PRESETS), help="SoC preset axis")
+    grid("--page", type=int, nargs="+",
+         help="page-size axis (bytes; default: SoC preset)")
+    grid("--policy", nargs="+", help="replacement-policy axis")
+    grid("--transfer", nargs="+", choices=TRANSFERS,
+         help="transfer-mode axis")
+    grid("--prefetch", nargs="+", choices=PREFETCHES, help="prefetch axis")
+    grid("--tlb", type=int, nargs="+",
+         help="TLB-capacity axis (default: one per frame)")
+    grid("--pipelined-too", action="store_true",
+         help="also run every cell with the pipelined IMU")
+    grid("--tenants", type=int, nargs="+",
+         help="tenant-count axis (processes sharing the DP-RAM)")
+    grid("--tenant-mix", nargs="+",
+         help="tenant app mix axis: 'same' or '+'-joined apps, e.g. "
+              "adpcm+idea")
+    grid("--tenant-repeats", type=int, nargs="+",
+         help="FPGA_EXECUTE calls per tenant axis")
+    grid("--sched", nargs="+", choices=SCHEDS,
+         help="tenant scheduling-policy axis (per-tenant priorities via "
+              "--tenant-mix app:N slots; solo cells always canonicalise "
+              "to rr)")
+    grid("--trace", nargs="+", metavar="PATH",
+         help="trace-file axis for --app trace cells (files written by "
+              "`repro record`; cell identity is the trace digest, not the "
+              "path)")
+    grid("--syn-stride", type=int, nargs="+",
+         help="synthetic hot-window stride axis (words; synthetic app "
+              "cells only)")
+    grid("--syn-locality", type=int, nargs="+",
+         help="synthetic hot-window hit percentage axis (0..100)")
+    grid("--syn-read", type=int, nargs="+",
+         help="synthetic read-op percentage axis (0..100; the rest write)")
+    grid("--syn-phases", type=int, nargs="+",
+         help="synthetic hot-window relocation count axis")
+    grid("--replicates", type=int,
+         help="independent replicate seeds per cell (one value, not an "
+              "axis); above 1 every row gains mean/CV summary columns for "
+              "repro diff --bands cv")
     parser.add_argument("--preset", choices=sorted(_SWEEP_PRESETS),
                         default=None,
                         help="run a canonical grid (combining it with "
                              "axis flags is an error)")
-    parser.add_argument("--typical", action="store_true",
-                        help="also run the typical (non-VIM) coprocessor")
+    grid("--typical", action="store_true",
+         help="also run the typical (non-VIM) coprocessor")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -769,8 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     record = sub.add_parser(
         "record",
         help="run one grid cell and write its address trace",
-        # Same rationale as sweep: cells are spelled with the shared
-        # grid flags, and guards work on spelled-out tokens.
+        # As for sweep: grid flags are spelled in full.
         allow_abbrev=False,
     )
     record.add_argument("out", metavar="OUT",
@@ -783,9 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep", help="run a design-space grid (parallel, cached)",
-        # No prefix abbreviations: the --preset stray-flag guard works
-        # on spelled-out tokens, and `--ap adpcm` resolving to --app
-        # would slip past it.
+        # No prefix abbreviations: a grid flag is spelled in full, so
+        # `--ap adpcm` is an error rather than a guess at --app.
         allow_abbrev=False,
     )
     _add_grid_flags(sweep)
@@ -870,8 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit",
         help="run a design-space grid through a sweep coordinator",
-        # Same rationale as sweep: the --preset stray-flag guard works
-        # on spelled-out tokens.
+        # As for sweep: grid flags are spelled in full.
         allow_abbrev=False,
     )
     submit.add_argument("url", metavar="URL",
@@ -892,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="AXIS", choices=group_axes(),
                         help="config axes to group the --report tables by "
                              f"(choices: {', '.join(group_axes())})")
-    submit.add_argument("--format", default="md", choices=FORMATS,
+    submit.add_argument("--format", default=None, choices=FORMATS,
                         help="--report output format (default: md)")
     submit.add_argument("--baseline", default=None, metavar="PATH",
                         help="annotate every numeric --report cell with "
@@ -979,9 +906,6 @@ def main(argv: list[str] | None = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Keep the raw tokens: the --preset stray-flag guards need to see
-    # flags that were explicitly spelled with their default values.
-    args.argv = list(argv) if argv is not None else sys.argv[1:]
     try:
         return args.func(args) or 0
     except ReproError as error:

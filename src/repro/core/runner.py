@@ -27,9 +27,7 @@ from repro.imu.direct import DirectInterface
 from repro.core.measurement import Measurement
 from repro.core.system import System
 from repro.os.costs import Bucket
-from repro.os.vim.manager import TransferMode
 from repro.os.vim.objects import Direction
-from repro.os.vim.prefetch import Prefetcher
 
 
 @dataclass(frozen=True)
@@ -136,46 +134,25 @@ def run_software(system: System, workload: WorkloadSpec) -> RunResult:
     return RunResult(workload, "software", measurement, outputs)
 
 
-def run_vim(
-    system: System,
-    workload: WorkloadSpec,
-    policy: str = "fifo",
-    transfer_mode: TransferMode = TransferMode.DOUBLE,
-    pipelined_imu: bool = False,
-    access_cycles: int = 4,
-    prefetcher: Prefetcher | None = None,
-    tlb_capacity: int | None = None,
-    eager_mapping: bool = True,
-    recorder=None,
-) -> RunResult:
+def run_vim(system: System, workload: WorkloadSpec, **options) -> RunResult:
     """The VIM-based version: the paper's full virtualised path.
 
     The IMU's synchroniser latency comes from the bitstream: zero for
     single-domain designs, :attr:`Imu.CDC_SYNC_CYCLES` when the core
     and IMU clocks differ (the IDEA system's stall-based
-    synchronisation).  Passing *recorder* (a
-    :class:`~repro.trace.record.TraceRecorder`) captures the run's
-    per-access address stream through the session's IMU.
+    synchronisation).
 
     Implemented as a one-shot :class:`~repro.core.session.
     CoprocessorSession` through a :class:`~repro.core.session.
-    VirtualInterface` built from the keyword arguments; applications
-    that call the coprocessor repeatedly should hold a session open
-    instead.
+    VirtualInterface` built from *options*, its keyword arguments (the
+    replacement policy, transfer mode, IMU timing, prefetcher, TLB
+    capacity, or a trace *recorder* that captures the run's per-access
+    address stream); applications that call the coprocessor repeatedly
+    should hold a session open instead.
     """
     from repro.core.session import CoprocessorSession, VirtualInterface
 
-    interface = VirtualInterface(
-        system,
-        policy=policy,
-        transfer_mode=transfer_mode,
-        pipelined_imu=pipelined_imu,
-        access_cycles=access_cycles,
-        prefetcher=prefetcher,
-        tlb_capacity=tlb_capacity,
-        eager_mapping=eager_mapping,
-        recorder=recorder,
-    )
+    interface = VirtualInterface(system, **options)
     session = CoprocessorSession(
         system, workload.bitstream, interface, process_name=workload.name
     )
@@ -192,11 +169,7 @@ def run_vim(
     return RunResult(workload, "vim", result.measurement, result.outputs)
 
 
-def run_typical(
-    system: System,
-    workload: WorkloadSpec,
-    access_cycles: int = 2,
-) -> RunResult:
+def run_typical(system: System, workload: WorkloadSpec) -> RunResult:
     """The typical (non-virtualised) coprocessor version.
 
     The driver lays objects out at fixed DP-RAM offsets, copies inputs
@@ -211,7 +184,7 @@ def run_typical(
             f"{workload.name}: working set of {workload.total_bytes} bytes "
             f"exceeds available memory ({system.dpram.size} bytes DP-RAM)"
         )
-    iface = DirectInterface(system.dpram, access_cycles=access_cycles)
+    iface = DirectInterface(system.dpram)
     core = workload.bitstream.build_core()
     core.bind(iface)
     domains = system.build_clock_domains(workload.bitstream, iface, core)

@@ -35,9 +35,7 @@ from repro.core.session import CoprocessorSession, VirtualInterface
 from repro.core.system import System
 from repro.errors import ReproError
 from repro.os.scheduler import scheduling_policy
-from repro.os.vim.manager import TransferMode
 from repro.os.vim.objects import Direction
-from repro.os.vim.prefetch import Prefetcher
 from repro.os.workload import Workload
 from repro.sim.time import to_ms
 
@@ -94,18 +92,14 @@ class MultiTenantResult:
 def run_tenants(
     system: System,
     workloads: list[Workload],
-    policy: str = "fifo",
-    transfer_mode: TransferMode = TransferMode.DOUBLE,
-    pipelined_imu: bool = False,
-    access_cycles: int = 4,
-    prefetcher: Prefetcher | None = None,
-    tlb_capacity: int | None = None,
-    eager_mapping: bool = True,
-    verify: bool = True,
     sched: str = "rr",
-    recorder=None,
+    **options,
 ) -> MultiTenantResult:
     """Run *workloads* as contending tenant processes on *system*.
+
+    Every execution's outputs are checked bit-exactly against the
+    workload's software reference (which is also what its solo run
+    produces), so cross-tenant corruption can never go unnoticed.
 
     Parameters
     ----------
@@ -116,19 +110,17 @@ def run_tenants(
         One :class:`~repro.os.workload.Workload` per tenant.  Each
         tenant issues ``spec.repeats`` FPGA_EXECUTE calls, one per
         scheduler dispatch.
-    verify:
-        Check every execution's outputs bit-exactly against the
-        workload's software reference (which is also what its solo run
-        produces), so cross-tenant corruption can never go unnoticed.
     sched:
         Scheduling-policy axis value (one of
         :data:`repro.os.scheduler.SCHEDS`): how the run queue picks the
         next tenant.  Each workload's ``priority`` is the weight the
         ``priority`` and ``wrr`` policies dispatch by.
-    recorder:
-        Optional :class:`~repro.trace.record.TraceRecorder` installed
-        on the shared IMU, capturing the interleaved per-access address
-        stream of all tenants.
+    **options:
+        Keyword arguments of the one shared
+        :class:`~repro.core.session.VirtualInterface`.  A *recorder*
+        (:class:`~repro.trace.record.TraceRecorder`) installed there
+        captures the interleaved per-access address stream of all
+        tenants.
 
     Returns
     -------
@@ -156,18 +148,7 @@ def run_tenants(
     # The dispatch policy is installed before any tenant is spawned, so
     # the very first pick already follows it.
     kernel.scheduler.policy = scheduling_policy(sched)
-    interface = VirtualInterface(
-        system,
-        policy=policy,
-        transfer_mode=transfer_mode,
-        pipelined_imu=pipelined_imu,
-        access_cycles=access_cycles,
-        prefetcher=prefetcher,
-        tlb_capacity=tlb_capacity,
-        eager_mapping=eager_mapping,
-        recorder=recorder,
-        shared=True,
-    )
+    interface = VirtualInterface(system, shared=True, **options)
     interface.open()
     sessions: list[CoprocessorSession] = []
     try:
@@ -195,7 +176,7 @@ def run_tenants(
                 "dispatches": 0,
                 # The reference computation is pure and the inputs
                 # never change across repeats: compute it once.
-                "expected": workload.spec.reference() if verify else None,
+                "expected": workload.spec.reference(),
             }
         start_ps = system.engine.now
         switches_before = kernel.scheduler.context_switches
@@ -219,15 +200,13 @@ def run_tenants(
                 label=f"{process.name}/exec-{session.executions + 1}",
                 measurement=state["measurement"],
             )
-            if verify:
-                # A mismatch here is cross-tenant corruption: the
-                # reference is also what the tenant's solo session
-                # produces.
-                verify_outputs(
-                    f"{process.name}/exec-{session.executions}",
-                    state["expected"],
-                    result.outputs,
-                )
+            # A mismatch here is cross-tenant corruption: the reference
+            # is also what the tenant's solo session produces.
+            verify_outputs(
+                f"{process.name}/exec-{session.executions}",
+                state["expected"],
+                result.outputs,
+            )
             state["outputs"].append(dict(result.outputs))
             state["remaining"] -= 1
         makespan_ps = system.engine.now - start_ps

@@ -14,10 +14,8 @@ Every driver here regenerates one artefact of the evaluation section:
 
 Except for the Figure 7 waveform capture (a single instrumented read,
 not a grid cell), each driver is a list of :class:`~repro.exp.spec.
-CellConfig` variants handed to :func:`~repro.exp.sweep.run_sweep` —
-so every one of them inherits ``--jobs`` parallelism and result
-caching for free, and adding a scenario means adding an axis value,
-not a driver.  The drivers that study one workload take it as a base
+CellConfig` variants handed to :func:`~repro.exp.sweep.run_sweep`,
+so adding a scenario means adding an axis value, not a driver.  The drivers that study one workload take it as a base
 ``cell`` and vary its axes; every other field of that cell holds.
 
 Each of them returns the :class:`~repro.exp.results.CellResult` rows
@@ -44,15 +42,10 @@ from repro.sim.time import mhz
 from repro.trace.timeline import WaveformProbe, render_cycles
 
 
-def _cells_for(
-    cell: CellConfig,
-    variants: list[dict],
-    jobs: int = 1,
-    cache_dir=None,
-) -> list[CellResult]:
+def _cells_for(cell: CellConfig, variants: list[dict]) -> list[CellResult]:
     """Run one cell per variant dict: *cell* with the variant's axes."""
     configs = [replace(cell, **variant) for variant in variants]
-    return list(run_sweep(configs, jobs=jobs, cache_dir=cache_dir).rows)
+    return list(run_sweep(configs).rows)
 
 
 # ----------------------------------------------------------------------
@@ -67,7 +60,6 @@ class Figure7Result:
     diagram: str
     data_ready_edge: int
     value_read: int
-    access_cycles: int
     pipelined: bool
 
 
@@ -84,7 +76,7 @@ class _OneReadCore(Coprocessor):
         self.value = yield from self.read(0, 4)
 
 
-def figure7(access_cycles: int = 4, pipelined: bool = False) -> Figure7Result:
+def figure7(pipelined: bool = False) -> Figure7Result:
     """Capture the waveform of Figure 7: one translated read.
 
     The TLB is pre-loaded so the access hits; the returned
@@ -92,12 +84,7 @@ def figure7(access_cycles: int = 4, pipelined: bool = False) -> Figure7Result:
     inclusive — 4 for the paper's IMU.
     """
     system = System()
-    imu = Imu(
-        system.dpram,
-        system.interrupts,
-        access_cycles=access_cycles,
-        pipelined=pipelined,
-    )
+    imu = Imu(system.dpram, system.interrupts, pipelined=pipelined)
     core = _OneReadCore()
     core.bind(imu)
     frame = 2
@@ -134,7 +121,6 @@ def figure7(access_cycles: int = 4, pipelined: bool = False) -> Figure7Result:
         diagram=diagram,
         data_ready_edge=data_ready_edge,
         value_read=core.value if core.value is not None else -1,
-        access_cycles=access_cycles,
         pipelined=pipelined,
     )
 
@@ -145,35 +131,23 @@ def figure7(access_cycles: int = 4, pipelined: bool = False) -> Figure7Result:
 
 
 def _app_figure(
-    app: str,
-    sizes_kb: tuple[int, ...],
-    with_typical: bool,
-    jobs: int,
-    cache_dir,
+    app: str, sizes_kb: tuple[int, ...], with_typical: bool
 ) -> list[CellResult]:
     configs = [
         CellConfig(app=app, input_bytes=kb * 1024, with_typical=with_typical)
         for kb in sizes_kb
     ]
-    return list(run_sweep(configs, jobs=jobs, cache_dir=cache_dir).rows)
+    return list(run_sweep(configs).rows)
 
 
-def figure8(
-    sizes_kb: tuple[int, ...] = (2, 4, 8),
-    jobs: int = 1,
-    cache_dir=None,
-) -> list[CellResult]:
+def figure8(sizes_kb: tuple[int, ...] = (2, 4, 8)) -> list[CellResult]:
     """adpcmdecode at the paper's input sizes (SW and VIM versions)."""
-    return _app_figure("adpcm", sizes_kb, False, jobs, cache_dir)
+    return _app_figure("adpcm", sizes_kb, False)
 
 
-def figure9(
-    sizes_kb: tuple[int, ...] = (4, 8, 16, 32),
-    jobs: int = 1,
-    cache_dir=None,
-) -> list[CellResult]:
+def figure9(sizes_kb: tuple[int, ...] = (4, 8, 16, 32)) -> list[CellResult]:
     """IDEA at the paper's input sizes (SW, typical, and VIM versions)."""
-    return _app_figure("idea", sizes_kb, True, jobs, cache_dir)
+    return _app_figure("idea", sizes_kb, True)
 
 
 # ----------------------------------------------------------------------
@@ -181,33 +155,16 @@ def figure9(
 # ----------------------------------------------------------------------
 
 
-def imu_overhead_rows(
-    adpcm_sizes: tuple[int, ...] = (2, 4, 8),
-    idea_sizes: tuple[int, ...] = (4, 8, 16, 32),
-    jobs: int = 1,
-    cache_dir=None,
-) -> list[tuple[str, float]]:
-    """SW(IMU) fraction of total time for every measured point.
+def imu_overhead_rows() -> list[tuple[str, float]]:
+    """SW(IMU) fraction of total time for every point of Figures 8 and 9.
 
     The paper: "the software execution time for IMU management ... is
     up to 2.5% of the total execution time."
     """
-    rows = [
-        (r.label, r.sw_imu_fraction)
-        for r in figure8(adpcm_sizes, jobs=jobs, cache_dir=cache_dir)
-    ]
-    rows += [
-        (r.label, r.sw_imu_fraction)
-        for r in figure9(idea_sizes, jobs=jobs, cache_dir=cache_dir)
-    ]
-    return rows
+    return [(r.label, r.sw_imu_fraction) for r in figure8() + figure9()]
 
 
-def translation_overhead(
-    cell: CellConfig | None = None,
-    jobs: int = 1,
-    cache_dir=None,
-) -> float:
+def translation_overhead(cell: CellConfig | None = None) -> float:
     """Translation overhead of the IDEA hardware time (§4.1, ~20 %).
 
     Measured by comparing the normal IMU against an idealised one with
@@ -217,10 +174,7 @@ def translation_overhead(
     """
     cell = cell or CellConfig(app="idea", input_bytes=8 * 1024)
     normal, ideal = _cells_for(
-        cell,
-        [{"access_cycles": 4}, {"access_cycles": 2}],
-        jobs=jobs,
-        cache_dir=cache_dir,
+        cell, [{"access_cycles": 4}, {"access_cycles": 2}]
     )
     return 1.0 - ideal.hw_ms / normal.hw_ms if normal.hw_ms else 0.0
 
@@ -231,20 +185,13 @@ def translation_overhead(
 
 
 def _ablation(
-    cell: CellConfig,
-    labelled_variants: dict[str, dict],
-    jobs: int = 1,
-    cache_dir=None,
+    cell: CellConfig, labelled_variants: dict[str, dict]
 ) -> dict[str, CellResult]:
-    rows = _cells_for(
-        cell, list(labelled_variants.values()), jobs=jobs, cache_dir=cache_dir
-    )
+    rows = _cells_for(cell, list(labelled_variants.values()))
     return dict(zip(labelled_variants, rows))
 
 
-def ablation_pipelined(
-    cell: CellConfig | None = None, jobs: int = 1, cache_dir=None
-) -> dict[str, CellResult]:
+def ablation_pipelined(cell: CellConfig | None = None) -> dict[str, CellResult]:
     """Multi-cycle vs pipelined IMU (the paper's announced improvement)."""
     cell = cell or CellConfig(app="idea", input_bytes=8 * 1024)
     return _ablation(
@@ -253,27 +200,16 @@ def ablation_pipelined(
             "multi-cycle": {"pipelined_imu": False},
             "pipelined": {"pipelined_imu": True},
         },
-        jobs=jobs,
-        cache_dir=cache_dir,
     )
 
 
-def ablation_policies(
-    cell: CellConfig | None = None, jobs: int = 1, cache_dir=None
-) -> dict[str, CellResult]:
+def ablation_policies(cell: CellConfig | None = None) -> dict[str, CellResult]:
     """The replacement policies §3.3 enumerates, on one faulting run."""
     cell = cell or CellConfig(app="adpcm", input_bytes=8 * 1024)
-    return _ablation(
-        cell,
-        {name: {"policy": name} for name in policy_names()},
-        jobs=jobs,
-        cache_dir=cache_dir,
-    )
+    return _ablation(cell, {name: {"policy": name} for name in policy_names()})
 
 
-def ablation_transfers(
-    cell: CellConfig | None = None, jobs: int = 1, cache_dir=None
-) -> dict[str, CellResult]:
+def ablation_transfers(cell: CellConfig | None = None) -> dict[str, CellResult]:
     """Double-transfer (measured) vs single-transfer (announced) vs
     DMA-descriptor (the modelled end point of §4.1's roadmap) VIM."""
     cell = cell or CellConfig(app="adpcm", input_bytes=8 * 1024)
@@ -283,14 +219,10 @@ def ablation_transfers(
             mode.name.lower(): {"transfer": mode.name.lower()}
             for mode in (TransferMode.DOUBLE, TransferMode.SINGLE, TransferMode.DMA)
         },
-        jobs=jobs,
-        cache_dir=cache_dir,
     )
 
 
-def ablation_prefetch(
-    cell: CellConfig | None = None, jobs: int = 1, cache_dir=None
-) -> dict[str, CellResult]:
+def ablation_prefetch(cell: CellConfig | None = None) -> dict[str, CellResult]:
     """No prefetch vs conservative / aggressive / overlapped prefetch.
 
     The *overlapped* row models the paper's full future-work vision:
@@ -305,18 +237,11 @@ def ablation_prefetch(
             name: {"prefetch": name}
             for name in ("none", "sequential", "aggressive", "overlapped")
         },
-        jobs=jobs,
-        cache_dir=cache_dir,
     )
 
 
-def ablation_page_size(
-    input_bytes: int = 8 * 1024,
-    page_sizes: tuple[int, ...] = (512, 1024, 2048, 4096),
-    jobs: int = 1,
-    cache_dir=None,
-) -> dict[str, CellResult]:
-    """Page-size sweep at fixed 16 KB DP-RAM capacity.
+def ablation_page_size() -> dict[str, CellResult]:
+    """Page-size sweep of adpcm 8 KB at fixed 16 KB DP-RAM capacity.
 
     The classic virtual-memory trade-off transplanted to the interface
     memory: small pages mean more faults (more OS round-trips), large
@@ -325,21 +250,17 @@ def ablation_page_size(
     this quantifies how load-bearing that choice is.
     """
     return _ablation(
-        CellConfig(app="adpcm", input_bytes=input_bytes),
+        CellConfig(app="adpcm", input_bytes=8 * 1024),
         {
             f"{page}B": {"page_bytes": page, "dpram_bytes": 16 * 1024}
-            for page in page_sizes
+            for page in (512, 1024, 2048, 4096)
         },
-        jobs=jobs,
-        cache_dir=cache_dir,
     )
 
 
 def ablation_tlb_capacity(
     cell: CellConfig | None = None,
     capacities: tuple[int, ...] = (2, 4, 8),
-    jobs: int = 1,
-    cache_dir=None,
 ) -> dict[str, CellResult]:
     """Shrinking the TLB below one-entry-per-frame (extra faults)."""
     cell = cell or CellConfig(app="adpcm", input_bytes=4 * 1024)
@@ -349,8 +270,6 @@ def ablation_tlb_capacity(
             f"tlb-{capacity}": {"tlb_capacity": capacity}
             for capacity in capacities
         },
-        jobs=jobs,
-        cache_dir=cache_dir,
     )
 
 
@@ -364,9 +283,6 @@ def contention(
     input_kb: int = 4,
     tenant_counts: tuple[int, ...] = (1, 2, 3),
     repeats: int = 2,
-    tenant_mix: str = "same",
-    jobs: int = 1,
-    cache_dir=None,
 ) -> list[CellResult]:
     """Scale the tenant count on one DP-RAM: the contention sweep.
 
@@ -381,14 +297,11 @@ def contention(
             app=app,
             input_bytes=input_kb * 1024,
             tenants=count,
-            # CellConfig canonicalises the mix to "same" for count == 1,
-            # so the solo baseline shares one cache hash across mixes.
-            tenant_mix=tenant_mix,
             tenant_repeats=repeats,
         )
         for count in tenant_counts
     ]
-    return list(run_sweep(configs, jobs=jobs, cache_dir=cache_dir).rows)
+    return list(run_sweep(configs).rows)
 
 
 # ----------------------------------------------------------------------
@@ -396,9 +309,7 @@ def contention(
 # ----------------------------------------------------------------------
 
 
-def portability(
-    cell: CellConfig | None = None, jobs: int = 1, cache_dir=None
-) -> list[CellResult]:
+def portability(cell: CellConfig | None = None) -> list[CellResult]:
     """Run the identical workload on every SoC preset.
 
     Nothing about the workload (C-side mapping or core FSM) changes;
@@ -408,8 +319,5 @@ def portability(
     """
     cell = cell or CellConfig(app="adpcm", input_bytes=8 * 1024)
     return _cells_for(
-        cell,
-        [{"soc": name} for name in ("EPXA1", "EPXA4", "EPXA10")],
-        jobs=jobs,
-        cache_dir=cache_dir,
+        cell, [{"soc": name} for name in ("EPXA1", "EPXA4", "EPXA10")]
     )

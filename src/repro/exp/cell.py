@@ -166,7 +166,10 @@ def build_prefetcher(config: CellConfig) -> Prefetcher | None:
 
 
 def vim_options(config: CellConfig) -> dict:
-    """The VIM keyword arguments of *config* (``run_vim``/``run_tenants``)."""
+    """*config*'s :class:`~repro.core.session.VirtualInterface` keywords.
+
+    ``run_vim`` and ``run_tenants`` pass them on to the interface.
+    """
     return {
         "policy": config.policy,
         "transfer_mode": _TRANSFER_MODES[config.transfer],

@@ -1,11 +1,19 @@
 """Tests for the CLI (driven in-process via cli.main)."""
 
+import argparse
 import sqlite3
 import time
 
 import pytest
 
-from repro.cli import build_parser, main
+import repro.cli as cli
+from repro.cli import (
+    _GRID_FLAGS,
+    build_parser,
+    iter_option_actions,
+    main,
+    spec_from_args,
+)
 from repro.exp import store as store_module
 from repro.exp.cache import iter_dump_rows
 from repro.exp.spec import SweepSpec
@@ -169,6 +177,99 @@ class TestSweep:
         assert main(["sweep", "--app", "vadd", "--kb", "1",
                      "--json", str(path), "--force"]) == 0
         assert len(json.loads(path.read_text(encoding="utf-8"))) == 1
+
+
+#: Each grid flag spelled with its ``SweepSpec`` default.  A default
+#: that has no spelling (``None``, or ``False`` for a switch) is
+#: spelled with the value it stands for on EPXA1, or the bare switch.
+_DEFAULT_SPELLINGS = {
+    "app": ["--app", "adpcm"],
+    "kb": ["--kb", "8"],
+    "seed": ["--seed", "1"],
+    "soc": ["--soc", "EPXA1"],
+    "page": ["--page", "2048"],
+    "policy": ["--policy", "fifo"],
+    "transfer": ["--transfer", "double"],
+    "prefetch": ["--prefetch", "none"],
+    "tlb": ["--tlb", "8"],
+    "pipelined_too": ["--pipelined-too"],
+    "tenants": ["--tenants", "1"],
+    "tenant_mix": ["--tenant-mix", "same"],
+    "tenant_repeats": ["--tenant-repeats", "1"],
+    "sched": ["--sched", "rr"],
+    "trace": ["--trace", "t.gz"],
+    "syn_stride": ["--syn-stride", "1"],
+    "syn_locality": ["--syn-locality", "80"],
+    "syn_read": ["--syn-read", "70"],
+    "syn_phases": ["--syn-phases", "1"],
+    "typical": ["--typical"],
+    "replicates": ["--replicates", "1"],
+}
+
+#: The commands that take the grid flags, with their positionals.
+_GRID_COMMANDS = {
+    "sweep": [],
+    "submit": ["http://127.0.0.1:9"],
+    "record": ["out.gz"],
+}
+
+
+class TestGridFlags:
+    """``SweepSpec`` owns the default grid; ``--preset`` takes no flag."""
+
+    def test_every_grid_flag_has_a_spelling(self):
+        assert set(_DEFAULT_SPELLINGS) == set(_GRID_FLAGS)
+
+    @pytest.mark.parametrize("command", sorted(_GRID_COMMANDS))
+    def test_grid_flags_have_no_default_of_their_own(self, command):
+        suppressed = {
+            action.dest for owner, action in iter_option_actions()
+            if owner == command and action.default is argparse.SUPPRESS
+        }
+        assert suppressed - {"help"} == set(_GRID_FLAGS)
+
+    @pytest.mark.parametrize("command", sorted(_GRID_COMMANDS))
+    def test_no_flags_is_the_default_grid(self, command):
+        args = build_parser().parse_args([command, *_GRID_COMMANDS[command]])
+        assert spec_from_args(args) == SweepSpec()
+
+    @pytest.mark.parametrize("command", sorted(_GRID_COMMANDS))
+    @pytest.mark.parametrize("dest", sorted(_GRID_FLAGS))
+    def test_preset_refuses_every_grid_flag(
+        self, command, dest, capsys, monkeypatch, tmp_path
+    ):
+        # Spelled with its default, the flag changes nothing, and is
+        # still refused: the preset would silently override it.
+        # Nothing is simulated, recorded or sent first.
+        for owner, name in ((cli.exp, "run_sweep"), (cli, "submit_sweep"),
+                            (cli, "record_cell")):
+            monkeypatch.setattr(
+                owner, name,
+                lambda *a, name=name, **k: pytest.fail(f"{name} ran"),
+            )
+        monkeypatch.chdir(tmp_path)
+        flag = _DEFAULT_SPELLINGS[dest]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *_GRID_COMMANDS[command],
+                  "--preset", "contention", *flag])
+        assert excinfo.value.code == 2
+        assert (
+            "error: --preset contention defines the whole grid; axis "
+            f"flag(s) {flag[0]} would be ignored"
+        ) in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", [
+        ["--format", "md"], ["--group-by", "policy"], ["--baseline", "b.sqlite"],
+    ])
+    def test_submit_report_flags_need_report(self, flag, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "submit_sweep", lambda *a, **k: pytest.fail("submitted")
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", "http://127.0.0.1:9", *flag])
+        assert excinfo.value.code == 2
+        assert "add --report" in capsys.readouterr().err
 
 
 class TestShardMergeReport:

@@ -174,6 +174,11 @@ class TestLifecycle:
         with pytest.raises(ReproError):
             run_tenants(System(), [])
 
+    def test_verification_cannot_be_switched_off(self):
+        # Every execution is verified; there is no option to skip it.
+        with pytest.raises(TypeError, match="verify"):
+            run_tenants(System(), _adpcm_tenants(1), verify=False)
+
     def test_object_id_beyond_cp_obj_wire_rejected(self):
         """Ids outside the 8-bit CP_OBJ range would alias ASID tags."""
         system = System()

@@ -201,11 +201,15 @@ class TestCli:
     def test_replicates_with_preset_is_refused(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([
-                "sweep", "--preset", "smoke", "--replicates", "3",
+                "sweep", "--preset", "contention", "--replicates", "3",
                 "--cache", str(tmp_path / "cache"),
             ])
         assert excinfo.value.code == 2
-        assert "--preset" in capsys.readouterr().err
+        assert (
+            "error: --preset contention defines the whole grid; axis "
+            "flag(s) --replicates would be ignored"
+        ) in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
     def test_sweep_console_gains_summary_columns(self, tmp_path, capsys):
         assert main([

@@ -141,7 +141,6 @@ class TestCliSpelling:
             ["sweep", "--app", "adpcm", "--tenants", "2",
              "--sched", "rr", "priority"]
         )
-        args.argv = []
         spec = spec_from_args(args)
         assert spec.scheds == ("rr", "priority")
 
@@ -150,7 +149,6 @@ class TestCliSpelling:
         args = parser.parse_args(
             ["sweep", "--app", "trace", "--trace", "a.gz", "b.gz"]
         )
-        args.argv = []
         assert spec_from_args(args).trace_paths == ("a.gz", "b.gz")
 
     def test_record_then_sweep_then_report(self, tmp_path, capsys):

@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exp import figure8, run_cell, run_sweep
+from repro.exp import run_cell, run_sweep
 from repro.exp.spec import CellConfig, SweepSpec
-from repro.exp.store import open_store
 
 #: Small, fault-producing grid: 2 policies x 2 page sizes on 2 KB adpcm.
 GRID = SweepSpec(
@@ -75,15 +74,6 @@ class TestCaching:
         result = run_sweep(grown, cache_dir=store)
         assert result.cached == 4  # the old cells
         assert result.executed == 2  # only the new policy's cells
-
-    def test_api_drivers_share_the_cache(self, tmp_path):
-        store = tmp_path / "store.sqlite"
-        rows = figure8(sizes_kb=(2,), cache_dir=store)
-        assert len(rows) == 1
-        again = figure8(sizes_kb=(2,), cache_dir=store)
-        assert rows == again
-        with open_store(store) as handle:
-            assert len(handle) == 1
 
 
 class TestDeterminism:
