@@ -56,6 +56,23 @@ class TestGridKey:
         with pytest.raises(SystemExit):
             grid_key.main(["--warp-drive 9"])
 
+    def test_invalid_grid_reported_as_the_cli_does(self, capsys):
+        assert grid_key.main(["--tenants 0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: tenants must be >= 1, got 0\n"
+        assert captured.out == ""
+
+    def test_preset_with_axis_flag_refused(self, capsys):
+        # The preset would override --app; keying the preset alone
+        # would name a different grid than the flags spell.
+        assert grid_key.main(["--preset contention --app idea"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: --preset contention defines the whole grid; axis "
+            "flag(s) --app would be ignored"
+        )
+        assert captured.out == ""
+
 
 class TestMultiSegment:
     """``--``-separated segments key the union of several invocations.

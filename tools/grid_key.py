@@ -28,6 +28,10 @@ Each segment is parsed as its own grid and the fingerprint covers the
 de-duplicated union of the expanded cells, so segment order cannot
 fork the lineage either.  Note a trace segment resolves its digest
 from the trace file, which therefore must exist (record it first).
+
+A grid the CLI would refuse (``--tenants 0``, ``--preset`` together
+with an axis flag, a missing trace file) is reported as the CLI
+reports it: ``error: ...`` on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.cli import build_parser, spec_from_args  # noqa: E402
+from repro.errors import ReproError  # noqa: E402
 from repro.exp.spec import (  # noqa: E402
     CACHE_VERSION,
     SweepSpec,
@@ -68,14 +73,20 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     cells = []
     seen = set()
-    for segment in segments:
-        args = build_parser().parse_args(["sweep", *segment])
-        spec = spec_from_args(args)
-        expanded = spec.expand() if isinstance(spec, SweepSpec) else list(spec)
-        for cell in expanded:
-            if cell.key() not in seen:
-                seen.add(cell.key())
-                cells.append(cell)
+    try:
+        for segment in segments:
+            args = build_parser().parse_args(["sweep", *segment])
+            spec = spec_from_args(args)
+            expanded = (
+                spec.expand() if isinstance(spec, SweepSpec) else list(spec)
+            )
+            for cell in expanded:
+                if cell.key() not in seen:
+                    seen.add(cell.key())
+                    cells.append(cell)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(f"v{CACHE_VERSION}-{grid_fingerprint(cells)}")
     return 0
 
