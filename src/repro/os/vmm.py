@@ -8,13 +8,14 @@ functional equivalence with pure software is checked end-to-end.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import MemoryAccessError, OsError
 
 
 class UserBuffer:
-    """A contiguous user-space allocation backed by real bytes."""
+    """A contiguous user-space allocation backed by real bytes.
+
+    Unlike :class:`~repro.hw.memory.Memory`, a buffer may be empty.
+    """
 
     def __init__(self, name: str, size: int, pid: int) -> None:
         if size < 0:
@@ -22,7 +23,7 @@ class UserBuffer:
         self.name = name
         self.size = size
         self.pid = pid
-        self.data = np.zeros(size, dtype=np.uint8)
+        self.data = bytearray(size)
 
     def _check(self, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > self.size:
@@ -32,19 +33,21 @@ class UserBuffer:
             )
 
     def write(self, offset: int, payload: bytes) -> None:
-        """Store *payload* at *offset*."""
+        """Store the bytes of *payload* (any buffer) at *offset*."""
+        # Check the byte length, as Memory.write does: len() of a
+        # buffer with wider items counts items, not bytes.
+        payload = bytes(payload)
         self._check(offset, len(payload))
-        self.data[offset : offset + len(payload)] = np.frombuffer(
-            bytes(payload), dtype=np.uint8
-        )
+        self.data[offset : offset + len(payload)] = payload
 
     def read(self, offset: int, length: int) -> bytes:
         """Load *length* bytes at *offset*."""
         self._check(offset, length)
-        return self.data[offset : offset + length].tobytes()
+        return bytes(self.data[offset : offset + length])
 
     def fill_from(self, payload: bytes) -> None:
         """Initialise the whole buffer (must match the size exactly)."""
+        payload = bytes(payload)
         if len(payload) != self.size:
             raise OsError(
                 f"buffer {self.name!r}: payload of {len(payload)} bytes "
@@ -54,7 +57,7 @@ class UserBuffer:
 
     def snapshot(self) -> bytes:
         """The full current contents."""
-        return self.data.tobytes()
+        return bytes(self.data)
 
 
 class UserMemory:

@@ -1,5 +1,6 @@
 """Unit tests for user memory and the kernel accounting choke point."""
 
+import numpy as np
 import pytest
 
 from repro.accounting import Bucket
@@ -35,6 +36,26 @@ class TestUserBuffer:
 
     def test_zero_initialised(self):
         assert UserBuffer("b", 4, pid=1).snapshot() == bytes(4)
+
+    def test_write_counts_bytes_not_items(self):
+        buffer = UserBuffer("b", 8, pid=1)
+        buffer.write(0, np.ones(4, np.int16))
+        assert buffer.snapshot() == b"\x01\x00" * 4
+        with pytest.raises(MemoryAccessError):
+            buffer.write(2, np.ones(4, np.int16))  # 8 bytes from offset 2
+
+    def test_fill_from_counts_bytes_not_items(self):
+        buffer = UserBuffer("b", 8, pid=1)
+        words = np.arange(4, dtype=np.int16)
+        buffer.fill_from(words)
+        assert buffer.snapshot() == words.tobytes()
+        with pytest.raises(OsError, match="16 bytes"):
+            buffer.fill_from(np.arange(8, dtype=np.int16))
+
+    def test_zero_size_buffer(self):
+        buffer = UserBuffer("b", 0, pid=1)
+        assert buffer.snapshot() == b""
+        assert buffer.read(0, 0) == b""
 
 
 class TestUserMemory:
