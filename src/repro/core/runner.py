@@ -143,16 +143,16 @@ def run_vim(system: System, workload: WorkloadSpec, **options) -> RunResult:
     synchronisation).
 
     Implemented as a one-shot :class:`~repro.core.session.
-    CoprocessorSession` through a :class:`~repro.core.session.
-    VirtualInterface` built from *options*, its keyword arguments (the
-    replacement policy, transfer mode, IMU timing, prefetcher, TLB
+    CoprocessorSession` through an unshared :class:`~repro.core.session.
+    VirtualInterface` built from *options*, its other keyword arguments
+    (the replacement policy, transfer mode, IMU timing, prefetcher, TLB
     capacity, or a trace *recorder* that captures the run's per-access
     address stream); applications that call the coprocessor repeatedly
     should hold a session open instead.
     """
     from repro.core.session import CoprocessorSession, VirtualInterface
 
-    interface = VirtualInterface(system, **options)
+    interface = VirtualInterface(system, shared=False, **options)
     session = CoprocessorSession(
         system, workload.bitstream, interface, process_name=workload.name
     )

@@ -181,7 +181,8 @@ class TestSweep:
 
 #: Each grid flag spelled with its ``SweepSpec`` default.  A default
 #: that has no spelling (``None``, or ``False`` for a switch) is
-#: spelled with the value it stands for on EPXA1, or the bare switch.
+#: spelled with the value it stands for on EPXA1 (``--page``,
+#: ``--tlb``), with any value (``--trace``) or as the bare switch.
 _DEFAULT_SPELLINGS = {
     "app": ["--app", "adpcm"],
     "kb": ["--kb", "8"],

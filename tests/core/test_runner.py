@@ -30,11 +30,12 @@ class TestRunVim:
     def test_bit_exact_output(self, system, vadd_workload):
         run_vim(system, vadd_workload).verify()
 
-    def test_unknown_option_refused(self, system, vadd_workload):
+    @pytest.mark.parametrize("option", ["polcy", "shared"])
+    def test_unknown_option_refused(self, option, system, vadd_workload):
         # run_vim forwards its options to VirtualInterface, the one
-        # place they are declared.
-        with pytest.raises(TypeError, match="polcy"):
-            run_vim(system, vadd_workload, polcy="lru")
+        # place they are declared; a solo run's interface is its own.
+        with pytest.raises(TypeError, match=option):
+            run_vim(system, vadd_workload, **{option: True})
 
     def test_no_faults_when_working_set_fits(self, system, vadd_workload):
         result = run_vim(system, vadd_workload)

@@ -63,6 +63,17 @@ def _split_segments(tokens: list[str]) -> list[list[str]]:
     return [segment for segment in segments if segment]
 
 
+def _grid_cells(segments: list[list[str]]) -> list:
+    """The unique cells of every segment's grid, in first-seen order."""
+    cells = {}
+    for segment in segments:
+        args = build_parser().parse_args(["sweep", *segment])
+        spec = spec_from_args(args)
+        for cell in spec.expand() if isinstance(spec, SweepSpec) else spec:
+            cells.setdefault(cell.key(), cell)
+    return list(cells.values())
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     tokens = [token for arg in argv for token in shlex.split(arg)]
@@ -71,19 +82,8 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: grid_key.py SWEEP_FLAGS [-- SWEEP_FLAGS]...",
               file=sys.stderr)
         return 2
-    cells = []
-    seen = set()
     try:
-        for segment in segments:
-            args = build_parser().parse_args(["sweep", *segment])
-            spec = spec_from_args(args)
-            expanded = (
-                spec.expand() if isinstance(spec, SweepSpec) else list(spec)
-            )
-            for cell in expanded:
-                if cell.key() not in seen:
-                    seen.add(cell.key())
-                    cells.append(cell)
+        cells = _grid_cells(segments)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
