@@ -598,7 +598,7 @@ def _print_submit(args: argparse.Namespace) -> None:
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    """The design-space grid flags, shared by ``sweep`` and ``submit``.
+    """The design-space grid flags of ``sweep``, ``submit`` and ``record``.
 
     Everything :func:`spec_from_args` reads lives here — axis flags,
     ``--preset``, ``--typical`` and ``--replicates`` — so a grid means
