@@ -15,8 +15,9 @@ Every driver here regenerates one artefact of the evaluation section:
 Except for the Figure 7 waveform capture (a single instrumented read,
 not a grid cell), each driver is a list of :class:`~repro.exp.spec.
 CellConfig` variants handed to :func:`~repro.exp.sweep.run_sweep`,
-so adding a scenario means adding an axis value, not a driver.  The drivers that study one workload take it as a base
-``cell`` and vary its axes; every other field of that cell holds.
+so adding a scenario means adding an axis value, not a driver.  The
+drivers that study one workload take it as a base ``cell`` and vary
+its axes; every other field of that cell holds.
 
 Each of them returns the :class:`~repro.exp.results.CellResult` rows
 it measured: a list in variant order from ``figure8``, ``figure9``,

@@ -261,7 +261,9 @@ class TestGridFlags:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", [
-        ["--format", "md"], ["--group-by", "policy"], ["--baseline", "b.sqlite"],
+        ["--format", "md"],
+        ["--group-by", "policy"],
+        ["--baseline", "b.sqlite"],
     ])
     def test_submit_report_flags_need_report(self, flag, capsys, monkeypatch):
         monkeypatch.setattr(
