@@ -83,7 +83,7 @@ class Coprocessor(Clocked):
         self.ports = iface.ports
         self.ports.cp_tlbhit.observe(self._tlbhit_changed)
 
-    def _tlbhit_changed(self, _signal, _time_ps: int, value: int) -> None:
+    def _tlbhit_changed(self, _signal, value: int) -> None:
         if value and self._hit_wait:
             # wake(), inlined: this runs on every access.
             waker = self._waker

@@ -84,23 +84,23 @@ class AdpcmEncodeCore(Coprocessor):
             )
 
 
-def bitstream(frequency_mhz: float = 40.0) -> Bitstream:
+def bitstream() -> Bitstream:
     """The adpcmdecode bit-stream: core and IMU share one 40 MHz clock."""
     return Bitstream(
         name="adpcmdecode",
         core_factory=AdpcmDecodeCore,
-        core_frequency=mhz(frequency_mhz),
+        core_frequency=mhz(40.0),
         resources=PldResources(logic_elements=2_100, memory_bits=12_288),
         length_bytes=128 * 1024,
     )
 
 
-def encoder_bitstream(frequency_mhz: float = 40.0) -> Bitstream:
+def encoder_bitstream() -> Bitstream:
     """The adpcmencode bit-stream (encoder embeds the decoder datapath)."""
     return Bitstream(
         name="adpcmencode",
         core_factory=AdpcmEncodeCore,
-        core_frequency=mhz(frequency_mhz),
+        core_frequency=mhz(40.0),
         resources=PldResources(logic_elements=2_600, memory_bits=12_288),
         length_bytes=128 * 1024,
     )

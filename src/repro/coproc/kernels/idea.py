@@ -76,16 +76,13 @@ class IdeaCore(Coprocessor):
             )
 
 
-def bitstream(
-    core_mhz: float = 6.0,
-    interface_mhz: float = 24.0,
-) -> Bitstream:
+def bitstream() -> Bitstream:
     """The IDEA bit-stream: 6 MHz core, 24 MHz IMU/memory subsystem."""
     return Bitstream(
         name="idea",
         core_factory=IdeaCore,
-        core_frequency=mhz(core_mhz),
-        interface_frequency=mhz(interface_mhz),
+        core_frequency=mhz(6.0),
+        interface_frequency=mhz(24.0),
         resources=PldResources(logic_elements=3_900, memory_bits=24_576),
         length_bytes=160 * 1024,
     )

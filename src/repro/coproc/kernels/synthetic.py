@@ -49,14 +49,12 @@ class SyntheticCore(Coprocessor):
                 acc = mix_read(acc, value)
 
 
-def bitstream(
-    ops: list[tuple[bool, int]], frequency_mhz: float = 40.0
-) -> Bitstream:
-    """A synthetic-core bit-stream replaying *ops* (single clock domain)."""
+def bitstream(ops: list[tuple[bool, int]]) -> Bitstream:
+    """A synthetic-core bit-stream replaying *ops* (one 40 MHz clock)."""
     return Bitstream(
         name="synthetic",
         core_factory=lambda: SyntheticCore(ops),
-        core_frequency=mhz(frequency_mhz),
+        core_frequency=mhz(40.0),
         resources=PldResources(logic_elements=1_200, memory_bits=4_096),
         length_bytes=96 * 1024,
     )

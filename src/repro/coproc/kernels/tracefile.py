@@ -56,14 +56,12 @@ class TraceReplayCore(Coprocessor):
                 acc = mix_read(acc, value)
 
 
-def bitstream(
-    ops: list[ReplayOp], digest: str, frequency_mhz: float = 40.0
-) -> Bitstream:
-    """A replay-core bit-stream for *ops* (single clock domain)."""
+def bitstream(ops: list[ReplayOp], digest: str) -> Bitstream:
+    """A replay-core bit-stream for *ops* (one 40 MHz clock)."""
     return Bitstream(
         name=f"trace-{digest[:10]}",
         core_factory=lambda: TraceReplayCore(ops),
-        core_frequency=mhz(frequency_mhz),
+        core_frequency=mhz(40.0),
         resources=PldResources(logic_elements=1_400, memory_bits=4_096),
         length_bytes=96 * 1024,
     )

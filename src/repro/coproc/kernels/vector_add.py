@@ -35,12 +35,12 @@ class VectorAddCore(Coprocessor):
             yield from self.write(OBJ_C, addr, (a + b) & 0xFFFFFFFF)
 
 
-def bitstream(frequency_mhz: float = 40.0) -> Bitstream:
-    """The vector-add configuration bit-stream (single clock domain)."""
+def bitstream() -> Bitstream:
+    """The vector-add configuration bit-stream (one 40 MHz clock)."""
     return Bitstream(
         name="add_vectors",
         core_factory=VectorAddCore,
-        core_frequency=mhz(frequency_mhz),
+        core_frequency=mhz(40.0),
         resources=PldResources(logic_elements=900, memory_bits=2_048),
         length_bytes=96 * 1024,
     )

@@ -85,24 +85,18 @@ class CoprocessorPorts(SignalBundle):
         self.cp_tlbhit = self.new("cp_tlbhit", 1)
 
     def issue(
-        self,
-        obj: int,
-        addr: int,
-        write: bool,
-        data: int = 0,
-        size: int = 4,
-        time_ps: int = 0,
+        self, obj: int, addr: int, write: bool, data: int = 0, size: int = 4
     ) -> None:
         """Drive one new access request (coprocessor side)."""
-        self.cp_obj.set(obj, time_ps)
-        self.cp_addr.set(addr, time_ps)
-        self.cp_size.set(size, time_ps)
-        self.cp_wr.set(1 if write else 0, time_ps)
+        self.cp_obj.set(obj)
+        self.cp_addr.set(addr)
+        self.cp_size.set(size)
+        self.cp_wr.set(1 if write else 0)
         if write:
-            self.cp_dout.set(data & ((1 << DATA_BITS) - 1), time_ps)
-        self.cp_access.set(1, time_ps)
-        self.cp_req.set((self.cp_req.value + 1) & 0xFFFF, time_ps)
+            self.cp_dout.set(data & ((1 << DATA_BITS) - 1))
+        self.cp_access.set(1)
+        self.cp_req.set((self.cp_req.value + 1) & 0xFFFF)
 
-    def retire(self, time_ps: int = 0) -> None:
+    def retire(self) -> None:
         """De-assert the access lines after a completed access."""
-        self.cp_access.set(0, time_ps)
+        self.cp_access.set(0)

@@ -29,11 +29,7 @@ from repro.sim.engine import Engine
 class System:
     """A powered-on reconfigurable SoC running the mini-OS."""
 
-    def __init__(
-        self,
-        soc: SocConfig = EPXA1,
-        costs: CpuCostModel | None = None,
-    ) -> None:
+    def __init__(self, soc: SocConfig = EPXA1) -> None:
         self.soc = soc
         self.engine = Engine()
         self.interrupts = InterruptController()
@@ -43,7 +39,7 @@ class System:
             self.engine, self.bus, self.interrupts, soc.ahb_frequency
         )
         self.fabric = PldFabric(soc.pld_resources)
-        self.costs = costs or CpuCostModel()
+        self.costs = CpuCostModel()
         self.kernel = Kernel(
             self.engine, soc.cpu_frequency, self.costs, self.interrupts
         )

@@ -87,13 +87,11 @@ class DmaEngine:
         bus: AhbBus,
         interrupts: InterruptController,
         frequency: Frequency,
-        irq_line: int = INT_DMA_LINE,
     ) -> None:
         self.engine = engine
         self.bus = bus
         self.interrupts = interrupts
         self.frequency = frequency
-        self.irq_line = irq_line
         self._busy_until = 0
         self._queue: list[DmaDescriptor] = []
         self._irq_armed = False
@@ -170,4 +168,4 @@ class DmaEngine:
             # completion-IRQ rate for chained descriptor lists.
             self._irq_armed = False
             self.completion_irqs += 1
-            self.interrupts.raise_line(self.irq_line)
+            self.interrupts.raise_line(INT_DMA_LINE)

@@ -14,6 +14,11 @@ from repro.errors import HardwareError
 
 Handler = Callable[[int], None]
 
+#: Interrupt lines on the controller.  The IMU raises INT_PLD on line 0
+#: (:data:`repro.imu.imu.INT_PLD_LINE`) and the DMA engine INT_DMA on
+#: line 1 (:data:`repro.hw.dma.INT_DMA_LINE`).
+NUM_LINES = 8
+
 
 class InterruptController:
     """Level-triggered interrupt lines with per-line masking.
@@ -23,21 +28,18 @@ class InterruptController:
     structure: the IMU raises ``INT_PLD``; Linux dispatches to the VIM.
     """
 
-    def __init__(self, num_lines: int = 8) -> None:
-        if num_lines < 1:
-            raise HardwareError("interrupt controller needs at least one line")
-        self.num_lines = num_lines
-        self._pending = [False] * num_lines
-        self._masked = [False] * num_lines
+    def __init__(self) -> None:
+        self._pending = [False] * NUM_LINES
+        self._masked = [False] * NUM_LINES
         self._handlers: dict[int, Handler] = {}
-        self.raised_count = [0] * num_lines
+        self.raised_count = [0] * NUM_LINES
         #: Pending, unmasked lines as a bit set (bit *n* = line *n*):
         #: nonzero exactly when :meth:`pending_unmasked` is non-empty,
         #: kept up to date so a hardware window's stop test is one read.
         self.active = 0
 
     def _check(self, line: int) -> None:
-        if not 0 <= line < self.num_lines:
+        if not 0 <= line < NUM_LINES:
             raise HardwareError(f"interrupt line {line} out of range")
 
     def register(self, line: int, handler: Handler) -> None:
@@ -88,7 +90,7 @@ class InterruptController:
     def pending_unmasked(self) -> list[int]:
         """Lines that are pending and unmasked, lowest number first."""
         active = self.active
-        return [line for line in range(self.num_lines) if active >> line & 1]
+        return [line for line in range(NUM_LINES) if active >> line & 1]
 
     def dispatch(self) -> int:
         """Run handlers for all pending unmasked lines.

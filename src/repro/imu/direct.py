@@ -11,8 +11,9 @@ points "exceeds available memory".
 The same port bundle as the IMU is exposed so that the identical
 coprocessor kernel classes run against either interface; only the
 *system* differs, which is the comparison the paper makes.  The
-interface sleeps like the IMU: it runs the detection and firing edges
-of an access and wakes on a change of ``cp_req`` or ``cp_fin``.
+interface sleeps like the IMU: it runs the one edge on which it
+detects and performs an access, and wakes on a change of ``cp_req``
+or ``cp_fin``.
 """
 
 from __future__ import annotations
@@ -26,26 +27,23 @@ from repro.sim.clock import UNTIL_WOKEN, Clocked
 class DirectInterface(Clocked):
     """Fixed-offset DP-RAM wrapper for a hand-integrated coprocessor.
 
+    An access takes two rising edges from request to data, inclusive:
+    one to present the address, one for the synchronous DP-RAM read.
+    The interface detects the request and performs the access on the
+    second.
+
     Parameters
     ----------
     dpram:
         The physical interface memory.
-    access_cycles:
-        Rising edges from request to data, inclusive (default 2: one to
-        present the address, one for the synchronous DP-RAM read).
     """
 
-    def __init__(self, dpram: DualPortRam, access_cycles: int = 2) -> None:
-        if access_cycles < 2:
-            raise HardwareError("access_cycles must be >= 2 (request + reply)")
+    def __init__(self, dpram: DualPortRam) -> None:
         self.dpram = dpram
-        self.access_cycles = access_cycles
         self.ports = CoprocessorPorts()
         self._bases: dict[int, tuple[int, int]] = {}
         self.param_regs: list[int] = []
         self._last_req = 0
-        self._remaining = 0
-        self._pending = False
         self.reads = 0
         self.writes = 0
         self.ticks = 0
@@ -68,10 +66,6 @@ class DirectInterface(Clocked):
             )
         self._bases[obj] = (base, size)
 
-    def clear_windows(self) -> None:
-        """Forget all object windows (between chunked invocations)."""
-        self._bases.clear()
-
     def start_coprocessor(self) -> None:
         """Assert CP_START (driver launches the core)."""
         self.done = False
@@ -84,37 +78,25 @@ class DirectInterface(Clocked):
     def tick(self) -> int:
         """One rising edge of the interface clock domain.
 
-        Returns the edges until the next one the interface needs: the
-        firing edge of a pending access, none while idle.
+        An access is performed on the edge that detects it, so the
+        interface needs no further edge until a port change wakes it.
         """
         self.ticks += 1
         ports = self.ports
         if ports.cp_fin.value:
             self.done = True
-        if self._pending:
-            self._remaining -= 1
-            if self._remaining <= 0:
-                self._fire()
-        elif ports.cp_access.value and ports.cp_req.value != self._last_req:
+        if ports.cp_access.value and ports.cp_req.value != self._last_req:
             self._last_req = ports.cp_req.value
             ports.cp_tlbhit.set(0)
-            latency = self.access_cycles - 2
-            if latency <= 0:
-                self._fire()
-            else:
-                self._pending = True
-                self._remaining = latency
-        return self._remaining if self._pending else UNTIL_WOKEN
+            self._fire()
+        return UNTIL_WOKEN
 
     def idle(self, edges: int) -> None:
-        """Account *edges* edges of idling or access countdown."""
+        """Account *edges* idle edges."""
         self.ticks += edges
-        if self._pending:
-            self._remaining -= edges
 
     def _fire(self) -> None:
         ports = self.ports
-        self._pending = False
         obj = ports.cp_obj.value
         addr = ports.cp_addr.value
         window = self._bases.get(obj)
@@ -135,15 +117,3 @@ class DirectInterface(Clocked):
             ports.cp_din.set(self.dpram.pld_read(paddr, access_size))
             self.reads += 1
         ports.cp_tlbhit.set(1)
-
-    def reset(self) -> None:
-        """Reset handshake state for a fresh chunk invocation."""
-        self._pending = False
-        self._remaining = 0
-        self.done = False
-        ports = self.ports
-        ports.cp_start.set(0)
-        ports.cp_tlbhit.set(0)
-        ports.cp_fin.set(0)
-        ports.cp_access.set(0)
-        self._last_req = ports.cp_req.value

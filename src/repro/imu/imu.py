@@ -83,12 +83,6 @@ class Imu(Clocked):
     tlb_capacity:
         Override the TLB size (defaults to one entry per DP-RAM page,
         which is how the prototype is organised).
-    sync_cycles:
-        Extra IMU cycles per access for clock-domain-crossing
-        synchronisers.  Zero in single-domain designs (adpcm); the
-        dual-domain IDEA system pays the 6 MHz <-> 24 MHz stall
-        handshake here ("the synchronisation with the IDEA core is
-        provided by a stall mechanism", §4.1).
     """
 
     #: Default synchroniser cost when core and IMU clocks differ:
@@ -106,19 +100,20 @@ class Imu(Clocked):
         access_cycles: int = 4,
         pipelined: bool = False,
         tlb_capacity: int | None = None,
-        irq_line: int = INT_PLD_LINE,
-        sync_cycles: int = 0,
     ) -> None:
         if access_cycles < 2:
             raise HardwareError("access_cycles must be >= 2 (request + reply)")
-        if sync_cycles < 0:
-            raise HardwareError("sync_cycles must be >= 0")
         self.dpram = dpram
         self.interrupts = interrupts
         self.access_cycles = access_cycles
         self.pipelined = pipelined
-        self.sync_cycles = sync_cycles
-        self.irq_line = irq_line
+        #: Extra IMU cycles per access for clock-domain-crossing
+        #: synchronisers, written by the session before each execution:
+        #: zero in single-domain designs (adpcm); the dual-domain IDEA
+        #: system pays the 6 MHz <-> 24 MHz stall handshake here ("the
+        #: synchronisation with the IDEA core is provided by a stall
+        #: mechanism", §4.1).
+        self.sync_cycles = 0
         self.ports = CoprocessorPorts()
         self.tlb = Tlb(tlb_capacity or dpram.num_pages)
         self.ar = AddressRegister()
@@ -253,7 +248,7 @@ class Imu(Clocked):
             self.sr.set(StatusRegister.FAULT)
             self.faults += 1
             if self.cr.test(ControlRegister.INT_ENABLE):
-                self.interrupts.raise_line(self.irq_line)
+                self.interrupts.raise_line(INT_PLD_LINE)
             return
         paddr = (entry.ppage << dpram.page_bits) | (addr & (dpram.page_size - 1))
         ports = self.ports
@@ -277,7 +272,7 @@ class Imu(Clocked):
         self.sr.set(StatusRegister.DONE)
         self.sr.clear(StatusRegister.BUSY)
         if self.cr.test(ControlRegister.INT_ENABLE):
-            self.interrupts.raise_line(self.irq_line)
+            self.interrupts.raise_line(INT_PLD_LINE)
 
     def _release_param_page(self) -> None:
         """Invalidate the parameter-passing page once consumed (§3.2)."""
@@ -304,14 +299,14 @@ class Imu(Clocked):
         if self.state is not _FAULT:
             raise HardwareError("restart_translation while not in fault state")
         self.sr.clear(StatusRegister.FAULT)
-        self.interrupts.clear(self.irq_line)
+        self.interrupts.clear(INT_PLD_LINE)
         self.state = _TRANSLATE
         self._remaining = max(1, self._translation_latency())
 
     def acknowledge_done(self) -> None:
         """Clear the done status after end-of-operation service."""
         self.sr.clear(StatusRegister.DONE)
-        self.interrupts.clear(self.irq_line)
+        self.interrupts.clear(INT_PLD_LINE)
         # With CP_FIN still high the next edge finishes again.
         self.wake()
 

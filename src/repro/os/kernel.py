@@ -41,7 +41,6 @@ class Kernel:
         self.user_memory = UserMemory()
         self._next_pid = 1
         self._measurement: Measurement | None = None
-        self.cycles_spent = 0
 
     # -- processes -------------------------------------------------------
 
@@ -79,7 +78,6 @@ class Kernel:
             raise OsError(f"negative cycle count {cycles}")
         ps = cycles * self.cpu_frequency.period_ps
         self.engine.advance(ps)
-        self.cycles_spent += cycles
         if self._measurement is not None:
             self._measurement.charge(bucket, ps)
         return ps
@@ -87,10 +85,9 @@ class Kernel:
     def wait_ps(self, ps: int, bucket: Bucket) -> None:
         """Model the CPU blocked on hardware: time passes, *bucket* pays.
 
-        Used for stalls that execute no modelled instructions — waiting
-        out a DMA drain, or AHB arbitration behind a burst-mode master
-        — so ``cycles_spent`` does not move, but the elapsed time still
-        lands in the measurement decomposition.
+        Used for stalls that execute no modelled instructions: waiting
+        out a DMA drain, or AHB arbitration behind a burst-mode master.
+        The elapsed time still lands in the measurement decomposition.
         """
         if ps < 0:
             raise OsError(f"negative wait {ps} ps")

@@ -189,7 +189,3 @@ class Scheduler:
         """Unblock *process* and put it back on the run queue."""
         process.wake()
         self._ready.append(process)
-
-    def runnable(self) -> int:
-        """Number of processes in the ready queue."""
-        return len(self._ready)

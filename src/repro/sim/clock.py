@@ -73,7 +73,7 @@ class Clocked:
         for signal in signals:
             signal.observe(self._sensed)
 
-    def _sensed(self, _signal, _time_ps: int, _value: int) -> None:
+    def _sensed(self, _signal, _value: int) -> None:
         # wake(), inlined: this runs on every access.
         waker = self._waker
         if waker is not None:

@@ -115,13 +115,6 @@ class Engine:
         """Number of scheduled (non-cancelled) events."""
         return len(self._queue) - len(self._cancelled)
 
-    def peek(self) -> int | None:
-        """Time of the next live event, or None when the queue is empty."""
-        while self._queue and self._queue[0][2] in self._cancelled:
-            _, _, handle, _ = heapq.heappop(self._queue)
-            self._cancelled.discard(handle)
-        return self._queue[0][0] if self._queue else None
-
     def _pop(self) -> tuple[int, int, int, Callable[[], Any]] | None:
         while self._queue:
             entry = heapq.heappop(self._queue)

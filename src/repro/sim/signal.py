@@ -13,7 +13,7 @@ from typing import Callable
 
 from repro.errors import SimulationError
 
-Observer = Callable[["Signal", int, int], None]
+Observer = Callable[["Signal", int], None]
 
 
 class Signal:
@@ -40,7 +40,7 @@ class Signal:
         self.value = init
         self._observers: list[Observer] = []
 
-    def set(self, value: int, time_ps: int = 0) -> None:
+    def set(self, value: int) -> None:
         """Drive a new value; observers fire only on actual changes."""
         if not 0 <= value <= self._max:
             raise SimulationError(
@@ -50,10 +50,10 @@ class Signal:
             return
         self.value = value
         for observer in self._observers:
-            observer(self, time_ps, value)
+            observer(self, value)
 
     def observe(self, observer: Observer) -> None:
-        """Attach a change observer ``(signal, time_ps, new_value)``."""
+        """Attach a change observer ``(signal, new_value)``."""
         self._observers.append(observer)
 
     def unobserve(self, observer: Observer) -> None:

@@ -67,7 +67,7 @@ class WaveformProbe:
             self.traces[signal.name] = trace
             signal.observe(self._on_change)
 
-    def _on_change(self, signal: Signal, _time_ps: int, value: int) -> None:
+    def _on_change(self, signal: Signal, value: int) -> None:
         self.traces[signal.name].record(self.engine.now, value)
 
     def detach(self) -> None:

@@ -118,10 +118,10 @@ class _TickCountingCore(ScriptCore):
     def bind(self, iface) -> None:
         super().bind(iface)
         self.ports.cp_req.observe(
-            lambda _s, _t, _v: self.ticks_at_issue.append(self.ticks)
+            lambda _s, _v: self.ticks_at_issue.append(self.ticks)
         )
         self.ports.cp_tlbhit.observe(
-            lambda _s, _t, value: value and self.ticks_at_rise.append(self.ticks)
+            lambda _s, value: value and self.ticks_at_rise.append(self.ticks)
         )
 
     def tick(self) -> int:

@@ -109,9 +109,10 @@ def make_imu_rig(
         interrupts,
         access_cycles=access_cycles,
         pipelined=pipelined,
-        sync_cycles=sync_cycles,
         tlb_capacity=tlb_capacity,
     )
+    # As CoprocessorSession.execute sets it before every execution.
+    imu.sync_cycles = sync_cycles
     core = core_type(script)
     core.bind(imu)
     domain = ClockDomain(engine, "imu", mhz(imu_mhz))
@@ -128,12 +129,11 @@ def make_imu_rig(
 
 def make_direct_rig(
     script: list[tuple],
-    access_cycles: int = 2,
 ) -> tuple[Engine, DualPortRam, DirectInterface, ScriptCore, ClockDomain]:
     """Build an engine + direct interface + scripted core rig."""
     engine = Engine()
     dpram = DualPortRam()
-    iface = DirectInterface(dpram, access_cycles=access_cycles)
+    iface = DirectInterface(dpram)
     core = ScriptCore(script)
     core.bind(iface)
     domain = ClockDomain(engine, "fabric", mhz(40.0))

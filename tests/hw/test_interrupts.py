@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import HardwareError
-from repro.hw.interrupts import InterruptController
+from repro.hw.interrupts import NUM_LINES, InterruptController
 
 
 class TestLines:
@@ -33,15 +33,11 @@ class TestLines:
         assert ic.raised_count[1] == 2
 
     def test_out_of_range_rejected(self):
-        ic = InterruptController(num_lines=4)
+        ic = InterruptController()
         with pytest.raises(HardwareError):
-            ic.raise_line(4)
+            ic.raise_line(NUM_LINES)
         with pytest.raises(HardwareError):
             ic.clear(-1)
-
-    def test_at_least_one_line_required(self):
-        with pytest.raises(HardwareError):
-            InterruptController(num_lines=0)
 
 
 class TestMasking:

@@ -52,14 +52,6 @@ class TestWindows:
         with pytest.raises(HardwareError):
             run_rig(engine, iface, core, domain)
 
-    def test_clear_windows(self):
-        iface = DirectInterface(DualPortRam())
-        iface.set_object_window(0, 0, 64)
-        iface.clear_windows()
-        engine, _, iface2, core, domain = make_direct_rig([("read", 0, 0)])
-        # fresh rig unaffected; just check clear emptied the mapping
-        assert iface._bases == {}
-
 
 class TestTiming:
     def test_two_edge_access(self):
@@ -80,18 +72,6 @@ class TestTiming:
         rig.run()
         assert core.stamps[0] < rig.core.stamps[0]
 
-    def test_configurable_access_cycles(self):
-        engine, dpram, iface, core, domain = make_direct_rig(
-            [("read", 0, 0)], access_cycles=5
-        )
-        iface.set_object_window(0, 0, 64)
-        run_rig(engine, iface, core, domain)
-        assert core.stamps == [5]
-
-    def test_min_access_cycles_enforced(self):
-        with pytest.raises(HardwareError):
-            DirectInterface(DualPortRam(), access_cycles=1)
-
 
 class TestParamsAndDone:
     def test_param_regs(self):
@@ -110,10 +90,3 @@ class TestParamsAndDone:
         engine.run_until(lambda: iface.done, max_time_ps=engine.now + 10 * domain.period_ps)
         domain.stop()
         assert iface.done
-
-    def test_reset(self):
-        engine, _, iface, core, domain = make_direct_rig([("compute", 1)])
-        run_rig(engine, iface, core, domain)
-        iface.reset()
-        assert not iface.done
-        assert iface.ports.cp_start.value == 0

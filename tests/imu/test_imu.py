@@ -235,5 +235,3 @@ class TestResetAndStats:
         ic = InterruptController()
         with pytest.raises(HardwareError):
             Imu(dpram, ic, access_cycles=1)
-        with pytest.raises(HardwareError):
-            Imu(dpram, ic, sync_cycles=-1)

@@ -31,7 +31,7 @@ class TestSignal:
     def test_observer_fires_on_change(self):
         sig = Signal("s", width=8)
         seen = []
-        sig.observe(lambda s, t, v: seen.append(v))
+        sig.observe(lambda s, v: seen.append(v))
         sig.set(1)
         sig.set(2)
         assert seen == [1, 2]
@@ -39,14 +39,14 @@ class TestSignal:
     def test_observer_skipped_on_same_value(self):
         sig = Signal("s", width=8, init=7)
         seen = []
-        sig.observe(lambda s, t, v: seen.append(v))
+        sig.observe(lambda s, v: seen.append(v))
         sig.set(7)
         assert seen == []
 
     def test_unobserve(self):
         sig = Signal("s", width=8)
         seen = []
-        observer = lambda s, t, v: seen.append(v)  # noqa: E731
+        observer = lambda s, v: seen.append(v)  # noqa: E731
         sig.observe(observer)
         sig.unobserve(observer)
         sig.set(3)
