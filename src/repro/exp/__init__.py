@@ -81,7 +81,6 @@ from repro.exp.merge import (
 from repro.exp.record import RecordOutcome, record_cell
 from repro.exp.report import (
     FORMATS,
-    bar_chart,
     delta_bar_chart,
     load_cache_rows,
     render_report,
@@ -128,7 +127,6 @@ __all__ = [
     "ablation_prefetch",
     "ablation_tlb_capacity",
     "ablation_transfers",
-    "bar_chart",
     "build_tenant_workloads",
     "config_hash",
     "contention",

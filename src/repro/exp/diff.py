@@ -611,16 +611,17 @@ def _delta_bars(metric: str, labelled) -> str:
     return f"Δ {metric} vs baseline:\n" + delta_bar_chart(rows)
 
 
-def render_diff(
-    result: DiffResult, fmt: str = "ascii", bars: bool = True
-) -> str:
-    """Render a :class:`DiffResult` as a regression table plus summary.
+def render_diff(result: DiffResult, fmt: str = "ascii") -> str:
+    """Render a :class:`DiffResult`: regression table, summary, bars.
 
     Without ``group_by`` the table has one row per matched cell.  With
     the diff's ``group_by`` axes (``repro diff --group-by``) it has one
     row per axis-value combination instead, with mean-vs-mean deltas
     and a status that regresses if *any* member cell regressed; the
     summary line, added/removed lists, and side notes stay per-cell.
+    ASCII delta bars of the first compared metric (relative deltas,
+    changed rows only) close the output; ``md`` wraps them in a fenced
+    block.
 
     Parameters
     ----------
@@ -629,10 +630,6 @@ def render_diff(
     fmt : str
         One of :data:`~repro.exp.report.FORMATS`; the table routes
         through :func:`~repro.exp.report.render_table`.
-    bars : bool
-        Append ASCII delta bars (relative deltas of the first compared
-        metric, changed rows only).  ``md`` wraps them in a fenced
-        block.
 
     Returns
     -------
@@ -710,7 +707,7 @@ def render_diff(
             "(different grid, or a CACHE_VERSION bump made the baseline "
             "stale); nothing to gate on"
         )
-    if bars and result.metrics:
+    if result.metrics:
         chart = _delta_bars(
             result.metrics[0],
             [(label, deltas[0]) for _, label, deltas, _ in table_rows],

@@ -119,14 +119,12 @@ def load_history(
     )
 
 
-def render_history(
-    history: HistoryResult, fmt: str = "ascii", bars: bool = True
-) -> str:
+def render_history(history: HistoryResult, fmt: str = "ascii") -> str:
     """Render a :class:`HistoryResult`: title, per-run table, net bars.
 
     One table row per run (id + recorded timestamp), one column per
     cell.  ``csv`` emits the table records only, like the other
-    machine-readable surfaces.  *bars* appends a signed chart of each
+    machine-readable surfaces.  The bars are a signed chart of each
     cell's net relative change (last vs first priced value), changed
     cells only; ``md`` wraps it in a fenced block.
     """
@@ -149,20 +147,19 @@ def render_history(
         f"{history.origin}"
     )
     lines = [title, "", table]
-    if bars:
-        chart_rows = []
-        for s in history.series:
-            priced = [v for v in s.values if v is not None]
-            if len(priced) < 2 or priced[0] == priced[-1] or not priced[0]:
-                continue
-            change = (priced[-1] - priced[0]) / priced[0] * 100.0
-            chart_rows.append((s.label, change))
-        if chart_rows:
-            chart = (
-                f"Δ {history.metric} last vs first run:\n"
-                + delta_bar_chart(chart_rows)
-            )
-            if fmt == "md":
-                chart = f"```\n{chart}\n```"
-            lines += ["", chart]
+    chart_rows = []
+    for s in history.series:
+        priced = [v for v in s.values if v is not None]
+        if len(priced) < 2 or priced[0] == priced[-1] or not priced[0]:
+            continue
+        change = (priced[-1] - priced[0]) / priced[0] * 100.0
+        chart_rows.append((s.label, change))
+    if chart_rows:
+        chart = (
+            f"Δ {history.metric} last vs first run:\n"
+            + delta_bar_chart(chart_rows)
+        )
+        if fmt == "md":
+            chart = f"```\n{chart}\n```"
+        lines += ["", chart]
     return "\n".join(lines)

@@ -20,8 +20,8 @@ software column — without re-running anything:
   config axes, of report rows and of diff cells alike;
 * :func:`render_table` — the shared low-level table renderer (also
   the formatting route for the benchmark reports and the CLI);
-* :func:`bar_chart` / :func:`stacked_bar_chart` /
-  :func:`delta_bar_chart` — the ASCII chart renderers.
+* :func:`stacked_bar_chart` / :func:`delta_bar_chart` — the ASCII
+  chart renderers.
 
 Because the row order is canonical (sorted by label, then config
 hash), a report rendered from N merged shard stores is byte-identical
@@ -30,9 +30,10 @@ matrix asserts.  ``repro report`` is the command-line face of this
 module; with ``--baseline STORE`` every numeric cell is annotated
 with its delta against a second store (the PR-vs-main workflow), and
 ``repro diff`` (:mod:`repro.exp.diff`) builds its regression tables,
-groups and delta bars from the same renderers.  A report column is a
-numeric :data:`~repro.exp.results.COLUMNS` entry, header included,
-or one of the three report-only columns in :data:`REPORT_COLUMNS`.
+groups and delta bars from the same renderers.  A report renders the
+:func:`default_columns`: numeric :data:`~repro.exp.results.COLUMNS`
+entries, headers included, and the two report-only columns in
+:data:`REPORT_COLUMNS`.
 """
 
 from __future__ import annotations
@@ -191,36 +192,12 @@ def format_delta(value, base) -> str:
 _SEGMENT_GLYPHS = ("█", "▓", "▒", "░")
 
 
-def bar_chart(
-    rows: list[tuple[str, float]],
-    width: int = 50,
-    unit: str = "ms",
-) -> str:
-    """Horizontal bars, one per (label, value) row."""
-    if width < 8:
-        raise ReproError("chart width must be at least 8 columns")
-    if not rows:
-        return "(no data)"
-    peak = max(value for _, value in rows)
-    if peak <= 0:
-        peak = 1.0
-    label_width = max(len(label) for label, _ in rows)
-    lines = []
-    for label, value in rows:
-        bar = "█" * max(1, round(value / peak * width)) if value > 0 else ""
-        lines.append(f"{label.ljust(label_width)} |{bar} {value:.3f}{unit}")
-    return "\n".join(lines)
-
-
-def stacked_bar_chart(
-    rows: list[tuple[str, dict[str, float]]],
-    width: int = 50,
-    unit: str = "ms",
-) -> str:
+def stacked_bar_chart(rows: list[tuple[str, dict[str, float]]]) -> str:
     """Horizontal stacked bars (the paper's HW / SW(DP) / SW(IMU) stack).
 
     Component order follows the dict insertion order of the first row;
-    a legend line maps glyphs to component names.
+    a legend line maps glyphs to component names.  The largest total
+    spans 50 columns, and each total is printed in milliseconds.
     """
     if not rows:
         return "(no data)"
@@ -240,43 +217,34 @@ def stacked_bar_chart(
         segments = []
         for name in components:
             value = parts.get(name, 0.0)
-            segments.append(glyph_of[name] * round(value / peak * width))
+            segments.append(glyph_of[name] * round(value / peak * 50))
         total = sum(parts.values())
         lines.append(
-            f"{label.ljust(label_width)} |{''.join(segments)} {total:.3f}{unit}"
+            f"{label.ljust(label_width)} |{''.join(segments)} {total:.3f}ms"
         )
     return "\n".join(lines)
 
 
-def delta_bar_chart(
-    rows: list[tuple[str, float]],
-    width: int = 40,
-    unit: str = "%",
-) -> str:
+def delta_bar_chart(rows: list[tuple[str, float]]) -> str:
     """Signed horizontal bars around a centre axis.
 
     Renders regression-table deltas: positive values grow rightwards
-    from the axis, negative leftwards, scaled to the largest absolute
-    value.  A zero row shows the bare axis.
+    from the axis, negative leftwards, scaled so that the largest
+    absolute value fills the 20 columns on its side.  A zero row shows
+    the bare axis.
 
     Parameters
     ----------
     rows : list of (str, float)
-        ``(label, signed value)`` pairs, e.g. relative deltas in
-        percent.
-    width : int
-        Total bar columns (split evenly around the axis); >= 8.
-    unit : str
-        Suffix printed after each value.
+        ``(label, signed value)`` pairs: relative deltas in percent,
+        each printed with a ``%`` suffix.
     """
-    if width < 8:
-        raise ReproError("chart width must be at least 8 columns")
     if not rows:
         return "(no data)"
     peak = max(abs(value) for _, value in rows)
     if peak <= 0:
         peak = 1.0
-    half = width // 2
+    half = 20
     label_width = max(len(label) for label, _ in rows)
     lines = []
     for label, value in rows:
@@ -285,7 +253,7 @@ def delta_bar_chart(
         right = "█" * cells if value > 0 else ""
         lines.append(
             f"{label.ljust(label_width)} {left}|{right.ljust(half)} "
-            f"{value:+.1f}{unit}"
+            f"{value:+.1f}%"
         )
     return "\n".join(lines)
 
@@ -297,10 +265,8 @@ def delta_bar_chart(
 
 #: Every column a report can render, as ``name: (header, value
 #: getter)``: the numeric :data:`~repro.exp.results.COLUMNS`, plus
-#: three that only a report shows — the cell label, the SW(IMU) share
-#: of the VIM total, and the typical version's time as text ("exceeds
-#: memory" when its working set does not fit, "-" when the cell ran
-#: without it).
+#: two that only a report shows — the cell label and the SW(IMU) share
+#: of the VIM total.
 REPORT_COLUMNS = {
     **{
         name: (column.header, column.value)
@@ -310,18 +276,10 @@ REPORT_COLUMNS = {
     "sw_imu_pct": (
         "SW(IMU)/total", lambda r: f"{r.sw_imu_fraction * 100:.2f}%"
     ),
-    "typical_ms": (
-        "typical ms",
-        lambda r: (
-            "exceeds memory" if not r.typical_fits
-            else r.typical_ms if r.typical_ms is not None
-            else "-"  # cell ran without with_typical
-        ),
-    ),
 }
 
-#: The default ``--report`` column set: the SW(DP)/SW(IMU) time
-#: decomposition plus the speedup-over-software column of Figures 8/9.
+#: The report's column set: the SW(DP)/SW(IMU) time decomposition
+#: plus the speedup-over-software column of Figures 8/9.
 DEFAULT_COLUMNS = (
     "cell", "sw_ms", "vim_ms", "hw_ms", "sw_dp_ms", "sw_imu_ms",
     "sw_imu_pct", "speedup", "faults",
@@ -338,7 +296,7 @@ REPLICATED_REPORT_COLUMNS = tuple(
 
 
 def default_columns(rows) -> tuple[str, ...]:
-    """The column set a report of *rows* renders when none is chosen.
+    """The column set a report of *rows* renders.
 
     :data:`DEFAULT_COLUMNS`, plus the mean/CV summary columns when any
     row was replicated — so an unreplicated report stays byte-identical
@@ -448,17 +406,6 @@ def load_cache_rows(
 # ----------------------------------------------------------------------
 
 
-def _resolve_columns(names) -> list[tuple]:
-    """``(header, value getter)`` of each named report column."""
-    unknown = [name for name in names if name not in REPORT_COLUMNS]
-    if unknown:
-        raise ReproError(
-            f"unknown report column(s) {unknown}; "
-            f"choices: {sorted(REPORT_COLUMNS)}"
-        )
-    return [REPORT_COLUMNS[name] for name in names]
-
-
 def group_sorted(items, values_of) -> list[tuple[tuple, list]]:
     """Bucket *items* by their group values; buckets in sorted order.
 
@@ -489,10 +436,12 @@ def write_report(
     out,
     fmt: str = "md",
     group_by: tuple[str, ...] = (),
-    columns=None,
     baseline=None,
 ) -> int:
     """Write the report of *rows* to *out*; the one report writer.
+
+    The columns are :func:`default_columns`: the classic set, widened
+    by the mean/CV summaries when any row is replicated.
 
     Parameters
     ----------
@@ -512,10 +461,6 @@ def write_report(
         Config axes to group along (see :func:`group_axes`).  ``md``
         and ``ascii`` render one headed table per group; ``csv`` stays
         one flat table with the group axes as leading columns.
-    columns : sequence of str, optional
-        Column selectors from :data:`REPORT_COLUMNS`; ``None`` (the
-        default) picks :func:`default_columns` — the classic set,
-        widened by the mean/CV summaries when any row is replicated.
     baseline : iterable of CellResult, optional
         A second run's rows (``--baseline STORE``).  Every numeric
         cell is annotated with its delta against the baseline row of
@@ -534,13 +479,11 @@ def write_report(
     Raises
     ------
     ReproError
-        On unknown format, axis, or column names.
+        On an unknown format or axis name.
     """
     _check_format(fmt)
     check_group_axes(group_by)
-    if columns is None:
-        columns = default_columns(rows)
-    selected = _resolve_columns(columns)
+    selected = [REPORT_COLUMNS[name] for name in default_columns(rows)]
     headers = [header for header, _value in selected]
     base_by_key = (
         None if baseline is None else {row.key: row for row in baseline}
@@ -620,7 +563,6 @@ def render_report(
     rows,
     group_by: tuple[str, ...] = (),
     fmt: str = "md",
-    columns=None,
     baseline=None,
 ) -> str:
     """Render *rows*, in any order, as the :func:`write_report` text.
@@ -640,7 +582,6 @@ def render_report(
         out,
         fmt=fmt,
         group_by=tuple(group_by),
-        columns=columns,
         baseline=baseline,
     )
     return out.getvalue()

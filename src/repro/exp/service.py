@@ -516,26 +516,25 @@ def serve_forever(
     lease_timeout: float = 30.0,
     max_attempts: int = 3,
     backoff: float = 1.0,
-    log=None,
 ) -> int:
     """``repro serve``: run a coordinator until interrupted.
 
     Prints one ``serving on http://host:port`` line once the socket is
     bound (CI boots the service in the background and polls
-    ``/api/health``), then blocks.  SIGINT/SIGTERM drain the service
+    ``/api/health``), then blocks, logging lease-lifecycle events to
+    stderr as ``serve: ...`` lines.  SIGINT/SIGTERM drain the service
     (in-flight leases may still land) and close the store.
     """
     import signal
 
-    log = log or (lambda message: print(
-        f"serve: {message}", file=sys.stderr, flush=True
-    ))
     service = SweepService(
         store_path,
         lease_timeout=lease_timeout,
         max_attempts=max_attempts,
         backoff=backoff,
-        log=log,
+        log=lambda message: print(
+            f"serve: {message}", file=sys.stderr, flush=True
+        ),
     )
     server = ServiceServer((host, port), service)
 

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.exp import (
-    bar_chart,
-    delta_bar_chart,
-    render_table,
-    stacked_bar_chart,
-)
+from repro.exp import delta_bar_chart, render_table, stacked_bar_chart
 
 
 class TestFormatTable:
@@ -41,28 +36,10 @@ class TestMarkdownTable:
         assert lines[2] == "| 1 | 2 |"
 
 
-class TestBarChart:
-    def test_bars_scale_to_peak(self):
-        text = bar_chart([("sw", 10.0), ("hw", 5.0)], width=20)
-        sw_line, hw_line = text.splitlines()
-        assert sw_line.count("█") == 20
-        assert hw_line.count("█") == 10
-
-    def test_values_printed(self):
-        assert "10.000ms" in bar_chart([("sw", 10.0)])
-
-    def test_empty_rows(self):
-        assert bar_chart([]) == "(no data)"
-
-    def test_too_narrow_rejected(self):
-        with pytest.raises(ReproError):
-            bar_chart([("a", 1.0)], width=4)
-
-
 class TestDeltaBarChart:
     def test_signed_bars_around_axis(self):
         text = delta_bar_chart(
-            [("worse", 10.0), ("better", -5.0), ("same", 0.0)], width=20
+            [("worse", 10.0), ("better", -5.0), ("same", 0.0)]
         )
         worse, better, same = text.splitlines()
         # Positive deltas grow right of the axis, negative left.
@@ -74,25 +51,23 @@ class TestDeltaBarChart:
         assert "+10.0%" in worse and "-5.0%" in better and "+0.0%" in same
 
     def test_bars_scale_to_largest_magnitude(self):
-        text = delta_bar_chart([("a", 10.0), ("b", -10.0)], width=20)
+        text = delta_bar_chart([("a", 10.0), ("b", -10.0)])
         a_line, b_line = text.splitlines()
-        assert a_line.count("█") == 10  # half the width each side
-        assert b_line.count("█") == 10
+        assert a_line.count("█") == 20  # 20 columns each side
+        assert b_line.count("█") == 20
 
     def test_empty_rows(self):
         assert delta_bar_chart([]) == "(no data)"
-
-    def test_too_narrow_rejected(self):
-        with pytest.raises(ReproError):
-            delta_bar_chart([("a", 1.0)], width=4)
 
 
 class TestStackedBarChart:
     def test_legend_and_segments(self):
         rows = [("2KB", {"hw": 2.0, "sw_dp": 1.0, "sw_imu": 0.5})]
-        text = stacked_bar_chart(rows, width=35)
+        text = stacked_bar_chart(rows)
         assert "legend:" in text.splitlines()[0]
-        assert "█" in text and "▓" in text
+        # The peak total spans 50 columns: 2.0, 1.0 and 0.5 of 3.5.
+        bar = text.splitlines()[1]
+        assert (bar.count("█"), bar.count("▓"), bar.count("▒")) == (29, 14, 7)
         assert "3.500ms" in text
 
     def test_too_many_components_rejected(self):

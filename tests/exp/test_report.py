@@ -14,6 +14,8 @@ rendered from two merged shard stores is byte-identical to the report
 of a single unsharded run.
 """
 
+import csv
+import io
 import random
 from pathlib import Path
 
@@ -227,20 +229,17 @@ class TestGrouping:
         configs = [CellConfig(), CellConfig(policy="lru")]
         current = [_synthetic_row(configs[0], 0), _synthetic_row(configs[1], 1)]
         baseline = [_synthetic_row(configs[0], 2)]  # lru cell is new
-        text = render_report(
-            current, columns=("cell", "vim_ms"), fmt="csv", baseline=baseline
-        )
-        lines = text.splitlines()
-        assert lines[1].endswith('"1.000 (-2.000, -66.7%)"')
-        assert lines[2].endswith("2.000 (new)")
+        text = render_report(current, fmt="csv", baseline=baseline)
+        header, base_kept, new = csv.reader(io.StringIO(text))
+        vim = header.index("VIM ms")
+        assert base_kept[vim] == "1.000 (-2.000, -66.7%)"
+        assert new[vim] == "2.000 (new)"
 
     def test_baseline_equal_cells_annotated_as_equal(self):
         from repro.exp.spec import CellConfig
 
         rows = [_synthetic_row(CellConfig())]
-        text = render_report(
-            rows, columns=("cell", "vim_ms"), fmt="md", baseline=rows
-        )
+        text = render_report(rows, fmt="md", baseline=rows)
         assert "1.000 (=)" in text
 
     def test_baseline_only_cells_listed_after_tables(self):
@@ -269,16 +268,6 @@ class TestGrouping:
         assert len(parsed) == 2  # header + the one current row
         assert all(len(row) == len(parsed[0]) for row in parsed)
 
-    def test_typical_column_renders_dash_when_not_requested(self):
-        from repro.exp.spec import CellConfig
-
-        rows = [_synthetic_row(CellConfig())]  # typical_ms=None, fits=True
-        text = render_report(
-            rows, columns=("cell", "typical_ms"), fmt="csv"
-        )
-        assert text.splitlines()[1].endswith(",-")
-        assert "None" not in text
-
 
 class TestValidation:
     def test_unknown_format_rejected(self):
@@ -290,11 +279,6 @@ class TestValidation:
         rows = _fixture_rows()
         with pytest.raises(ReproError, match="axis"):
             render_report(rows, group_by=("colour",))
-
-    def test_unknown_column_rejected(self):
-        rows = _fixture_rows()
-        with pytest.raises(ReproError, match="column"):
-            render_report(rows, columns=("cell", "warp_factor"))
 
     def test_render_table_rejects_unknown_format(self):
         with pytest.raises(ReproError, match="format"):
