@@ -501,6 +501,15 @@ def _print_record(args: argparse.Namespace) -> None:
     unique cell (a trace is one run's access stream, not a grid's).
     """
     spec = spec_from_args(args)
+    out = Path(args.out)
+    # Refuse before simulating, as sweep does for --json: a run whose
+    # trace then may not be written is wasted work.
+    if out.is_dir():
+        raise ReproError(f"record target {out} is a directory")
+    if out.exists() and not args.force:
+        raise ReproError(
+            f"refusing to overwrite {out}; pass --force to replace it"
+        )
     cells = spec.expand() if isinstance(spec, SweepSpec) else list(spec)
     unique: dict[str, CellConfig] = {}
     for cell in cells:

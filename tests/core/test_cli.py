@@ -179,6 +179,31 @@ class TestSweep:
         assert len(json.loads(path.read_text(encoding="utf-8"))) == 1
 
 
+class TestRecord:
+    def test_record_refuses_its_target_before_simulating(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            cli, "record_cell",
+            lambda *a, **k: pytest.fail("recorded despite a doomed OUT"),
+        )
+        existing = tmp_path / "existing.gz"
+        existing.write_bytes(b"")
+        directory = tmp_path / "traces"
+        directory.mkdir()
+        for out, extra, message in (
+            (existing, [], "pass --force"),
+            (directory, [], "is a directory"),
+            (directory, ["--force"], "is a directory"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["record", str(out), "--app", "vadd", "--kb", "1",
+                      *extra])
+            assert excinfo.value.code == 2
+            assert message in capsys.readouterr().err
+        assert existing.read_bytes() == b""
+
+
 #: Each grid flag spelled with its ``SweepSpec`` default.  A default
 #: that has no spelling (``None``, or ``False`` for a switch) is
 #: spelled with the value it stands for on EPXA1 (``--page``,
