@@ -80,6 +80,7 @@ from repro.exp.store import open_store
 from repro.exp.worker import run_worker
 from repro.exp.spec import (
     APPS,
+    POLICIES,
     PREFETCHES,
     TRANSFERS,
     CellConfig,
@@ -624,7 +625,8 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     grid("--soc", nargs="+", choices=sorted(PRESETS), help="SoC preset axis")
     grid("--page", type=int, nargs="+",
          help="page-size axis (bytes; default: SoC preset)")
-    grid("--policy", nargs="+", help="replacement-policy axis")
+    grid("--policy", nargs="+", choices=POLICIES,
+         help="replacement-policy axis")
     grid("--transfer", nargs="+", choices=TRANSFERS,
          help="transfer-mode axis")
     grid("--prefetch", nargs="+", choices=PREFETCHES, help="prefetch axis")

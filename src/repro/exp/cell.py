@@ -88,21 +88,13 @@ _TRANSFER_MODES = {
 
 def build_workload(config: CellConfig) -> WorkloadSpec:
     """The (deterministic, seeded) workload of *config*."""
-    builder = _APP_BUILDERS.get(config.app)
-    if builder is None:
-        raise ReproError(
-            f"unknown app {config.app!r}; choices: {sorted(_APP_BUILDERS)}"
-        )
+    builder = _APP_BUILDERS[config.app]
     return builder(config, config.input_bytes, config.seed)
 
 
 def build_soc(config: CellConfig) -> SocConfig:
     """The SoC preset of *config*, with page/DP-RAM size overrides."""
-    preset = PRESETS.get(config.soc)
-    if preset is None:
-        raise ReproError(
-            f"unknown SoC {config.soc!r}; choices: {sorted(PRESETS)}"
-        )
+    preset = PRESETS[config.soc]
     overrides: dict = {}
     if config.page_bytes is not None:
         overrides["page_bytes"] = config.page_bytes
@@ -133,11 +125,7 @@ def build_tenant_workloads(config: CellConfig) -> list[Workload]:
     """
     workloads = []
     for index, (app, priority) in enumerate(tenant_slots(config)):
-        builder = _APP_BUILDERS.get(app)
-        if builder is None:
-            raise ReproError(
-                f"unknown app {app!r}; choices: {sorted(_APP_BUILDERS)}"
-            )
+        builder = _APP_BUILDERS[app]
         spec = builder(config, config.input_bytes, config.seed + index)
         workloads.append(
             Workload(

@@ -17,8 +17,10 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import ClassVar
 
+from repro.core.soc import PRESETS
 from repro.errors import ReproError
 from repro.os.scheduler import SCHEDS
+from repro.os.vim.policies import policy_names
 
 #: Bump when CellResult semantics change, so stale caches miss.
 #: (6: the ``sched`` scheduling-policy axis, per-tenant priorities in
@@ -29,6 +31,9 @@ CACHE_VERSION = 6
 #: Applications the cell runner knows how to build (see exp.cell).
 #: ``trace`` replays a recorded address trace (``--trace FILE``).
 APPS = ("adpcm", "idea", "idea-dec", "vadd", "adpcm-enc", "synthetic", "trace")
+
+#: Replacement-policy axis values (the os.vim.policies registry).
+POLICIES = tuple(policy_names())
 
 #: Transfer-mode axis values (maps onto os.vim.transfer.TransferMode):
 #: two CPU copies (measured), one (announced), or DMA descriptors.
@@ -93,13 +98,12 @@ class CellConfig:
     seed : int
         Dataset seed; changing it changes the generated input bytes.
     soc : str
-        SoC preset name from :data:`repro.core.soc.PRESETS`.
+        SoC preset name, a key of :data:`repro.core.soc.PRESETS`.
     page_bytes, dpram_bytes : int or None
         Interface-memory geometry overrides; ``None`` means "the SoC
         preset's value".
     policy : str
-        DP-RAM replacement policy (see
-        :func:`repro.os.vim.policies.policy_names`).
+        DP-RAM replacement policy, one of :data:`POLICIES`.
     transfer : str
         Copy cost model, one of :data:`TRANSFERS`.
     prefetch : str
@@ -214,6 +218,15 @@ class CellConfig:
     def __post_init__(self) -> None:
         if self.app not in APPS:
             raise ReproError(f"unknown app {self.app!r}; choices: {APPS}")
+        if self.soc not in PRESETS:
+            raise ReproError(
+                f"unknown SoC {self.soc!r}; choices: {sorted(PRESETS)}"
+            )
+        if self.policy not in POLICIES:
+            raise ReproError(
+                f"unknown replacement policy {self.policy!r}; choices: "
+                f"{POLICIES}"
+            )
         if self.engine != "reference":
             raise ReproError(
                 f"unknown engine {self.engine!r}; the simulator has one "

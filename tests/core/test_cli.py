@@ -139,6 +139,21 @@ class TestSweep:
         with pytest.raises(SystemExit):
             main(["sweep", "--soc", "EPXA99"])
 
+    def test_unknown_policy_refused_before_sweeping(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            cli.exp, "run_sweep",
+            lambda *a, **k: pytest.fail("swept despite an unknown policy"),
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--app", "vadd", "--kb", "1",
+                  "--policy", "fifo", "bogus",
+                  "--cache", str(tmp_path / "s.sqlite")])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "s.sqlite").exists()
+
     def test_sweep_json_refuses_overwrite_without_force(self, capsys, tmp_path):
         path = tmp_path / "rows.json"
         path.write_text("[]", encoding="utf-8")

@@ -173,6 +173,26 @@ class TestMalformedPayloads:
             assert json.loads(excinfo.value.read())["error"], (path, body)
         assert call(url, "/api/health") == {"ok": True}
 
+    def test_an_unknown_policy_or_soc_gets_a_400_and_no_job(
+        self, url, service
+    ):
+        for cell, name in (({"app": "vadd", "policy": "bogus"}, "'bogus'"),
+                           ({"app": "vadd", "soc": "EPXA99"}, "'EPXA99'")):
+            request = urlrequest.Request(
+                url + "/api/submit",
+                data=json.dumps(
+                    {"cells": [_config(1).to_dict(), cell]}
+                ).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with pytest.raises(urlerror.HTTPError) as excinfo:
+                urlrequest.urlopen(request, timeout=10)
+            assert excinfo.value.code == 400
+            assert name in json.loads(excinfo.value.read())["error"]
+        status = service.status()
+        assert status["jobs"] == {} and status["queued"] == 0
+
     def test_a_bad_content_length_gets_a_400_and_the_coordinator_keeps_serving(
         self, url
     ):

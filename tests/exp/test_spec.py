@@ -25,6 +25,18 @@ class TestCellConfig:
         with pytest.raises(ReproError):
             CellConfig(transfer="triple")
 
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ReproError, match="replacement policy 'bogus'"):
+            CellConfig(policy="bogus")
+        with pytest.raises(ReproError, match="replacement policy 'bogus'"):
+            CellConfig.from_dict({"policy": "bogus"})
+
+    def test_unknown_soc_rejected(self):
+        with pytest.raises(ReproError, match="SoC 'EPXA99'"):
+            CellConfig(soc="EPXA99")
+        with pytest.raises(ReproError, match="SoC 'EPXA99'"):
+            CellConfig.from_dict({"soc": "EPXA99"})
+
     def test_second_engine_rejected(self):
         with pytest.raises(ReproError, match="one engine, 'reference'"):
             CellConfig(engine="fast")
