@@ -6,7 +6,7 @@ from repro.core.drivers import (
     idea_workload,
     vector_add_workload,
 )
-from repro.core.measurement import Counters, Measurement
+from repro.accounting import Counters, Measurement
 from repro.core.runner import (
     ObjectSpec,
     RunResult,

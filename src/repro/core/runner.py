@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.accounting import Measurement
 from repro.coproc.bitstream import Bitstream
 from repro.errors import CapacityError, VimError
 from repro.imu.direct import DirectInterface
-from repro.core.measurement import Measurement
 from repro.core.system import System
 from repro.os.costs import Bucket
 from repro.os.vim.objects import Direction

@@ -27,11 +27,11 @@ Example::
 
 from __future__ import annotations
 
+from repro.accounting import Measurement
 from repro.coproc.bitstream import Bitstream
 from repro.errors import FpgaError, SyscallError, VimError
 from repro.hw.dma import INT_DMA_LINE
 from repro.imu.imu import INT_PLD_LINE, Imu
-from repro.core.measurement import Measurement
 from repro.core.runner import RunResult, WorkloadSpec
 from repro.core.system import System
 from repro.coproc.ports import tag_obj

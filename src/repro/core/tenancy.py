@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.measurement import Measurement
+from repro.accounting import Measurement
 from repro.core.runner import verify_outputs
 from repro.core.session import CoprocessorSession, VirtualInterface
 from repro.core.system import System

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable
 
+from repro.accounting import Measurement
 from repro.apps.tracefile import trace_workload
 from repro.core.drivers import (
     adpcm_encode_workload,
@@ -20,7 +21,6 @@ from repro.core.drivers import (
     synthetic_workload,
     vector_add_workload,
 )
-from repro.core.measurement import Measurement
 from repro.core.runner import WorkloadSpec, run_software, run_typical, run_vim
 from repro.core.soc import PRESETS, SocConfig
 from repro.core.system import System
@@ -169,7 +169,7 @@ def vim_options(config: CellConfig) -> dict:
 
 
 #: Counter columns of a row, each the sum of the same-named
-#: :class:`~repro.core.measurement.Counters` field over the cell's
+#: :class:`~repro.accounting.Counters` field over the cell's
 #: measurements.
 _COUNTER_COLUMNS = (
     "page_faults",

@@ -12,8 +12,8 @@ and this class is exactly that cooperation surface.
 
 from __future__ import annotations
 
+from repro.accounting import Measurement
 from repro.errors import OsError
-from repro.core.measurement import Measurement
 from repro.hw.interrupts import InterruptController
 from repro.os.costs import Bucket, CpuCostModel
 from repro.os.process import Process

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.accounting import Bucket
-from repro.core.measurement import Measurement
+from repro.accounting import Bucket, Measurement
 from repro.errors import ReproError
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.accounting import Measurement
 from repro.coproc.kernels import vector_add
 from repro.errors import SyscallError
 from repro.hw.bus import AhbBus
@@ -15,7 +16,6 @@ from repro.os.process import ProcessState
 from repro.os.syscalls import FpgaServices
 from repro.os.vim.manager import Vim
 from repro.os.vim.objects import Direction
-from repro.core.measurement import Measurement
 from repro.sim.engine import Engine
 from repro.sim.time import mhz
 

@@ -16,8 +16,7 @@ Each test here fails on the pre-fix tree.
 
 import pytest
 
-from repro.accounting import Bucket
-from repro.core.measurement import Measurement
+from repro.accounting import Bucket, Measurement
 from repro.errors import VimError
 from repro.hw.bus import AhbBus
 from repro.hw.dma import DmaEngine

@@ -7,9 +7,8 @@ behaviour is covered in tests/core/test_runner.py.
 
 import pytest
 
-from repro.accounting import Bucket
+from repro.accounting import Bucket, Measurement
 from repro.coproc.ports import PARAM_OBJECT, tag_obj
-from repro.core.measurement import Measurement
 from repro.errors import VimError
 from repro.hw.bus import AhbBus
 from repro.hw.dpram import DualPortRam

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.accounting import Bucket
-from repro.core.measurement import Measurement
+from repro.accounting import Bucket, Measurement
 from repro.errors import MemoryAccessError, OsError
 from repro.hw.interrupts import InterruptController
 from repro.os.costs import CpuCostModel
