@@ -14,8 +14,6 @@ rendered from two merged shard stores is byte-identical to the report
 of a single unsharded run.
 """
 
-import csv
-import io
 import random
 from pathlib import Path
 
@@ -224,13 +222,16 @@ class TestGrouping:
         assert text.index("page_bytes=None") < text.index("page_bytes=1024")
 
     def test_baseline_annotations(self):
+        import csv as csv_module
+        import io
+
         from repro.exp.spec import CellConfig
 
         configs = [CellConfig(), CellConfig(policy="lru")]
         current = [_synthetic_row(configs[0], 0), _synthetic_row(configs[1], 1)]
         baseline = [_synthetic_row(configs[0], 2)]  # lru cell is new
         text = render_report(current, fmt="csv", baseline=baseline)
-        header, base_kept, new = csv.reader(io.StringIO(text))
+        header, base_kept, new = csv_module.reader(io.StringIO(text))
         vim = header.index("VIM ms")
         assert base_kept[vim] == "1.000 (-2.000, -66.7%)"
         assert new[vim] == "2.000 (new)"
